@@ -149,6 +149,8 @@ def _parse_seeds(text):
         parts = [int(p) for p in str(text).split(",") if p.strip() != ""]
     except ValueError:
         raise ConfigError("seeds", f"expected comma-separated integers, got {text!r}")
+    if len(set(parts)) != len(parts):
+        raise ConfigError("seeds", f"duplicate seed in {text!r}")
     return [_check_seed(p) for p in parts]
 
 

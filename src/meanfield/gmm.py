@@ -728,11 +728,12 @@ class DiagGmm(VariationalModel):
 def read_data_csv(path):
     """Read a headerless numeric CSV into an (n, d) array.
 
-    Every row must have the same number of comma-separated numeric fields;
-    violations raise :class:`DataFormatError` carrying the 1-based line
-    number.
+    Every row must have the same number of comma-separated finite numeric
+    fields; violations raise :class:`DataFormatError` carrying the 1-based
+    line number.
     """
     rows = []
+    linenos = []
     width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -750,6 +751,11 @@ def read_data_csv(path):
                 rows.append([float(f) for f in fields])
             except ValueError:
                 raise DataFormatError("non-numeric field", line=lineno)
+            linenos.append(lineno)
     if not rows:
         raise DataFormatError("empty data file", line=1)
-    return np.array(rows)
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DataFormatError("non-finite field", line=linenos[np.argmin(finite)])
+    return data

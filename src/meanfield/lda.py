@@ -13,11 +13,14 @@ Dirichlet ``gamma_d`` per document, and a categorical ``phi`` row per
 share their assignment factor, weighted by the term count; this is
 equivalent to per-token factors because tokens are exchangeable.
 
-One coordinate sweep runs, per document, an inner phi/gamma loop to
-convergence at the current topics, then refreshes every ``lambda_k`` from
-the accumulated assignment statistics.  Stochastic fits replace the full
-statistics with a rescaled minibatch estimate blended in at a
-Robbins-Monro step size.
+The local step (:func:`e_step`) runs all documents of a corpus or minibatch
+at once over its CSR layout, in the exp-space form of Hoffman, Blei & Bach
+(2010): with ``t_d = exp E[log theta_d]`` and ``b_w = exp E[log beta_w]``,
+``gamma_d = alpha + t_d * sum_w (c_dw / t_d . b_w) b_w``, and ``phi`` is
+formed only at the end, where a caller needs it.  One coordinate sweep runs
+that step at the current topics, then refreshes every ``lambda_k`` from the
+assignment statistics.  Stochastic fits replace the full statistics with a
+rescaled minibatch estimate blended in at a Robbins-Monro step size.
 """
 
 from __future__ import annotations
@@ -31,13 +34,7 @@ import numpy as np
 from .condconj import step_size
 from .engine import FitReport, MeanFieldState, TracePoint, VariationalModel
 from .errors import ConfigError, DataFormatError, DomainError, NumericError
-from .expfam import (
-    ExpFamParam,
-    _dirichlet_expected_log_rows,
-    digamma,
-    dirichlet_kl,
-    log_sum_exp,
-)
+from .expfam import ExpFamParam, _dirichlet_expected_log_rows, digamma, log_gamma
 
 __all__ = [
     "INNER_TOL",
@@ -52,6 +49,7 @@ __all__ = [
     "update_phi",
     "update_gamma",
     "update_lambda",
+    "e_step",
     "lda_cavi_fit",
     "lda_svi_fit",
 ]
@@ -61,6 +59,11 @@ __all__ = [
 # a stochastic step costs O(cap * N_d * K) at worst.
 INNER_TOL = 1e-4
 INNER_MAX_ITERS = 100
+
+# Both exp-space factors peak at 1, so a token's normalizer falls below this
+# only when its document and its term favour different topics by hundreds of
+# nats; such tokens are normalized in log space, keeping count/phinorm finite.
+_NORM_FLOOR = 1e-100
 
 
 def _frozen(a, dtype=float):
@@ -76,6 +79,12 @@ class Corpus:
     ``docs`` is a tuple of ``(terms, counts)`` pairs where ``terms`` holds
     sorted distinct 0-based term ids and ``counts`` the positive
     multiplicity of each.  ``v`` is the vocabulary size.
+
+    Construction lays the corpus out once in CSR form, one entry per
+    (document, distinct term) pair: document ``d`` owns entries
+    ``indptr[d]:indptr[d + 1]`` of ``ids`` (term ids) and ``cts`` (counts),
+    and ``docs`` holds read-only views of them.  The E-step, the ELBO and
+    the topic statistics run over these flat arrays.
     """
 
     docs: tuple
@@ -85,20 +94,22 @@ class Corpus:
         if int(self.v) != self.v or self.v < 1:
             raise DomainError("vocabulary size must be a positive integer")
         object.__setattr__(self, "v", int(self.v))
-        frozen_docs = []
-        for terms, counts in self.docs:
-            terms = _frozen(terms, dtype=int)
-            counts = _frozen(counts)
-            if terms.ndim != 1 or counts.shape != terms.shape:
-                raise DomainError("each document needs matching term/count vectors")
-            if terms.size and (terms.min() < 0 or terms.max() >= self.v):
-                raise DomainError("term ids must lie in [0, vocabulary size)")
-            if np.unique(terms).size != terms.size:
-                raise DomainError("term ids must be distinct within a document")
-            if np.any(counts < 1.0) or not np.all(np.isfinite(counts)):
-                raise DomainError("term counts must be finite and >= 1")
-            frozen_docs.append((terms, counts))
-        object.__setattr__(self, "docs", tuple(frozen_docs))
+        lens = [np.size(terms) for terms, _ in self.docs]
+        if any(np.ndim(t) != 1 or np.shape(c) != np.shape(t) for t, c in self.docs):
+            raise DomainError("each document needs matching term/count vectors")
+        ids = _frozen(np.concatenate([[], *(t for t, _ in self.docs)]), int)
+        cts = _frozen(np.concatenate([[], *(c for _, c in self.docs)]))
+        if ids.size and (ids.min() < 0 or ids.max() >= self.v):
+            raise DomainError("term ids must lie in [0, vocabulary size)")
+        rows = np.repeat(np.arange(len(lens)), lens)
+        if np.unique(rows * self.v + ids).size != ids.size:
+            raise DomainError("term ids must be distinct within a document")
+        if not np.all((cts >= 1.0) & (cts < np.inf)):
+            raise DomainError("term counts must be finite and >= 1")
+        object.__setattr__(self, "indptr", _frozen(np.cumsum([0, *lens]), int))
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "cts", cts)
+        object.__setattr__(self, "docs", tuple(zip(self.split(ids), self.split(cts))))
 
     @property
     def d(self):
@@ -109,13 +120,17 @@ class Corpus:
 
     @property
     def total_tokens(self):
-        return float(sum(counts.sum() for _, counts in self.docs))
+        return float(self.cts.sum())
 
     def doc_lengths(self):
         return np.array([counts.sum() for _, counts in self.docs])
 
     def subset(self, indices):
         return Corpus(tuple(self.docs[int(i)] for i in indices), self.v)
+
+    def split(self, rows):
+        """Per-document views of an array with one row per CSR entry."""
+        return tuple(rows[a:b] for a, b in zip(self.indptr[:-1], self.indptr[1:]))
 
 
 def read_uci(path):
@@ -198,15 +213,14 @@ def read_uci(path):
 
 def write_uci(corpus, path):
     """Write a :class:`Corpus` as UCI bag-of-words text (integer counts)."""
-    triples = []
-    for d, (terms, counts) in enumerate(corpus.docs):
-        for t, c in zip(terms, counts):
-            if c != int(c):
-                raise DomainError("file format stores integer counts only")
-            triples.append(f"{d + 1} {int(t) + 1} {int(c)}\n")
+    if np.any(corpus.cts != np.floor(corpus.cts)):
+        raise DomainError("file format stores integer counts only")
+    docs = np.repeat(np.arange(1, len(corpus) + 1), np.diff(corpus.indptr))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{len(corpus)}\n{corpus.v}\n{len(triples)}\n")
-        handle.writelines(triples)
+        handle.write(f"{len(corpus)}\n{corpus.v}\n{corpus.ids.size}\n")
+        handle.writelines(
+            f"{d} {t + 1} {int(c)}\n" for d, t, c in zip(docs, corpus.ids, corpus.cts)
+        )
 
 
 def simulate_corpus(
@@ -307,45 +321,107 @@ class LdaState:
         for p in self.phi:
             if p.ndim != 2 or p.shape[1] != k:
                 raise DomainError("phi rows must have one column per topic")
-            if p.size and (
-                np.any(p < 0.0)
-                or not np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
-            ):
-                raise DomainError("phi rows must be probability vectors")
+        flat = _stacked_phi(self.phi, k)
+        if flat.size and (
+            np.any(flat < 0.0)
+            or not np.allclose(flat.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+        ):
+            raise DomainError("phi rows must be probability vectors")
 
 
-def _doc_phi(gamma_d, elog_beta_doc):
-    """Assignment rows for one document, (T, K).
+def _stacked_phi(phis, k):
+    """Per-document assignment matrices as one (entries, K) array."""
+    return np.concatenate(phis) if phis else np.zeros((0, k))
 
-    ``elog_beta_doc`` is the (K, T) slice of E[log beta] at the document's
-    terms.  The normalizer over topics also absorbs the psi(sum gamma)
-    term, so it is left out of the logits.
+
+def _term_stats(corpus, phi):
+    """Expected topic-term counts ``sum_d count_dw phi_dw`` as a (K, V) array."""
+    k = phi.shape[1]
+    slots = (corpus.ids[:, None] * k + np.arange(k)).ravel()
+    flat = np.bincount(slots, (phi * corpus.cts[:, None]).ravel(), corpus.v * k)
+    return flat.reshape(corpus.v, k).T
+
+
+def _shifted(logits):
+    """Logits shifted so that every row peaks at 0."""
+    return logits - logits.max(axis=1, keepdims=True)
+
+
+def _phi_rows(log_theta_tok, beta_tok, elog_beta, ids):
+    """Assignment rows (T, K) for CSR entries with term ids ``ids``, from
+    each entry's shifted ``E[log theta_d]`` row and ``exp E[log beta]``
+    column; entries whose exp-space normalizer underflows use log space."""
+    phi = np.exp(log_theta_tok) * beta_tok
+    norm = phi.sum(axis=1)
+    lost = norm < _NORM_FLOOR
+    phi /= np.where(lost, 1.0, norm)[:, None]
+    if lost.any():
+        p = np.exp(_shifted(log_theta_tok[lost] + elog_beta[:, ids[lost]].T))
+        phi[lost] = p / p.sum(axis=1, keepdims=True)
+    return phi
+
+
+def e_step(corpus, elog_beta, gamma, alpha, want_phi=True):
+    """Local step for every document of ``corpus`` at fixed topics.
+
+    From ``gamma`` (D, K), each document updates until the mean absolute
+    change of ``gamma_d`` falls below :data:`INNER_TOL` (checked from the
+    second update on) or after :data:`INNER_MAX_ITERS` updates, then leaves
+    the active rows.  ``E[log theta]`` per document and ``E[log beta]`` per
+    term are shifted to peak at 0 over topics before exponentiating.
+    Returns ``(gamma, phi, iterations)``: the (entries, K) assignment rows
+    behind ``gamma`` (``None`` unless ``want_phi``) and each document's
+    update count (0 when empty).
     """
-    logits = digamma(gamma_d)[:, None] + elog_beta_doc
-    if logits.shape[1] == 0:
-        return np.zeros((0, gamma_d.shape[0]))
-    log_norm = log_sum_exp(logits, axis=0)
-    return np.exp(logits - log_norm[None, :]).T
+    lens = np.diff(corpus.indptr)
+    gamma = np.array(gamma, dtype=float)
+    gamma[lens == 0] = alpha
+    iterations = np.zeros(len(lens), dtype=int)
+    log_theta = np.zeros_like(gamma)
+    beta_all = np.exp(_shifted(elog_beta[:, corpus.ids].T))
 
-
-def _doc_inner(gamma_d, elog_beta_doc, counts, alpha, tol, max_iters):
-    """Alternate phi and gamma for one document until gamma settles.
-
-    Returns ``(gamma_d, phi)`` with ``gamma_d = alpha + phi^T counts``, so
-    the component sum identity holds for the returned pair.
-    """
-    if counts.size == 0:
-        return alpha.copy(), np.zeros((0, alpha.shape[0]))
-    phi = _doc_phi(gamma_d, elog_beta_doc)
-    gamma_d = alpha + phi.T @ counts
-    for _ in range(max_iters - 1):
-        phi = _doc_phi(gamma_d, elog_beta_doc)
-        new_gamma = alpha + phi.T @ counts
-        delta = float(np.abs(new_gamma - gamma_d).mean())
-        gamma_d = new_gamma
-        if delta < tol:
+    act = np.flatnonzero(lens)
+    ids, cts, beta, act_lens = corpus.ids, corpus.cts, beta_all, lens[act]
+    for it in range(1, INNER_MAX_ITERS + 1):
+        if act.size == 0:
             break
-    return gamma_d, phi
+        lt = _shifted(digamma(gamma[act]))
+        log_theta[act] = lt
+        theta = np.exp(lt)
+        norm = (np.repeat(theta, act_lens, axis=0) * beta).sum(axis=1)
+        lost = norm < _NORM_FLOOR
+        weights = cts / np.where(lost, np.inf, norm)
+        starts = np.cumsum(act_lens) - act_lens
+        new = alpha + theta * np.add.reduceat(beta * weights[:, None], starts, axis=0)
+        if lost.any():
+            rows = np.repeat(np.arange(act.size), act_lens)[lost]
+            phi = _phi_rows(lt[rows], beta[lost], elog_beta, ids[lost])
+            np.add.at(new, rows, cts[lost, None] * phi)
+        done = np.abs(new - gamma[act]).mean(axis=1) < INNER_TOL
+        gamma[act] = new
+        iterations[act] = it
+        if it > 1 and done.any():
+            keep = np.repeat(~done, act_lens)
+            act, act_lens = act[~done], act_lens[~done]
+            ids, cts, beta = ids[keep], cts[keep], beta[keep]
+
+    if want_phi:
+        log_theta = np.repeat(log_theta, lens, axis=0)
+        return gamma, _phi_rows(log_theta, beta_all, elog_beta, corpus.ids), iterations
+    return gamma, None, iterations
+
+
+def _fresh_gamma(corpus, config):
+    """Cold-start proportions ``alpha + N_d / K`` for every document."""
+    return config.alpha[None, :] + (corpus.doc_lengths() / config.k)[:, None]
+
+
+def _fold_in(corpus, lam, config, want_phi=True):
+    """E-step for every document of ``corpus`` from a cold start at ``lam``."""
+    elog_beta = _dirichlet_expected_log_rows(lam)
+    return e_step(
+        corpus, elog_beta, _fresh_gamma(corpus, config), config.alpha, want_phi
+    )
 
 
 def update_phi(state, d, corpus, config):
@@ -357,7 +433,9 @@ def update_phi(state, d, corpus, config):
     del config
     terms, _ = corpus.docs[d]
     elog_beta = _dirichlet_expected_log_rows(state.lam)
-    return _doc_phi(state.gamma[d], elog_beta[:, terms])
+    log_theta = _shifted(digamma(state.gamma[d : d + 1]))
+    beta = np.exp(_shifted(elog_beta[:, terms].T))
+    return _phi_rows(np.repeat(log_theta, terms.size, axis=0), beta, elog_beta, terms)
 
 
 def update_gamma(state, d, corpus, config):
@@ -370,35 +448,39 @@ def update_gamma(state, d, corpus, config):
 def update_lambda(state, corpus, config):
     """Topic parameters from all assignment rows:
     ``lam_kv = eta + sum_d count_{dv} phi_{dv}^k``."""
-    lam = np.full((config.k, corpus.v), float(config.eta))
-    for (terms, counts), phi in zip(corpus.docs, state.phi):
-        if terms.size:
-            lam[:, terms] += (phi * counts[:, None]).T
-    return lam
+    return config.eta + _term_stats(corpus, _stacked_phi(state.phi, config.k))
+
+
+def _dirichlet_kl_rows(conc, elog, prior):
+    """KL(Dir(conc_i) || Dir(prior)) per row; ``elog`` is E[log pi] under q."""
+    return (
+        log_gamma(conc.sum(axis=1))
+        - log_gamma(conc).sum(axis=1)
+        - log_gamma(prior.sum())
+        + log_gamma(prior).sum()
+        + ((conc - prior) * elog).sum(axis=1)
+    )
 
 
 def lda_elbo(state, corpus, config):
     """Evidence lower bound, all constants kept.
 
     Token terms (likelihood, assignment cross-entropy, assignment entropy)
-    accumulate per document; the theta and beta blocks enter as exact
+    sum over the CSR entries; the theta and beta blocks enter as exact
     Dirichlet KL divergences to their priors.
     """
     elog_beta = _dirichlet_expected_log_rows(state.lam)
     elog_theta = _dirichlet_expected_log_rows(state.gamma)
-    total = 0.0
-    for d, (terms, counts) in enumerate(corpus.docs):
-        if terms.size == 0:
-            continue
-        phi = state.phi[d]
-        scores = elog_theta[d][None, :] + elog_beta[:, terms].T
-        safe = np.where(phi > 0.0, phi, 1.0)
-        total += float((counts[:, None] * phi * (scores - np.log(safe))).sum())
-    for d in range(len(corpus)):
-        total -= dirichlet_kl(state.gamma[d], config.alpha)
+    phi = _stacked_phi(state.phi, config.k)
+    scores = (
+        np.repeat(elog_theta, np.diff(corpus.indptr), axis=0)
+        + elog_beta[:, corpus.ids].T
+    )
+    safe = np.where(phi > 0.0, phi, 1.0)
+    total = float((corpus.cts[:, None] * phi * (scores - np.log(safe))).sum())
+    total -= float(_dirichlet_kl_rows(state.gamma, elog_theta, config.alpha).sum())
     eta_row = np.full(corpus.v, config.eta)
-    for j in range(config.k):
-        total -= dirichlet_kl(state.lam[j], eta_row)
+    total -= float(_dirichlet_kl_rows(state.lam, elog_beta, eta_row).sum())
     return total
 
 
@@ -426,60 +508,34 @@ class Lda(VariationalModel):
         k, v = self.config.k, data.v
         scale = 0.01 * data.total_tokens / (k * v)
         lam = self.config.eta + scale * rng.uniform(size=(k, v))
-        lengths = data.doc_lengths()
-        gamma = self.config.alpha[None, :] + (lengths / k)[:, None]
-        phi = tuple(
-            np.full((terms.size, k), 1.0 / k) for terms, _ in data.docs
-        )
-        return LdaState(lam, gamma, phi)
+        phi = data.split(np.full((data.ids.size, k), 1.0 / k))
+        return LdaState(lam, _fresh_gamma(data, self.config), phi)
 
     def sweep(self, state, data):
         config = self.config
         elog_beta = _dirichlet_expected_log_rows(state.lam)
-        lam = np.full((config.k, data.v), float(config.eta))
-        gamma = np.empty_like(state.gamma)
-        phis = []
-        for d, (terms, counts) in enumerate(data.docs):
-            gamma_d, phi = _doc_inner(
-                state.gamma[d],
-                elog_beta[:, terms],
-                counts,
-                config.alpha,
-                INNER_TOL,
-                INNER_MAX_ITERS,
-            )
-            gamma[d] = gamma_d
-            phis.append(phi)
-            if terms.size:
-                lam[:, terms] += (phi * counts[:, None]).T
-        return LdaState(lam, gamma, tuple(phis))
+        gamma, phi, _ = e_step(data, elog_beta, state.gamma, config.alpha)
+        lam = config.eta + _term_stats(data, phi)
+        return LdaState(lam, gamma, data.split(phi))
 
     def elbo(self, state, data):
         return lda_elbo(state, data, self.config)
 
-    def log_predictive(self, state, point):
-        """Total log predictive of one held-out document ``(terms,
-        counts)``: fold the document in against frozen topics, then score
-        each token under the mean topic mixture
-        ``sum_k E[theta_k] E[beta_kv]``."""
-        terms, counts = point
-        terms = np.asarray(terms, dtype=int)
-        counts = np.asarray(counts, dtype=float)
-        config = self.config
-        elog_beta = _dirichlet_expected_log_rows(state.lam)
-        gamma_init = config.alpha + counts.sum() / config.k
-        gamma_d, _ = _doc_inner(
-            gamma_init,
-            elog_beta[:, terms],
-            counts,
-            config.alpha,
-            INNER_TOL,
-            INNER_MAX_ITERS,
-        )
-        theta = gamma_d / gamma_d.sum()
+    def _log_predictive_total(self, state, corpus):
+        """Fold every document in against frozen topics, then score each
+        token under the mean topic mixture ``sum_k E[theta_k] E[beta_kv]``."""
+        gamma, _, _ = _fold_in(corpus, state.lam, self.config, want_phi=False)
+        theta = gamma / gamma.sum(axis=1, keepdims=True)
         beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
-        token_probs = theta @ beta_mean[:, terms]
-        return float(counts @ np.log(token_probs))
+        token_probs = (
+            np.repeat(theta, np.diff(corpus.indptr), axis=0)
+            * beta_mean[:, corpus.ids].T
+        ).sum(axis=1)
+        return float(corpus.cts @ np.log(token_probs))
+
+    def log_predictive(self, state, point):
+        """Total log predictive of one held-out document ``(terms, counts)``."""
+        return self._log_predictive_total(state, Corpus((point,), state.lam.shape[1]))
 
     def heldout_log_predictive(self, state, heldout):
         """Per-word average over the held-out documents (token-weighted)."""
@@ -488,8 +544,7 @@ class Lda(VariationalModel):
         tokens = heldout.total_tokens
         if tokens == 0.0:
             raise DomainError("held-out documents contain no tokens")
-        total = sum(self.log_predictive(state, doc) for doc in heldout.docs)
-        return total / tokens
+        return self._log_predictive_total(state, heldout) / tokens
 
     def export_state(self, state):
         factors = []
@@ -566,42 +621,14 @@ def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
     start = time.perf_counter()
 
     def local_pass(lam_now):
-        elog_beta = _dirichlet_expected_log_rows(lam_now)
-        gamma = np.empty((n, config.k))
-        phis = []
-        for d, (terms, counts) in enumerate(corpus.docs):
-            gamma_init = config.alpha + counts.sum() / config.k
-            gamma_d, phi = _doc_inner(
-                gamma_init,
-                elog_beta[:, terms],
-                counts,
-                config.alpha,
-                INNER_TOL,
-                INNER_MAX_ITERS,
-            )
-            gamma[d] = gamma_d
-            phis.append(phi)
-        return LdaState(lam_now, gamma, tuple(phis))
+        gamma, phi, _ = _fold_in(corpus, lam_now, config)
+        return LdaState(lam_now, gamma, corpus.split(phi))
 
     for t in range(1, fit_config.max_iters + 1):
         # sorted for a fixed reduction order; sampling stays uniform
-        batch = np.sort(rng.choice(n, size=batch_size, replace=False))
-        elog_beta = _dirichlet_expected_log_rows(lam)
-        stats = np.zeros_like(lam)
-        for d in batch:
-            terms, counts = corpus.docs[d]
-            gamma_init = config.alpha + counts.sum() / config.k
-            _, phi = _doc_inner(
-                gamma_init,
-                elog_beta[:, terms],
-                counts,
-                config.alpha,
-                INNER_TOL,
-                INNER_MAX_ITERS,
-            )
-            if terms.size:
-                stats[:, terms] += (phi * counts[:, None]).T
-        lam_hat = config.eta + doc_scale * stats
+        batch = corpus.subset(np.sort(rng.choice(n, size=batch_size, replace=False)))
+        _, phi, _ = _fold_in(batch, lam, config)
+        lam_hat = config.eta + doc_scale * _term_stats(batch, phi)
         eps = step_size(schedule, t)
         lam = (1.0 - eps) * lam + eps * lam_hat
         if not np.all(np.isfinite(lam)):

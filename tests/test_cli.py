@@ -99,6 +99,17 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "line 2" in res.stderr
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_field_reports_line(self, tmp_path, field):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1,2\n3,{field}\n4,5\n")
+        res = run_cli(
+            "fit", "--model", "gmm", "--k", "1", "--data", bad,
+            "--out", tmp_path / "o",
+        )
+        assert res.returncode == 3
+        assert "line 2" in res.stderr
+
     def test_malformed_corpus_reports_line(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n4\n2\n1 1 2\n1 2\n")
@@ -141,6 +152,15 @@ class TestExitCodes:
         )
         assert res.returncode == 2
         assert "seeds" in res.stderr
+
+    def test_duplicate_seeds(self, two_ones, tmp_path):
+        res = run_cli(
+            "fit", "--model", "gmm", "--k", "1", "--data", two_ones,
+            "--seeds", "0,1,0", "--out", tmp_path / "o",
+        )
+        assert res.returncode == 2
+        assert "seeds" in res.stderr
+        assert not (tmp_path / "o" / "fit_0.json").exists()
 
     def test_invalid_log_level(self, two_ones, tmp_path):
         res = run_cli(

@@ -25,6 +25,8 @@ from meanfield.expfam import (
     normal_gamma_kl,
 )
 
+from _oracles import digamma_series
+
 # Reference values computed with 40-digit arithmetic.
 DIGAMMA_TABLE = [
     (1e-06, -1000000.5772140201),
@@ -123,6 +125,13 @@ class TestDigamma:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             digamma(bad)
+
+    def test_agrees_with_series_oracle(self):
+        # an independent route: recurrence plus asymptotic series
+        xs = np.geomspace(1e-6, 1e6, 5001)
+        ref = digamma_series(xs)
+        tol = np.maximum(1e-10, 4.0 * np.spacing(np.abs(ref)))
+        assert np.all(np.abs(digamma(xs) - ref) <= tol)
 
 
 class TestMoments:

@@ -13,12 +13,16 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+import meanfield.lda as lda_module
 from meanfield.engine import FitConfig
 from meanfield.errors import ConfigError, DataFormatError, DomainError
 from meanfield.condconj import StepSchedule
+from meanfield.expfam import _dirichlet_expected_log_rows
 from meanfield.lda import (
+    INNER_MAX_ITERS,
+    INNER_TOL,
     Corpus,
     Lda,
     LdaConfig,
@@ -32,6 +36,8 @@ from meanfield.lda import (
     update_phi,
     write_uci,
 )
+
+from _oracles import doc_phi, lda_local_steps
 
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + exp(-1))
 
@@ -672,3 +678,183 @@ class TestStateValidation:
         state = LdaState(np.ones((2, 3)), np.ones((1, 2)), (np.full((1, 2), 0.5),))
         with pytest.raises(ValueError):
             state.lam[0, 0] = 2.0
+
+
+def random_corpus(seed, num_docs=12, vocab=30):
+    """Documents of 1-12 distinct terms with counts 1-6, plus one empty
+    document in the middle."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for _ in range(num_docs):
+        terms = np.sort(rng.choice(vocab, size=rng.integers(1, 13), replace=False))
+        docs.append((terms, rng.integers(1, 7, size=terms.size).astype(float)))
+    docs.insert(num_docs // 2, (np.array([], dtype=int), np.array([])))
+    return Corpus(tuple(docs), vocab)
+
+
+@pytest.fixture
+def e_step_calls(monkeypatch):
+    """Every call of the batched E-step made through the module, with its
+    inputs and outputs."""
+    calls = []
+    batched = lda_module.e_step
+
+    def recording(corpus, elog_beta, gamma, alpha, want_phi=True):
+        out = batched(corpus, elog_beta, gamma, alpha, want_phi)
+        calls.append((corpus, elog_beta, np.array(gamma), alpha, out))
+        return out
+
+    monkeypatch.setattr(lda_module, "e_step", recording)
+    return calls
+
+
+def assert_matches_per_document_loop(call, rtol=1e-10):
+    corpus, elog_beta, gamma_start, alpha, (gamma, phi, iterations) = call
+    want_gamma, want_phi, want_iterations = lda_local_steps(
+        corpus, elog_beta, gamma_start, alpha, INNER_TOL, INNER_MAX_ITERS
+    )
+    assert_array_equal(iterations, want_iterations)
+    assert np.all(np.isfinite(gamma))
+    assert_allclose(gamma, want_gamma, rtol=rtol, atol=0)
+    if phi is not None:
+        assert np.all(np.isfinite(phi))
+        assert_allclose(phi, np.concatenate(want_phi), rtol=rtol, atol=0)
+    return iterations
+
+
+class TestBatchedEStep:
+    """The batched E-step against the per-document log-space loop it
+    replaced, at each of its four call sites."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_cavi_sweep(self, k, e_step_calls):
+        corpus = random_corpus(20 + k)
+        config = LdaConfig(k=k, eta=0.3, alpha=0.2)
+        model = Lda(config)
+        state = model.init_state(corpus, "prior", np.random.default_rng(k))
+        for _ in range(4):
+            state = model.sweep(state, corpus)
+        assert len(e_step_calls) == 4
+        for call in e_step_calls:
+            iterations = assert_matches_per_document_loop(call)
+            assert iterations[len(corpus) // 2] == 0  # the empty document
+            if k > 1:
+                # documents leave the active set at different iterations
+                assert len(set(iterations.tolist())) > 2
+        assert_allclose(state.gamma[len(corpus) // 2], config.alpha, rtol=0, atol=0)
+        assert_allclose(state.lam, update_lambda(state, corpus, config), rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_fold_in_for_log_predictive(self, k, e_step_calls):
+        corpus = random_corpus(30 + k)
+        config = LdaConfig(k=k, eta=0.3, alpha=0.2)
+        model = Lda(config)
+        rng = np.random.default_rng(k)
+        state = LdaState(
+            config.eta + rng.uniform(0.0, 5.0, size=(k, corpus.v)),
+            np.ones((0, k)),
+            (),
+        )
+        per_word = model.heldout_log_predictive(state, corpus)
+        single = model.log_predictive(state, corpus.docs[0])
+        assert len(e_step_calls) == 2
+        for call in e_step_calls:
+            assert call[4][1] is None  # scoring needs no phi
+            assert_matches_per_document_loop(call)
+
+        elog_beta = _dirichlet_expected_log_rows(state.lam)
+        gamma, _, _ = lda_local_steps(
+            corpus,
+            elog_beta,
+            config.alpha + corpus.doc_lengths()[:, None] / k,
+            config.alpha,
+            INNER_TOL,
+            INNER_MAX_ITERS,
+        )
+        beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
+        totals = [
+            float(counts @ np.log(g / g.sum() @ beta_mean[:, terms]))
+            for g, (terms, counts) in zip(gamma, corpus.docs)
+        ]
+        assert per_word == pytest.approx(sum(totals) / corpus.total_tokens, rel=1e-12)
+        assert single == pytest.approx(totals[0], rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_svi_minibatch_and_local_pass(self, k, e_step_calls):
+        corpus = random_corpus(40 + k)
+        config = LdaConfig(k=k, eta=0.3, alpha=0.2)
+        report = lda_svi_fit(
+            corpus,
+            config,
+            StepSchedule(kappa=0.7, delay=1.0, scale=1.0),
+            FitConfig(max_iters=4, tol=1e-12, seed=k, elbo_every=2),
+            batch_size=4,
+        )
+        sizes = [len(call[0]) for call in e_step_calls]
+        # four minibatch steps; local passes after steps 2 and 4 and at the end
+        assert sizes == [4, 4, len(corpus), 4, 4, len(corpus), len(corpus)]
+        for call in e_step_calls:
+            assert_matches_per_document_loop(call)
+        final = e_step_calls[-1][4]
+        assert_allclose(report.model_state.gamma, final[0], rtol=0, atol=0)
+
+
+class TestExpSpaceUnderflow:
+    """Tiny priors and long documents, where an unshifted exp-space
+    E-step underflows."""
+
+    # |E[log beta]| reaches ~1e6 at eta = 1e-6, where one ulp is 1.2e-10;
+    # gamma and phi inherit a few ulp of relative error from the logits
+    # whichever route forms them.
+    RTOL = 1e-9
+
+    def test_unseen_term_in_long_heldout_document(self, e_step_calls):
+        train, _ = simulate_corpus(3, 30, 40, 40, seed=21)
+        unseen = train.v  # a term id no training document uses
+        train = Corpus(train.docs, train.v + 1)
+        config = LdaConfig(k=3, eta=1e-6, alpha=0.1)
+        state, _ = fit_state(train, config, seed=0, max_iters=5)
+        elog_beta = _dirichlet_expected_log_rows(state.lam)
+        # without the per-term shift every factor of the unseen term is 0
+        assert np.all(np.exp(elog_beta[:, unseen]) == 0.0)
+
+        rng = np.random.default_rng(3)
+        counts = 1.0 + rng.multinomial(10_000 - 8, np.full(8, 1.0 / 8))
+        terms = np.array([0, 5, 11, 17, 23, 30, 36, unseen])
+        held = Corpus(((terms, counts),), train.v)
+        assert held.total_tokens == 10_000
+        e_step_calls.clear()
+        value = Lda(config).heldout_log_predictive(state, held)
+        assert np.isfinite(value)
+        (call,) = e_step_calls
+        assert_matches_per_document_loop(call, rtol=self.RTOL)
+
+        # the same document through a sweep, phi included
+        stacked = LdaState(state.lam, call[4][0], (np.full((8, 3), 1.0 / 3),))
+        e_step_calls.clear()
+        swept = Lda(config).sweep(stacked, held)
+        assert np.all(np.isfinite(swept.lam))
+        (call,) = e_step_calls
+        assert_matches_per_document_loop(call, rtol=self.RTOL)
+
+    def test_document_and_term_favouring_different_topics(self, e_step_calls):
+        # gamma puts ~1e6 nats between the topics one way and lam the other
+        # way at term 0, so even the shifted exp-space normalizer of that
+        # entry underflows and it is formed in log space.
+        corpus = Corpus(((np.array([0, 1]), np.array([1.0, 1000.0])),), 2)
+        config = LdaConfig(k=2, eta=1e-6, alpha=1e-6)
+        lam = np.array([[1e3, 1e-6], [1e-6, 1e3]])
+        elog_beta = _dirichlet_expected_log_rows(lam)
+        gamma = np.array([[1e-6, 1001.0]])
+        log_theta = lda_module.digamma(gamma[0]) - lda_module.digamma(gamma[0]).max()
+        shifted_beta = elog_beta[:, 0] - elog_beta[:, 0].max()
+        assert np.exp(log_theta) @ np.exp(shifted_beta) == 0.0
+
+        state = LdaState(lam, gamma, (np.full((2, 2), 0.5),))
+        swept = Lda(config).sweep(state, corpus)
+        (call,) = e_step_calls
+        assert_matches_per_document_loop(call, rtol=self.RTOL)
+        assert swept.gamma.sum() == pytest.approx(config.alpha.sum() + 1001.0, abs=1e-9)
+        phi = update_phi(state, 0, corpus, config)
+        assert_allclose(phi, doc_phi(gamma[0], elog_beta), rtol=self.RTOL, atol=0)
+        assert_allclose(phi.sum(axis=1), 1.0, atol=1e-12)
