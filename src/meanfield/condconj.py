@@ -23,19 +23,29 @@ coordinates with a Robbins-Monro step size.
 The local family here is categorical (mixture assignments); models with
 richer local structure implement their own local loop on top of the same
 global blending (see the topic model module).
+
+Everything runs on batches.  Observations are the rows of an ``(n, d)``
+array (a 1-D array is one column), and the ``n`` local factors are one
+``(n, k)`` array of probabilities, each row a categorical distribution over
+the ``k`` local values.  :func:`local_probs` is the one local step: a model
+maps the batch to ``(n, k)`` logits, and each row is normalized in log
+space.  The global step, the ELBO, coordinate ascent and every minibatch of
+the stochastic fit go through it.  :func:`local_step` and
+:func:`noisy_natural_gradient` are its one-row forms, kept for callers that
+reason about a single observation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .engine import FitReport, MeanFieldState, TracePoint
 from .errors import ConfigError, DomainError, NumericError
-from .expfam import ExpFamParam, log_sum_exp
+from .expfam import _SIMPLEX_TOL, ExpFamParam, categorical_rows
 
 __all__ = [
     "GlobalParam",
@@ -44,6 +54,7 @@ __all__ = [
     "GlobalLocalState",
     "StepSchedule",
     "prior_param",
+    "local_probs",
     "local_step",
     "global_step",
     "natural_gradient",
@@ -95,6 +106,9 @@ class GlobalStats:
 class CondConjSpec:
     """One conditionally conjugate model, as the generic machinery sees it.
 
+    Both local callables work on a batch: ``X`` is an ``(n, d)`` array of
+    observations and ``probs`` an ``(n, k)`` array of local factors.
+
     Fields
     ------
     prior_stat, prior_count
@@ -103,46 +117,82 @@ class CondConjSpec:
         Log normalizer of the prior density; including it makes the ELBO
         equal ``-KL(q(beta) || prior)`` exactly when there is no data.
     num_local_values
-        Support size of the categorical local latent.
-    suff_stat(k, x)
-        ``t(z = k, x)`` as a vector matching ``prior_stat``.
-    local_natural_param(stats, x)
-        Expected log complete-conditional weights of the local latent
-        (unnormalized), given :class:`GlobalStats`.
+        Support size ``k`` of the categorical local latent.
+    local_natural_param(stats, X)
+        ``(n, k)`` expected log complete-conditional weights of the local
+        latents (unnormalized logits), given :class:`GlobalStats`.
     expected_global_stats(lam)
         Moments of the global factor at natural parameter ``lam``.
     to_factors(lam)
         Canonical per-block factors of the global parameter, as
         ``(label, ExpFamParam)`` pairs, for reporting.
-    expected_suff_stat(probs, x), optional
-        ``E_phi[t(z, x)]``.  Defaults to enumeration over the local support.
+    expected_suff_stat(probs, X)
+        ``sum_i E_{probs_i}[t(z_i, x_i)]``: the expected statistics summed
+        over the rows, as a vector matching ``prior_stat``.
     """
 
     prior_stat: np.ndarray
     prior_count: float
     prior_log_norm: float
     num_local_values: int
-    suff_stat: Callable
     local_natural_param: Callable
     expected_global_stats: Callable
     to_factors: Callable
-    expected_suff_stat: Optional[Callable] = None
+    expected_suff_stat: Callable
 
     def expected_stat(self, probs, x):
-        if self.expected_suff_stat is not None:
-            return self.expected_suff_stat(probs, x)
-        total = np.zeros_like(np.asarray(self.prior_stat, dtype=float))
-        for k in range(self.num_local_values):
-            total += probs[k] * self.suff_stat(k, x)
-        return total
+        """``E_probs[t(z, x)]`` for one observation ``x``."""
+        return self.expected_suff_stat(np.reshape(probs, (1, -1)), _rows([x]))
+
+
+def _rows(data):
+    """Observations as an ``(n, d)`` float array; 1-D input is one column."""
+    x = np.asarray(data, dtype=float)
+    return x[:, None] if x.ndim == 1 else x
+
+
+def _check_probs(probs):
+    """Reject an ``(n, k)`` array unless every row is a categorical
+    distribution: finite, nonnegative, summing to 1 within 1e-12 (the
+    checks :meth:`ExpFamParam.categorical` applies to one row)."""
+    if not np.all(np.isfinite(probs)):
+        raise DomainError("categorical parameters must be finite")
+    if np.any(probs < 0.0):
+        raise DomainError("categorical requires nonnegative probabilities")
+    if probs.size and np.max(np.abs(probs.sum(axis=1) - 1.0)) > _SIMPLEX_TOL:
+        raise DomainError("categorical probabilities must sum to 1")
+    return probs
+
+
+def _as_probs(phis):
+    """Local factors as a read-only ``(n, k)`` array.
+
+    Accepts the array itself or a sequence of categorical
+    :class:`ExpFamParam` (one per observation), converted once.
+    """
+    if not isinstance(phis, np.ndarray):
+        rows = [p.params for p in phis]
+        phis = np.reshape(rows, (len(rows), -1 if rows else 0))
+    if phis.ndim != 2:
+        raise DomainError("local factors must be an (n, k) array")
+    probs = _check_probs(np.array(phis, dtype=float))
+    probs.setflags(write=False)
+    return probs
 
 
 @dataclass(frozen=True)
 class GlobalLocalState:
-    """Global natural parameter plus one categorical factor per observation."""
+    """Global natural parameter plus the ``(n, k)`` local factor array.
+
+    ``phis`` may be given as that array or as a sequence of categorical
+    :class:`ExpFamParam`; either way it is stored as a read-only array.
+    """
 
     lam: GlobalParam
-    phis: tuple
+    phis: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "phis", _as_probs(self.phis))
 
 
 @dataclass(frozen=True)
@@ -178,28 +228,38 @@ def prior_param(spec):
     return GlobalParam(spec.prior_stat, spec.prior_count)
 
 
-def local_step(spec, lam, x):
-    """Optimal categorical local factor at the current global factor.
+def local_probs(spec, lam, X):
+    """Optimal categorical local factors for the rows of ``X``, as ``(n, k)``.
 
-    The update sets the local factor proportional to the exponentiated
-    expected log complete-conditional; weights are normalized in log space.
+    Each row is proportional to the exponentiated expected log
+    complete-conditional at the current global factor; rows are normalized
+    in log space and then checked as categorical distributions.
     """
     stats = spec.expected_global_stats(lam)
-    logw = np.asarray(spec.local_natural_param(stats, x), dtype=float)
-    probs = np.exp(logw - log_sum_exp(logw))
-    probs /= probs.sum()
-    return ExpFamParam.categorical(probs)
+    logw = np.asarray(spec.local_natural_param(stats, X), dtype=float)
+    if logw.shape != (X.shape[0], spec.num_local_values):
+        raise DomainError("local_natural_param must return (n, k) logits")
+    return _check_probs(categorical_rows(logw))
+
+
+def local_step(spec, lam, x):
+    """Optimal categorical local factor of one observation ``x``."""
+    return ExpFamParam.categorical(local_probs(spec, lam, _rows([x]))[0])
+
+
+def _local_stat(spec, probs, X):
+    """Expected statistics of the local factors, summed over observations."""
+    if probs.shape[0] != X.shape[0]:
+        raise DomainError("need one local factor per observation")
+    k = spec.num_local_values
+    return spec.expected_suff_stat(probs.reshape(X.shape[0], k), X)
 
 
 def global_step(spec, phis, data):
     """Exact coordinate update of the global factor given all local factors."""
-    n = len(data)
-    if len(phis) != n:
-        raise DomainError("need one local factor per observation")
-    total = np.zeros_like(np.asarray(spec.prior_stat, dtype=float))
-    for phi, x in zip(phis, data):
-        total += spec.expected_stat(np.array(phi.params), x)
-    return GlobalParam(spec.prior_stat + total, spec.prior_count + n)
+    X = _rows(data)
+    total = _local_stat(spec, _as_probs(phis), X)
+    return GlobalParam(spec.prior_stat + total, spec.prior_count + X.shape[0])
 
 
 def natural_gradient(lam, coordinate_update):
@@ -218,11 +278,12 @@ def noisy_natural_gradient(spec, lam, data, index):
     indices reproduces :func:`natural_gradient` of the full coordinate
     update exactly.
     """
-    n = len(data)
+    X = _rows(data)
+    n = X.shape[0]
     if not (0 <= index < n):
         raise DomainError(f"index {index} outside [0, {n})")
-    phi = local_step(spec, lam, data[index])
-    stat = spec.expected_stat(np.array(phi.params), data[index])
+    row = X[index : index + 1]
+    stat = spec.expected_suff_stat(local_probs(spec, lam, row), row)
     target = GlobalParam(spec.prior_stat + n * stat, spec.prior_count + n)
     return natural_gradient(lam, target)
 
@@ -236,16 +297,13 @@ def cond_conj_elbo(spec, state, data):
     parameters and the model parameters.  With no data the value is exactly
     ``-KL(q(beta) || prior)``.
     """
-    n = len(data)
-    if len(state.phis) != n:
-        raise DomainError("need one local factor per observation")
+    X = _rows(data)
+    n = X.shape[0]
+    probs = state.phis
+    total = spec.prior_stat + _local_stat(spec, probs, X)
     stats = spec.expected_global_stats(state.lam)
-    total = np.array(spec.prior_stat, dtype=float)
-    local_entropy = 0.0
-    for phi, x in zip(state.phis, data):
-        probs = np.array(phi.params)
-        total += spec.expected_stat(probs, x)
-        local_entropy += phi.entropy()
+    nz = probs[probs > 0.0]
+    local_entropy = -float(np.dot(nz, np.log(nz)))
     value = (
         float(np.dot(total, stats.stats))
         - (spec.prior_count + n) * stats.log_norm
@@ -258,13 +316,14 @@ def cond_conj_elbo(spec, state, data):
 
 def coordinate_ascent(spec, data, lam, max_sweeps=200, tol=1e-10):
     """Full-batch coordinate ascent; returns the state and its ELBO path."""
+    X = _rows(data)
     elbos = []
     state = None
     for _ in range(max_sweeps):
-        phis = tuple(local_step(spec, lam, x) for x in data)
-        lam = global_step(spec, phis, data)
-        state = GlobalLocalState(lam, phis)
-        elbos.append(cond_conj_elbo(spec, state, data))
+        probs = local_probs(spec, lam, X)
+        lam = global_step(spec, probs, X)
+        state = GlobalLocalState(lam, probs)
+        elbos.append(cond_conj_elbo(spec, state, X))
         if len(elbos) > 1:
             if abs(elbos[-1] - elbos[-2]) / (1.0 + abs(elbos[-1])) < tol:
                 break
@@ -275,8 +334,8 @@ def _export_state(spec, state):
     pairs = list(spec.to_factors(state.lam))
     factors = [f for _, f in pairs]
     labels = [lbl for lbl, _ in pairs]
-    for i, phi in enumerate(state.phis):
-        factors.append(phi)
+    for i, row in enumerate(state.phis):
+        factors.append(ExpFamParam.categorical(row))
         labels.append(f"z[{i}]")
     return MeanFieldState(tuple(factors), tuple(labels))
 
@@ -291,14 +350,19 @@ def svi_fit(spec, data, schedule, config, init=None, batch_size=1):
 
         lambda_t = (1 - eps_t) * lambda_{t-1} + eps_t * lambda_hat_t.
 
+    The minibatch's local factors are one :func:`local_probs` call and its
+    statistics one ``expected_suff_stat`` call, so they are summed in the
+    model's vectorised order rather than observation by observation.
+
     The ELBO is evaluated every ``config.elbo_every`` iterations by a full
-    local sweep at the current global factor; the trace is noisy rather
+    local pass at the current global factor; the trace is noisy rather
     than monotone, and the convergence flag uses the same relative-change
     rule as coordinate ascent on those recorded values.
 
     Returns a :class:`FitReport`; deterministic given ``config.seed``.
     """
-    n = len(data)
+    X = _rows(data)
+    n = X.shape[0]
     if n == 0:
         raise DomainError("stochastic fit requires at least one observation")
     if not (1 <= batch_size <= n):
@@ -315,11 +379,8 @@ def svi_fit(spec, data, schedule, config, init=None, batch_size=1):
 
     for t in range(1, config.max_iters + 1):
         # sorted for a fixed reduction order; sampling stays uniform
-        batch = np.sort(rng.choice(n, size=batch_size, replace=False))
-        total = np.zeros_like(np.asarray(spec.prior_stat, dtype=float))
-        for i in batch:
-            phi = local_step(spec, lam, data[i])
-            total += spec.expected_stat(np.array(phi.params), data[i])
+        xb = X[np.sort(rng.choice(n, size=batch_size, replace=False))]
+        total = spec.expected_suff_stat(local_probs(spec, lam, xb), xb)
         target = GlobalParam(
             spec.prior_stat + scale * total, spec.prior_count + n
         )
@@ -331,8 +392,8 @@ def svi_fit(spec, data, schedule, config, init=None, batch_size=1):
         iterations = t
         if t % config.elbo_every != 0 and t != config.max_iters:
             continue
-        phis = tuple(local_step(spec, lam, x) for x in data)
-        elbo = cond_conj_elbo(spec, GlobalLocalState(lam, phis), data)
+        snapshot = GlobalLocalState(lam, local_probs(spec, lam, X))
+        elbo = cond_conj_elbo(spec, snapshot, X)
         if not np.isfinite(elbo):
             raise NumericError("ELBO is not finite", iteration=t)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -342,8 +403,7 @@ def svi_fit(spec, data, schedule, config, init=None, batch_size=1):
             break
         prev = elbo
 
-    phis = tuple(local_step(spec, lam, x) for x in data)
-    state = GlobalLocalState(lam, phis)
+    state = GlobalLocalState(lam, local_probs(spec, lam, X))
     return FitReport(
         final_state=_export_state(spec, state),
         model_state=state,

@@ -3,7 +3,8 @@
 This module collects the small set of special functions, moment identities,
 and KL divergences that coordinate ascent updates are written in terms of:
 
-* numerically safe ``log_sum_exp`` for normalizing log-weights,
+* numerically safe ``log_sum_exp`` for normalizing log-weights, and
+  ``categorical_rows`` for turning a batch of logits into probabilities,
 * ``digamma`` (and ``log_gamma``) for Dirichlet and Gamma expectations,
 * expected sufficient statistics of the Gaussian, Gamma, and Dirichlet
   families,
@@ -31,6 +32,7 @@ __all__ = [
     "Family",
     "ExpFamParam",
     "log_sum_exp",
+    "categorical_rows",
     "digamma",
     "log_gamma",
     "gaussian_moments",
@@ -84,6 +86,20 @@ def log_sum_exp(values, axis=None):
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
+
+
+def categorical_rows(logits):
+    """Normalize each row of an ``(n, k)`` logit array into probabilities.
+
+    Rows are normalized in log space, ``exp(l - log_sum_exp(l))``, then
+    divided by their sum so they add to 1 to rounding.  An empty batch
+    returns an empty ``(0, k)`` array.
+    """
+    a = np.asarray(logits, dtype=float)
+    if a.shape[0] == 0:
+        return np.zeros(a.shape)
+    probs = np.exp(a - log_sum_exp(a, axis=1)[:, None])
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def digamma(x):

@@ -31,6 +31,7 @@ from .errors import ConfigError, DataFormatError, DomainError
 from .expfam import (
     LOG_2PI,
     ExpFamParam,
+    categorical_rows,
     digamma,
     dirichlet_kl,
     gaussian_log_pdf,
@@ -132,12 +133,7 @@ def update_assignments(state, data):
     """
     x = _as_matrix(data)
     second = 0.5 * (state.m**2 + state.s2).sum(axis=1)
-    logw = x @ state.m.T - second[None, :]
-    if logw.shape[0] == 0:
-        return np.zeros((0, state.m.shape[0]))
-    norm = log_sum_exp(logw, axis=1)
-    phi = np.exp(logw - norm[:, None])
-    return phi / phi.sum(axis=1, keepdims=True)
+    return categorical_rows(x @ state.m.T - second[None, :])
 
 
 def update_components(state, data, sigma2):
@@ -303,11 +299,10 @@ class UnitVarianceGmm(VariationalModel):
         for i in range(state.phi.shape[0]):
             for j in range(k):
                 for sign in (eps, -eps):
-                    logits = np.log(np.maximum(state.phi[i], 1e-300))
-                    logits[j] += sign
-                    row = np.exp(logits - log_sum_exp(logits))
+                    logits = np.log(np.maximum(state.phi[i : i + 1], 1e-300))
+                    logits[0, j] += sign
                     phi = state.phi.copy()
-                    phi[i] = row / row.sum()
+                    phi[i] = categorical_rows(logits)[0]
                     yield UniGmmState(state.m, state.s2, phi)
 
 
@@ -322,9 +317,15 @@ def conjugate_spec(k, sigma2, dim=1):
     Global sufficient statistics are the flattened mean coordinates
     followed by one per-component quadratic block, so the prior natural
     parameter is zeros for the mean block, ``1/sigma2`` for each quadratic
-    coordinate, and a count of 0.  Alternating ``local_step`` /
+    coordinate, and a count of 0.  Alternating ``local_probs`` /
     ``global_step`` under this spec reproduces ``update_assignments`` /
     ``update_components`` iterates exactly.
+
+    The local callables take a batch ``X`` of shape ``(n, dim)``:
+    ``local_natural_param`` returns the ``(n, k)`` logits
+    ``X E[mu]^T - E[|mu_k|^2] / 2`` as one matrix product, and
+    ``expected_suff_stat(probs, X)`` the statistics summed over rows,
+    ``[vec(probs^T X), probs.sum(axis=0)]``.
     """
     UniGmmConfig(k, sigma2)  # validates
     if dim < 1:
@@ -348,21 +349,12 @@ def conjugate_spec(k, sigma2, dim=1):
             entropy=entropy,
         )
 
-    def suff_stat(j, x):
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(kd + k)
-        out[j * dim : (j + 1) * dim] = xv
-        out[kd + j] = 1.0
-        return out
+    def expected_suff_stat(probs, X):
+        return np.concatenate([(probs.T @ X).ravel(), probs.sum(axis=0)])
 
-    def expected_suff_stat(probs, x):
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.concatenate([np.outer(probs, xv).ravel(), probs])
-
-    def local_natural_param(stats, x):
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
+    def local_natural_param(stats, X):
         m = stats.stats[:kd].reshape(k, dim)
-        return m @ xv + stats.stats[kd:]
+        return X @ m.T + stats.stats[kd:]
 
     def to_factors(lam):
         m, s2 = unpack(lam)
@@ -379,7 +371,6 @@ def conjugate_spec(k, sigma2, dim=1):
         prior_count=0.0,
         prior_log_norm=0.5 * kd * math.log(2.0 * math.pi * sigma2),
         num_local_values=k,
-        suff_stat=suff_stat,
         local_natural_param=local_natural_param,
         expected_global_stats=expected_global_stats,
         to_factors=to_factors,
@@ -420,7 +411,7 @@ def state_from_global(state, k, dim=1):
 
     Unpacks the natural global parameter of a conditionally conjugate fit
     (mean block scaled by precisions, then the precision block) and the
-    categorical local factors back into a :class:`UniGmmState`.
+    ``(n, k)`` local factor array back into a :class:`UniGmmState`.
     """
     kd = k * dim
     stat = np.asarray(state.lam.stat, dtype=float)
@@ -431,8 +422,7 @@ def state_from_global(state, k, dim=1):
         raise DomainError("quadratic coordinates must stay > 0")
     m = stat[:kd].reshape(k, dim) / b[:, None]
     s2 = np.broadcast_to((1.0 / b)[:, None], (k, dim)).copy()
-    phi = np.array([p.params for p in state.phis], dtype=float).reshape(-1, k)
-    return UniGmmState(m, s2, phi)
+    return UniGmmState(m, s2, state.phis.reshape(-1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +509,11 @@ def diag_gmm_sweep(state, data, config):
     falls back to its prior.
     """
     x = _as_matrix(data)
-    k = config.k
 
     log_rho = _diag_loglik_matrix(state, x) + (
         digamma(state.conc) - digamma(state.conc.sum())
     )[None, :]
-    if x.shape[0]:
-        r = np.exp(log_rho - log_sum_exp(log_rho, axis=1)[:, None])
-        r /= r.sum(axis=1, keepdims=True)
-    else:
-        r = np.zeros((0, k))
+    r = categorical_rows(log_rho)
 
     nk = r.sum(axis=0)
     conc = config.a0 + nk
@@ -712,11 +697,10 @@ class DiagGmm(VariationalModel):
         for i in range(state.r.shape[0]):
             for j in range(k):
                 for sign in (eps, -eps):
-                    logits = np.log(np.maximum(state.r[i], 1e-300))
-                    logits[j] += sign
-                    row = np.exp(logits - log_sum_exp(logits))
+                    logits = np.log(np.maximum(state.r[i : i + 1], 1e-300))
+                    logits[0, j] += sign
                     r = state.r.copy()
-                    r[i] = row / row.sum()
+                    r[i] = categorical_rows(logits)[0]
                     yield DiagGmmState(state.conc, state.m, state.b, state.alpha, state.beta, r)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .expfam import ExpFamParam, _dirichlet_expected_log_rows, digamma, log_gamm
 __all__ = [
     "INNER_TOL",
     "INNER_MAX_ITERS",
+    "MAX_COUNT",
     "Corpus",
     "LdaConfig",
     "LdaState",
@@ -133,24 +134,25 @@ class Corpus:
         return tuple(rows[a:b] for a, b in zip(self.indptr[:-1], self.indptr[1:]))
 
 
+# Corpus stores counts as float64, which represents every integer up to
+# 2**53 exactly; a larger count would be silently rounded.
+MAX_COUNT = 2**53
+
+
 def read_uci(path):
     """Read a UCI bag-of-words file into a :class:`Corpus`.
 
     Format: three header lines holding the document count ``D``, the
     vocabulary size ``V``, and the number of triples ``NNZ``, followed by
     ``NNZ`` lines of 1-indexed ``docID termID count``.  Blank lines are
-    ignored; duplicate (docID, termID) pairs are summed.
+    ignored; duplicate (docID, termID) pairs are summed.  A count (or a
+    summed count) above :data:`MAX_COUNT` is rejected, since it would lose
+    precision as a float.
 
-    Raises :class:`DataFormatError` carrying the offending 1-based line
-    number on any malformed content.
+    The file is read line by line.  Raises :class:`DataFormatError`
+    carrying the 1-based line number of the first malformed line; a file
+    that ends early reports the line after its last one.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.readlines()
-    entries = [
-        (lineno, line.split())
-        for lineno, line in enumerate(raw, start=1)
-        if line.strip()
-    ]
 
     def parse_int(lineno, token, what):
         try:
@@ -158,50 +160,64 @@ def read_uci(path):
         except ValueError:
             raise DataFormatError(f"expected integer {what}, got {token!r}", line=lineno)
 
-    if len(entries) < 3:
-        raise DataFormatError(
-            "expected three header lines (documents, vocabulary, triples)",
-            line=len(raw) + 1,
-        )
     header = []
-    for (lineno, tokens), what in zip(
-        entries[:3], ("document count", "vocabulary size", "triple count")
-    ):
-        if len(tokens) != 1:
-            raise DataFormatError(f"expected a single {what}", line=lineno)
-        value = parse_int(lineno, tokens[0], what)
-        if value < 0:
-            raise DataFormatError(f"{what} must be nonnegative", line=lineno)
-        header.append(value)
-    num_docs, vocab, nnz = header
-    if vocab < 1:
-        raise DataFormatError("vocabulary size must be >= 1", line=entries[1][0])
-
-    body = entries[3:]
-    if len(body) < nnz:
-        raise DataFormatError(
-            f"expected {nnz} triples, found {len(body)}", line=len(raw) + 1
-        )
-    if len(body) > nnz:
-        raise DataFormatError("more triples than declared", line=body[nnz][0])
-
-    cells = [dict() for _ in range(num_docs)]
-    for lineno, tokens in body:
-        if len(tokens) != 3:
-            raise DataFormatError("expected `docID termID count`", line=lineno)
-        doc = parse_int(lineno, tokens[0], "document id")
-        term = parse_int(lineno, tokens[1], "term id")
-        count = parse_int(lineno, tokens[2], "count")
-        if not (1 <= doc <= num_docs):
+    lineno = 0
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = enumerate(handle, start=1)
+        for lineno, line in lines:
+            tokens = line.split()
+            if not tokens:
+                continue
+            what = ("document count", "vocabulary size", "triple count")[len(header)]
+            if len(tokens) != 1:
+                raise DataFormatError(f"expected a single {what}", line=lineno)
+            value = parse_int(lineno, tokens[0], what)
+            if value < 0:
+                raise DataFormatError(f"{what} must be nonnegative", line=lineno)
+            if len(header) == 1 and value < 1:
+                raise DataFormatError("vocabulary size must be >= 1", line=lineno)
+            header.append(value)
+            if len(header) == 3:
+                break
+        else:
             raise DataFormatError(
-                f"document id {doc} outside 1..{num_docs}", line=lineno
+                "expected three header lines (documents, vocabulary, triples)",
+                line=lineno + 1,
             )
-        if not (1 <= term <= vocab):
-            raise DataFormatError(f"term id {term} outside 1..{vocab}", line=lineno)
-        if count < 1:
-            raise DataFormatError("count must be >= 1", line=lineno)
-        cell = cells[doc - 1]
-        cell[term - 1] = cell.get(term - 1, 0) + count
+
+        num_docs, vocab, nnz = header
+        cells = [dict() for _ in range(num_docs)]
+        found = 0
+        for lineno, line in lines:
+            tokens = line.split()
+            if not tokens:
+                continue
+            if found == nnz:
+                raise DataFormatError("more triples than declared", line=lineno)
+            found += 1
+            if len(tokens) != 3:
+                raise DataFormatError("expected `docID termID count`", line=lineno)
+            doc = parse_int(lineno, tokens[0], "document id")
+            term = parse_int(lineno, tokens[1], "term id")
+            count = parse_int(lineno, tokens[2], "count")
+            if not (1 <= doc <= num_docs):
+                raise DataFormatError(
+                    f"document id {doc} outside 1..{num_docs}", line=lineno
+                )
+            if not (1 <= term <= vocab):
+                raise DataFormatError(f"term id {term} outside 1..{vocab}", line=lineno)
+            if count < 1:
+                raise DataFormatError("count must be >= 1", line=lineno)
+            cell = cells[doc - 1]
+            total = cell.get(term - 1, 0) + count
+            if total > MAX_COUNT:
+                raise DataFormatError(
+                    "count exceeds 2**53, the largest exact float count", line=lineno
+                )
+            cell[term - 1] = total
+
+    if found < nnz:
+        raise DataFormatError(f"expected {nnz} triples, found {found}", line=lineno + 1)
 
     docs = []
     for cell in cells:
@@ -301,11 +317,17 @@ class LdaConfig:
 class LdaState:
     """Variational parameters: topics ``lam`` (K, V), proportions
     ``gamma`` (D, K), and one assignment matrix per document in ``phi``
-    (rows are distinct terms in corpus order)."""
+    (rows are distinct terms in corpus order).
+
+    ``estep_updates`` is each document's update count in the E-step that
+    produced ``gamma`` (``None`` for a state no E-step produced); it is a
+    diagnostic, not a variational parameter.
+    """
 
     lam: np.ndarray
     gamma: np.ndarray
     phi: tuple
+    estep_updates: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _frozen(self.lam))
@@ -514,9 +536,9 @@ class Lda(VariationalModel):
     def sweep(self, state, data):
         config = self.config
         elog_beta = _dirichlet_expected_log_rows(state.lam)
-        gamma, phi, _ = e_step(data, elog_beta, state.gamma, config.alpha)
+        gamma, phi, updates = e_step(data, elog_beta, state.gamma, config.alpha)
         lam = config.eta + _term_stats(data, phi)
-        return LdaState(lam, gamma, data.split(phi))
+        return LdaState(lam, gamma, data.split(phi), updates)
 
     def elbo(self, state, data):
         return lda_elbo(state, data, self.config)
@@ -579,13 +601,34 @@ class Lda(VariationalModel):
         return {"top_terms": top_terms, "top_term_probs": top_probs}
 
 
+def _estep_summary(state):
+    """How the E-step behind ``state`` ended, as fit metadata.
+
+    ``estep_cap_hits`` counts the documents that reached the
+    :data:`INNER_MAX_ITERS` update cap, where :data:`INNER_TOL` no longer
+    stops them; ``estep_max_updates`` is the largest per-document update
+    count.
+    """
+    updates = state.estep_updates
+    return {
+        "estep_cap_hits": int(np.count_nonzero(updates >= INNER_MAX_ITERS)),
+        "estep_max_updates": int(updates.max(initial=0)),
+    }
+
+
 def lda_cavi_fit(corpus, config, fit_config):
-    """Coordinate-ascent fit; returns a :class:`FitReport`."""
+    """Coordinate-ascent fit; returns a :class:`FitReport`.
+
+    The metadata carries ``estep_cap_hits`` and ``estep_max_updates`` of
+    the final sweep's E-step.
+    """
     from .engine import cavi_fit
 
     if len(corpus) == 0:
         raise DomainError("corpus has no documents")
-    return cavi_fit(Lda(config), corpus, fit_config)
+    report = cavi_fit(Lda(config), corpus, fit_config)
+    report.metadata.update(_estep_summary(report.model_state))
+    return report
 
 
 def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
@@ -601,7 +644,9 @@ def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
     The ELBO trace is recorded every ``elbo_every`` steps after a full
     local pass at the current topics; as with any stochastic ascent it is
     noisy rather than monotone.  Held-out monitoring is not traced;
-    evaluate the returned state instead.  Deterministic per seed.
+    evaluate the returned state instead.  Deterministic per seed.  The
+    metadata carries ``estep_cap_hits`` and ``estep_max_updates`` of the
+    final local pass.
     """
     n = len(corpus)
     if n == 0:
@@ -621,8 +666,8 @@ def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
     start = time.perf_counter()
 
     def local_pass(lam_now):
-        gamma, phi, _ = _fold_in(corpus, lam_now, config)
-        return LdaState(lam_now, gamma, corpus.split(phi))
+        gamma, phi, updates = _fold_in(corpus, lam_now, config)
+        return LdaState(lam_now, gamma, corpus.split(phi), updates)
 
     for t in range(1, fit_config.max_iters + 1):
         # sorted for a fixed reduction order; sampling stays uniform
@@ -663,5 +708,6 @@ def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
             "delay": schedule.delay,
             "scale": schedule.scale,
             **model.metadata(),
+            **_estep_summary(final),
         },
     )

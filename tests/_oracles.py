@@ -3,9 +3,11 @@
 Everything here is deliberately implemented by routes the package itself
 never takes -- exhaustive enumeration over assignment configurations,
 direct covariance-matrix marginal likelihoods through scipy, textbook
-conjugate posterior formulas, the digamma asymptotic series, and the
-one-document-at-a-time log-space LDA local step -- so agreement with the
-package is evidence of correctness rather than of shared code.
+conjugate posterior formulas, the digamma asymptotic series, the
+one-document-at-a-time log-space LDA local step, and the
+one-observation-at-a-time global-local (conditionally conjugate) mixture
+steps -- so agreement with the package is evidence of correctness rather
+than of shared code.
 """
 
 import itertools
@@ -274,3 +276,106 @@ def lda_local_steps(corpus, elog_beta, gamma, alpha, tol, max_iters):
         tuple(p for _, p, _ in out),
         np.array([i for _, _, i in out]),
     )
+
+
+# ---------------------------------------------------------------------------
+# global-local mixture, one observation at a time
+# ---------------------------------------------------------------------------
+
+
+def _obs_rows(data):
+    x = np.asarray(data, dtype=float)
+    return x.reshape(x.shape[0], -1)
+
+
+def gmm_suff_stat(j, x, k, dim):
+    """``t(z = j, x)`` of the unit-variance mixture's conjugate form: ``x``
+    in mean block ``j``, 1 in quadratic coordinate ``j``."""
+    out = np.zeros(k * dim + k)
+    out[j * dim : (j + 1) * dim] = np.atleast_1d(x)
+    out[k * dim + j] = 1.0
+    return out
+
+
+def gmm_expected_stat(probs, x, k, dim):
+    """``E_probs[t(z, x)]`` by enumeration over the ``k`` local values."""
+    total = np.zeros(k * dim + k)
+    for j in range(k):
+        total += probs[j] * gmm_suff_stat(j, x, k, dim)
+    return total
+
+
+def gmm_local_factor(stats, x, k, dim):
+    """One observation's categorical factor: per-value logits
+    ``E[mu_j] . x - E[|mu_j|^2] / 2``, normalized with scipy's logsumexp."""
+    m = stats.stats[: k * dim].reshape(k, dim)
+    logw = np.array(
+        [np.dot(m[j], np.atleast_1d(x)) + stats.stats[k * dim + j] for j in range(k)]
+    )
+    probs = np.exp(logw - logsumexp(logw))
+    return probs / probs.sum()
+
+
+def condconj_local_loop(spec, lam, data, k, dim):
+    """(n, k) local factors of the mixture spec, observation by observation."""
+    stats = spec.expected_global_stats(lam)
+    rows = [gmm_local_factor(stats, x, k, dim) for x in _obs_rows(data)]
+    return np.array(rows).reshape(len(rows), k)
+
+
+def condconj_global_loop(spec, probs, data, k, dim):
+    """Global coordinate update ``(stat, count)``, accumulated row by row."""
+    x = _obs_rows(data)
+    total = np.zeros(k * dim + k)
+    for p, row in zip(probs, x):
+        total += gmm_expected_stat(p, row, k, dim)
+    return spec.prior_stat + total, spec.prior_count + x.shape[0]
+
+
+def condconj_elbo_loop(spec, lam, probs, data, k, dim):
+    """Global-local ELBO with the local sums taken one observation at a time."""
+    x = _obs_rows(data)
+    stats = spec.expected_global_stats(lam)
+    total = np.array(spec.prior_stat, dtype=float)
+    local_entropy = 0.0
+    for p, row in zip(probs, x):
+        total += gmm_expected_stat(p, row, k, dim)
+        nz = p[p > 0.0]
+        local_entropy -= float(np.sum(nz * np.log(nz)))
+    return (
+        float(np.dot(total, stats.stats))
+        - (spec.prior_count + x.shape[0]) * stats.log_norm
+        - spec.prior_log_norm
+        + stats.entropy
+        + local_entropy
+    )
+
+
+def condconj_svi_loop(spec, data, schedule, seed, max_iters, batch_size, init, k, dim):
+    """Replay of the stochastic fit with one local step per minibatch member.
+
+    Draws minibatches from the same stream (``choice`` without
+    replacement, then sorted) and records the ELBO after every step.
+    Returns ``(elbos, stat, count)`` with the final global parameter.
+    """
+    x = _obs_rows(data)
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    lam = init
+    elbos = []
+    for t in range(1, max_iters + 1):
+        batch = np.sort(rng.choice(n, size=batch_size, replace=False))
+        stats = spec.expected_global_stats(lam)
+        total = np.zeros(k * dim + k)
+        for i in batch:
+            p = gmm_local_factor(stats, x[i], k, dim)
+            total += gmm_expected_stat(p, x[i], k, dim)
+        target = np.append(
+            spec.prior_stat + (n / batch_size) * total, spec.prior_count + n
+        )
+        eps = schedule.scale * (t + schedule.delay) ** (-schedule.kappa)
+        mixed = (1.0 - eps) * lam.natural() + eps * target
+        lam = type(lam)(mixed[:-1], mixed[-1])
+        probs = condconj_local_loop(spec, lam, x, k, dim)
+        elbos.append(condconj_elbo_loop(spec, lam, probs, x, k, dim))
+    return elbos, np.array(lam.stat), lam.count

@@ -371,6 +371,19 @@ class TestFit:
         assert doc["algorithm"] == "svi"
         assert doc["metadata"]["batch_size"] == 5
 
+    @pytest.mark.parametrize("algorithm", ["cavi", "svi"])
+    def test_lda_fit_reports_estep_cap_hits(self, corpus_txt, tmp_path, algorithm):
+        out = tmp_path / algorithm
+        res = run_cli(
+            "fit", "--model", "lda", "--algorithm", algorithm, "--k", "2",
+            "--kappa", "0.7", "--batch", "5", "--max-iters", "4",
+            "--data", corpus_txt, "--seed", "0", "--out", out,
+        )
+        assert res.returncode == 0, res.stderr
+        meta = read_json(out / "fit_0.json")["metadata"]
+        assert 0 <= meta["estep_cap_hits"] <= 20
+        assert 1 <= meta["estep_max_updates"] <= 100
+
 
 class TestSimulate:
     def test_gmm_shapes(self, tmp_path):

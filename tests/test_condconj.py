@@ -1,10 +1,18 @@
 """Global-local machinery: gradient identities, schedules, stochastic fits."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+from _oracles import (
+    condconj_elbo_loop,
+    condconj_global_loop,
+    condconj_local_loop,
+    condconj_svi_loop,
+)
 from meanfield.condconj import (
     GlobalLocalState,
     GlobalParam,
@@ -12,6 +20,7 @@ from meanfield.condconj import (
     cond_conj_elbo,
     coordinate_ascent,
     global_step,
+    local_probs,
     local_step,
     natural_gradient,
     noisy_natural_gradient,
@@ -316,3 +325,129 @@ class TestGlobalParam:
         lam = GlobalParam(np.array([1.0]), 0.0)
         with pytest.raises(ValueError):
             lam.stat[0] = 2.0
+
+
+class TestBatchedAgainstOracle:
+    """The batched local step, global step, ELBO, coordinate ascent and
+    stochastic fit against the one-observation-at-a-time references."""
+
+    N = 23
+    RTOL = 1e-12
+
+    def problem(self, k, d):
+        data, _, _ = simulate(k=max(k, 2), n=self.N, seed=10 * k + d, dim=d)
+        data = data[:, 0] if d == 1 else data
+        spec = conjugate_spec(k=k, sigma2=1.5, dim=d)
+        lam = _random_lambda(spec, np.random.default_rng(k + d), k)
+        return spec, data, lam
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_steps_and_elbo(self, k, d):
+        spec, data, lam = self.problem(k, d)
+        want = condconj_local_loop(spec, lam, data, k, d)
+        probs = local_probs(spec, lam, data.reshape(self.N, d))
+        assert_allclose(probs, want, rtol=self.RTOL)
+        for i in (0, self.N - 1):
+            assert_allclose(local_step(spec, lam, data[i]).params, want[i],
+                            rtol=self.RTOL)
+
+        stat, count = condconj_global_loop(spec, want, data, k, d)
+        got = global_step(spec, probs, data)
+        assert_allclose(got.stat, stat, rtol=self.RTOL)
+        assert got.count == count
+        # a sequence of categorical factors is the same local state
+        phis = tuple(local_step(spec, lam, x) for x in data)
+        assert_allclose(global_step(spec, phis, data).stat, stat, rtol=self.RTOL)
+
+        assert cond_conj_elbo(spec, GlobalLocalState(lam, probs), data) == (
+            pytest.approx(condconj_elbo_loop(spec, lam, want, data, k, d),
+                          rel=self.RTOL)
+        )
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_coordinate_ascent_elbo_path(self, k, d):
+        spec, data, lam0 = self.problem(k, d)
+        state, elbos = coordinate_ascent(spec, data, lam0, max_sweeps=6, tol=0.0)
+        lam = lam0
+        want = []
+        for _ in range(6):
+            probs = condconj_local_loop(spec, lam, data, k, d)
+            lam = GlobalParam(*condconj_global_loop(spec, probs, data, k, d))
+            want.append(condconj_elbo_loop(spec, lam, probs, data, k, d))
+        assert_allclose(elbos, want, rtol=self.RTOL)
+        assert_allclose(state.lam.stat, lam.stat, rtol=self.RTOL)
+        assert_allclose(state.phis, probs, rtol=self.RTOL)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 7, N])
+    def test_svi_trajectory(self, k, d, batch):
+        spec, data, lam0 = self.problem(k, d)
+        sched = StepSchedule(kappa=0.7, delay=1.0)
+        report = svi_fit(
+            spec, data, sched,
+            FitConfig(max_iters=12, seed=5, elbo_every=1, tol=1e-300),
+            init=lam0, batch_size=batch,
+        )
+        elbos, stat, count = condconj_svi_loop(
+            spec, data, sched, 5, 12, batch, lam0, k, d
+        )
+        assert_allclose([p.elbo for p in report.elbo_trace], elbos, rtol=self.RTOL)
+        assert_allclose(report.model_state.lam.stat, stat, rtol=self.RTOL)
+        assert report.model_state.lam.count == count
+
+
+def test_svi_calls_local_natural_param_once_per_pass():
+    """One batched local step per minibatch, per ELBO pass and for the final
+    pass: a per-observation loop would call the model n times per pass."""
+    data, _, _ = simulate(k=3, n=2000, seed=0, dim=2)
+    spec = conjugate_spec(k=3, sigma2=1.0, dim=2)
+    calls = []
+
+    def counted(stats, X):
+        calls.append(X.shape[0])
+        return spec.local_natural_param(stats, X)
+
+    steps, every = 40, 10
+    svi_fit(
+        dataclasses.replace(spec, local_natural_param=counted),
+        data,
+        StepSchedule(kappa=0.7, delay=1.0),
+        FitConfig(max_iters=steps, seed=0, elbo_every=every, tol=1e-300),
+        batch_size=50,
+    )
+    elbo_passes = steps // every
+    assert len(calls) == steps + elbo_passes + 1
+    assert calls.count(50) == steps
+    assert calls.count(2000) == elbo_passes + 1
+
+
+class TestLocalProbsChecks:
+    def test_rejects_logits_of_the_wrong_shape(self):
+        spec = conjugate_spec(k=2, sigma2=1.0)
+        bad = dataclasses.replace(
+            spec, local_natural_param=lambda stats, X: np.zeros((X.shape[0], 3))
+        )
+        with pytest.raises(DomainError):
+            local_probs(bad, prior_param(spec), np.zeros((4, 1)))
+
+    def test_rejects_rows_that_are_not_distributions(self):
+        spec = conjugate_spec(k=2, sigma2=1.0)
+        bad = dataclasses.replace(
+            spec,
+            local_natural_param=lambda stats, X: np.where(X > 0, np.nan, 0.0)
+            * np.ones((1, 2)),
+        )
+        with pytest.raises(DomainError):
+            local_probs(bad, prior_param(spec), np.array([[-1.0], [1.0]]))
+
+    def test_state_checks_an_array_of_local_factors(self):
+        lam = GlobalParam(np.array([0.0, 1.0]), 0.0)
+        state = GlobalLocalState(lam, np.array([[1.0], [1.0]]))
+        assert state.phis.shape == (2, 1) and not state.phis.flags.writeable
+        with pytest.raises(DomainError):
+            GlobalLocalState(lam, np.array([[0.7], [1.0]]))
+        with pytest.raises(DomainError):
+            GlobalLocalState(lam, np.array([1.0, 1.0]))

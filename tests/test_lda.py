@@ -858,3 +858,83 @@ class TestExpSpaceUnderflow:
         phi = update_phi(state, 0, corpus, config)
         assert_allclose(phi, doc_phi(gamma[0], elog_beta), rtol=self.RTOL, atol=0)
         assert_allclose(phi.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestEStepCapReport:
+    """Fit metadata reports how many documents the final E-step stopped at
+    the update cap, counted from the E-step's own per-document counts."""
+
+    def corpus(self):
+        # long documents over five topics: several need more than the cap
+        corpus, _ = simulate_corpus(
+            k=5, num_docs=10, vocab_size=50, doc_length=1000, seed=0
+        )
+        return corpus
+
+    def check(self, report, call):
+        iterations = assert_matches_per_document_loop(call)
+        hits = int(np.count_nonzero(iterations == INNER_MAX_ITERS))
+        assert hits > 0
+        assert report.metadata["estep_cap_hits"] == hits
+        assert report.metadata["estep_max_updates"] == INNER_MAX_ITERS
+        assert_array_equal(report.model_state.estep_updates, iterations)
+
+    def test_cavi_reports_final_sweep(self, e_step_calls):
+        report = lda_cavi_fit(
+            self.corpus(), LdaConfig(k=5), FitConfig(max_iters=2, seed=0)
+        )
+        assert len(e_step_calls) == 2
+        self.check(report, e_step_calls[-1])
+
+    def test_svi_reports_final_local_pass(self, e_step_calls):
+        report = lda_svi_fit(
+            self.corpus(), LdaConfig(k=5), StepSchedule(kappa=0.7),
+            FitConfig(max_iters=2, seed=0), batch_size=2,
+        )
+        # two minibatches, an ELBO pass after each, the final pass
+        assert len(e_step_calls) == 5
+        self.check(report, e_step_calls[-1])
+
+    def test_no_cap_hits_on_short_documents(self):
+        report = lda_cavi_fit(
+            tiny_corpus(), LdaConfig(k=2), FitConfig(max_iters=3, seed=0)
+        )
+        assert report.metadata["estep_cap_hits"] == 0
+        assert 1 <= report.metadata["estep_max_updates"] < INNER_MAX_ITERS
+
+
+class TestUciLimits:
+    def write(self, tmp_path, text):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1\n3\n2\n1 1 1\n\n\n", 7),  # trailing blank lines still count
+            ("1\n3\n2\n1 1 1", 5),  # no final newline
+            ("1\n3\n3\n\n", 5),  # no triples at all
+        ],
+    )
+    def test_missing_triples_reported_after_last_line(self, tmp_path, text, line):
+        with pytest.raises(DataFormatError) as err:
+            read_uci(self.write(tmp_path, text))
+        assert err.value.line == line
+        assert "triples, found" in str(err.value)
+
+    def test_count_above_two_to_the_53_rejected(self, tmp_path):
+        path = self.write(tmp_path, f"1\n3\n2\n1 2 1\n1 1 {2**53 + 1}\n")
+        with pytest.raises(DataFormatError) as err:
+            read_uci(path)
+        assert err.value.line == 5
+
+    def test_summed_count_above_two_to_the_53_rejected(self, tmp_path):
+        path = self.write(tmp_path, f"1\n3\n2\n1 1 {2**53}\n\n1 1 1\n")
+        with pytest.raises(DataFormatError) as err:
+            read_uci(path)
+        assert err.value.line == 6
+
+    def test_count_of_two_to_the_53_is_exact(self, tmp_path):
+        c = read_uci(self.write(tmp_path, f"1\n3\n1\n1 3 {2**53}\n"))
+        assert c.docs[0][1][0] == 2.0**53
