@@ -35,7 +35,13 @@ from .engine import (
     meanfield_gaussian_fixed_point,
     write_trace_csv,
 )
-from .errors import ConfigError, DataFormatError, DomainError, NumericError
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    DomainError,
+    NumericError,
+    numbered_lines,
+)
 from .gmm import (
     DiagGmm,
     DiagGmmConfig,
@@ -187,9 +193,12 @@ _FIT_FILE_FIELDS = {
 
 def _read_config_file(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = "".join(line for _, line in numbered_lines(handle))
     except OSError as err:
         raise ConfigError("config", f"cannot read {path}: {err.strerror}")
+    except DataFormatError as err:
+        raise ConfigError("config", str(err))
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -352,10 +361,6 @@ def _build_fit(cfg):
             )
         if cfg.kappa is None:
             raise ConfigError("kappa", "required when algorithm is svi")
-        if float(cfg.heldout_fraction) > 0.0:
-            raise ConfigError(
-                "heldout_fraction", "held-out monitoring requires algorithm cavi"
-            )
         schedule = StepSchedule(
             kappa=float(cfg.kappa), delay=float(cfg.delay), scale=float(cfg.scale)
         )
@@ -416,6 +421,7 @@ def _build_fit(cfg):
                     TracePoint(p.iteration, p.elbo + offset, p.elapsed_ms)
                     for p in report.elbo_trace
                 ]
+                report.metadata.update(model.metadata())
                 return replace(report, elbo_trace=trace)
 
             def summarize(report, seed, out):
@@ -578,13 +584,40 @@ def cmd_simulate(args):
 
 def _load_fit_document(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = "".join(line for _, line in numbered_lines(handle))
     except OSError as err:
         raise DataFormatError(f"cannot read {path}: {err.strerror}")
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as err:
         raise DataFormatError(f"{path} is not valid JSON: {err}")
+    if not isinstance(doc, dict) or not isinstance(doc.get("metadata", {}), dict):
+        raise DataFormatError(f"{path} is not a fit document (a JSON object)")
+    return doc
+
+
+def _numeric(doc, name, ndim=None, default=None):
+    """Field ``name`` of a fit document as a float array (of ``ndim`` axes,
+    when given); a field without a ``default`` is required."""
+    if name not in doc and default is None:
+        raise DataFormatError(f"fit document lacks field {name!r}")
+    try:
+        value = np.asarray(doc.get(name, default), dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataFormatError(f"fit document field {name!r} is not numeric")
+    if ndim is not None and value.ndim != ndim:
+        raise DataFormatError(f"fit document field {name!r} must have {ndim} axes")
+    return value
+
+
+def _meta_scalars(meta, *names):
+    """The named hyperparameters a fit document records, as floats."""
+    return {
+        name: float(_numeric(meta, name, 0))
+        for name in names
+        if meta.get(name) is not None
+    }
 
 
 def _rebuild(doc, fit_dir):
@@ -592,59 +625,50 @@ def _rebuild(doc, fit_dir):
     meta = doc.get("metadata", {})
     model_name = doc.get("model")
     if model_name == "gmm":
-        m = np.asarray(doc["means"], dtype=float)
-        s2 = np.asarray(doc["variances"], dtype=float)
-        config = UniGmmConfig(k=m.shape[0], sigma2=float(meta.get("sigma2", 1.0)))
+        m = _numeric(doc, "means", 2)
+        s2 = _numeric(doc, "variances", 2)
+        sigma2 = float(_numeric(meta, "sigma2", 0, default=1.0))
+        config = UniGmmConfig(k=m.shape[0], sigma2=sigma2)
         state = UniGmmState(m, s2, np.zeros((0, m.shape[0])))
         return UnitVarianceGmm(config), state
     if model_name == "gmm-diag":
-        m = np.asarray(doc["locations"], dtype=float)
+        m = _numeric(doc, "locations", 2)
         k = m.shape[0]
         config = DiagGmmConfig(
-            k=k,
-            **_optional_kwargs(
-                a0=meta.get("a0"),
-                m0=meta.get("m0"),
-                b0=meta.get("b0"),
-                alpha0=meta.get("alpha0"),
-                beta0=meta.get("beta0"),
-            ),
+            k=k, **_meta_scalars(meta, "a0", "m0", "b0", "alpha0", "beta0")
         )
         state = DiagGmmState(
-            np.asarray(doc["weight_concentration"], dtype=float),
+            _numeric(doc, "weight_concentration", 1),
             m,
-            np.asarray(doc["scales"], dtype=float),
-            np.asarray(doc["shapes"], dtype=float),
-            np.asarray(doc["rates"], dtype=float),
+            _numeric(doc, "scales", 2),
+            _numeric(doc, "shapes", 2),
+            _numeric(doc, "rates", 2),
             np.zeros((0, k)),
         )
         return DiagGmm(config), state
     if model_name == "blr-ard":
         config = BlrArdConfig(
-            **_optional_kwargs(
-                a0=meta.get("a0"),
-                b0=meta.get("b0"),
-                c0=meta.get("c0"),
-                d0=meta.get("d0"),
-            ),
+            **_meta_scalars(meta, "a0", "b0", "c0", "d0"),
             fix_relevance=bool(meta.get("fix_relevance", False)),
         )
         state = BlrArdState(
-            np.asarray(doc["coefficients"], dtype=float),
-            np.asarray(doc["coefficient_precision"], dtype=float),
-            float(doc["noise_shape"]),
-            float(doc["noise_rate"]),
-            float(doc["relevance_shape"]),
-            np.asarray(doc["relevance_rates"], dtype=float),
+            _numeric(doc, "coefficients", 1),
+            _numeric(doc, "coefficient_precision", 2),
+            float(_numeric(doc, "noise_shape", 0)),
+            float(_numeric(doc, "noise_rate", 0)),
+            float(_numeric(doc, "relevance_shape", 0)),
+            _numeric(doc, "relevance_rates", 1),
         )
         return BlrArd(config), state
     if model_name == "lda":
-        lam_path = Path(fit_dir) / doc["lambda_csv"]
-        lam = _read_matrix_csv(lam_path)
+        name = doc.get("lambda_csv")
+        if not isinstance(name, str) or "\x00" in name:
+            raise DataFormatError("fit document field 'lambda_csv' must name a file")
+        lam = _read_matrix_csv(Path(fit_dir) / name)
         config = LdaConfig(
             k=lam.shape[0],
-            eta=float(meta.get("eta", 0.1)),
-            alpha=np.asarray(meta.get("alpha", 0.1), dtype=float),
+            eta=float(_numeric(meta, "eta", 0, default=0.1)),
+            alpha=_numeric(meta, "alpha", default=0.1),
         )
         state = LdaState(lam, np.zeros((0, lam.shape[0])), ())
         return Lda(config), state

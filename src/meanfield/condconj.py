@@ -21,8 +21,11 @@ exactly "conditional update minus current value".  Updates blend in natural
 coordinates with a Robbins-Monro step size.
 
 The local family here is categorical (mixture assignments); models with
-richer local structure implement their own local loop on top of the same
-global blending (see the topic model module).
+richer local structure supply their own local step to the same stochastic
+ascent (see the topic model module).  That ascent is written once, next to
+:func:`step_size`: minibatch sampling, the natural-coordinate blend and its
+checks, and the fit metadata; iteration, the ELBO trace and the stopping
+rule are the engine's one fit loop, shared with coordinate ascent.
 
 Everything runs on batches.  Observations are the rows of an ``(n, d)``
 array (a 1-D array is one column), and the ``n`` local factors are one
@@ -37,13 +40,12 @@ reason about a single observation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .engine import FitReport, MeanFieldState, TracePoint
+from .engine import _fit_loop
 from .errors import ConfigError, DomainError, NumericError
 from .expfam import _SIMPLEX_TOL, ExpFamParam, categorical_rows
 
@@ -123,9 +125,6 @@ class CondConjSpec:
         latents (unnormalized logits), given :class:`GlobalStats`.
     expected_global_stats(lam)
         Moments of the global factor at natural parameter ``lam``.
-    to_factors(lam)
-        Canonical per-block factors of the global parameter, as
-        ``(label, ExpFamParam)`` pairs, for reporting.
     expected_suff_stat(probs, X)
         ``sum_i E_{probs_i}[t(z_i, x_i)]``: the expected statistics summed
         over the rows, as a vector matching ``prior_stat``.
@@ -137,7 +136,6 @@ class CondConjSpec:
     num_local_values: int
     local_natural_param: Callable
     expected_global_stats: Callable
-    to_factors: Callable
     expected_suff_stat: Callable
 
     def expected_stat(self, probs, x):
@@ -221,6 +219,52 @@ def step_size(schedule, t):
     if t < 1:
         raise DomainError("iteration index must be >= 1")
     return schedule.scale * (t + schedule.delay) ** (-schedule.kappa)
+
+
+def _stochastic_fit(n, batch_size, schedule, config, start, target, score):
+    """Stochastic natural-gradient ascent, shared by both stochastic fits.
+
+    ``start(rng)`` gives the starting global parameter as an array in
+    natural coordinates (or an affine shift of them), drawing any random
+    initialization before the first minibatch.  Iteration ``t`` draws
+    ``batch_size`` of the ``n`` indices uniformly without replacement and
+    blends in the rescaled update ``lambda_hat = target(lam, indices)``:
+
+        lambda_t = (1 - eps_t) * lambda_{t-1} + eps_t * lambda_hat_t.
+
+    ``score(lam)`` returns ``(elbo, snapshot)`` for the engine's loop; the
+    trace is noisy rather than monotone.  Held-out monitoring is rejected.
+    """
+    if n == 0:
+        raise DomainError("stochastic fit requires at least one observation")
+    if not (1 <= batch_size <= n):
+        raise ConfigError("batch_size", f"must lie in [1, {n}]")
+    if config.heldout_fraction > 0.0:
+        raise ConfigError(
+            "heldout_fraction", "held-out monitoring requires algorithm cavi"
+        )
+    rng = np.random.default_rng(config.seed)
+    lam = start(rng)
+
+    def step(lam, t):
+        # sorted for a fixed reduction order; sampling stays uniform
+        batch = np.sort(rng.choice(n, size=batch_size, replace=False))
+        eps = step_size(schedule, t)
+        mixed = (1.0 - eps) * lam + eps * target(lam, batch)
+        if not np.all(np.isfinite(mixed)):
+            raise NumericError("global parameter is not finite")
+        return mixed
+
+    metadata = {
+        "algorithm": "svi",
+        "seed": config.seed,
+        "batch_size": batch_size,
+        "kappa": schedule.kappa,
+        "delay": schedule.delay,
+        "scale": schedule.scale,
+        "n_train": n,
+    }
+    return _fit_loop(config, lam, step, score, metadata)
 
 
 def prior_param(spec):
@@ -330,93 +374,33 @@ def coordinate_ascent(spec, data, lam, max_sweeps=200, tol=1e-10):
     return state, elbos
 
 
-def _export_state(spec, state):
-    pairs = list(spec.to_factors(state.lam))
-    factors = [f for _, f in pairs]
-    labels = [lbl for lbl, _ in pairs]
-    for i, row in enumerate(state.phis):
-        factors.append(ExpFamParam.categorical(row))
-        labels.append(f"z[{i}]")
-    return MeanFieldState(tuple(factors), tuple(labels))
-
-
 def svi_fit(spec, data, schedule, config, init=None, batch_size=1):
     """Stochastic natural-gradient ascent on the global factor.
 
-    Each iteration samples a minibatch uniformly without replacement,
-    computes optimal local factors for its members, rescales their expected
-    statistics by ``n / batch_size``, and blends the resulting global
-    update into the current one in natural coordinates:
-
-        lambda_t = (1 - eps_t) * lambda_{t-1} + eps_t * lambda_hat_t.
-
-    The minibatch's local factors are one :func:`local_probs` call and its
-    statistics one ``expected_suff_stat`` call, so they are summed in the
-    model's vectorised order rather than observation by observation.
-
-    The ELBO is evaluated every ``config.elbo_every`` iterations by a full
-    local pass at the current global factor; the trace is noisy rather
-    than monotone, and the convergence flag uses the same relative-change
-    rule as coordinate ascent on those recorded values.
-
-    Returns a :class:`FitReport`; deterministic given ``config.seed``.
+    Each iteration computes optimal local factors for a minibatch (one
+    :func:`local_probs` call), rescales their expected statistics by
+    ``n / batch_size``, and blends the resulting global update into the
+    current one (see :func:`_stochastic_fit`).  Every ``config.elbo_every``
+    iterations a full local pass scores the current global factor; the
+    last such pass is the report's state.  Deterministic per seed.
     """
     X = _rows(data)
     n = X.shape[0]
-    if n == 0:
-        raise DomainError("stochastic fit requires at least one observation")
-    if not (1 <= batch_size <= n):
-        raise ConfigError("batch_size", "must lie in [1, n]")
-    rng = np.random.default_rng(config.seed)
-    lam = init if init is not None else prior_param(spec)
 
-    elbo_trace = []
-    prev = None
-    converged = False
-    iterations = 0
-    scale = n / batch_size
-    start = time.perf_counter()
+    def start(rng):
+        return (init if init is not None else prior_param(spec)).natural()
 
-    for t in range(1, config.max_iters + 1):
-        # sorted for a fixed reduction order; sampling stays uniform
-        xb = X[np.sort(rng.choice(n, size=batch_size, replace=False))]
-        total = spec.expected_suff_stat(local_probs(spec, lam, xb), xb)
-        target = GlobalParam(
-            spec.prior_stat + scale * total, spec.prior_count + n
+    def target(lam, batch):
+        xb = X[batch]
+        probs = local_probs(spec, GlobalParam(lam[:-1], lam[-1]), xb)
+        total = spec.expected_suff_stat(probs, xb)
+        return np.append(
+            spec.prior_stat + (n / batch_size) * total, spec.prior_count + n
         )
-        eps = step_size(schedule, t)
-        mixed = (1.0 - eps) * lam.natural() + eps * target.natural()
-        if not np.all(np.isfinite(mixed)):
-            raise NumericError("global parameter is not finite", iteration=t)
-        lam = GlobalParam(mixed[:-1], mixed[-1])
-        iterations = t
-        if t % config.elbo_every != 0 and t != config.max_iters:
-            continue
-        snapshot = GlobalLocalState(lam, local_probs(spec, lam, X))
-        elbo = cond_conj_elbo(spec, snapshot, X)
-        if not np.isfinite(elbo):
-            raise NumericError("ELBO is not finite", iteration=t)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        elbo_trace.append(TracePoint(t, float(elbo), elapsed_ms))
-        if prev is not None and abs(elbo - prev) / (1.0 + abs(elbo)) < config.tol:
-            converged = True
-            break
-        prev = elbo
 
-    state = GlobalLocalState(lam, local_probs(spec, lam, X))
-    return FitReport(
-        final_state=_export_state(spec, state),
-        model_state=state,
-        elbo_trace=elbo_trace,
-        heldout_trace=[],
-        converged=converged,
-        iterations_run=iterations,
-        metadata={
-            "algorithm": "svi",
-            "seed": config.seed,
-            "batch_size": batch_size,
-            "kappa": schedule.kappa,
-            "delay": schedule.delay,
-            "scale": schedule.scale,
-        },
-    )
+    def score(lam):
+        lam = GlobalParam(lam[:-1], lam[-1])
+        snapshot = GlobalLocalState(lam, local_probs(spec, lam, X))
+        return cond_conj_elbo(spec, snapshot, X), snapshot
+
+    return _stochastic_fit(n, batch_size, schedule, config, start, target, score)

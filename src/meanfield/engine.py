@@ -5,7 +5,8 @@ supplying four things: a deterministic seeded initializer, one full
 coordinate sweep (local factors before global factors), the evidence lower
 bound, and a per-point log predictive density.  :func:`cavi_fit` then owns
 iteration, convergence, timing, held-out evaluation, and the monotonicity
-check.
+check, through the package's one iteration loop, which the stochastic fits
+share.
 
 The ELBO is a true lower bound on the log evidence, and every coordinate
 sweep can only increase it.  A recorded decrease beyond floating-point slack
@@ -115,9 +116,11 @@ class HeldoutPoint(NamedTuple):
 
 @dataclass
 class FitReport:
-    """Everything a fit produced, sufficient to reproduce and inspect it."""
+    """Everything a fit produced, sufficient to reproduce and inspect it.
 
-    final_state: MeanFieldState
+    ``model_state`` is the state at the last recorded iteration.
+    """
+
     model_state: object
     elbo_trace: list
     heldout_trace: list
@@ -215,6 +218,61 @@ def _split_heldout(model, data, config):
     return model.take(data, train_idx), model.take(data, held_idx)
 
 
+def _fit_loop(config, state, step, score, metadata, heldout=None, monotone=False):
+    """The one iteration loop behind every fit.
+
+    ``step(state, t)`` returns the state after iteration ``t``; a
+    :class:`NumericError` it raises is tagged with ``t``.  Every
+    ``config.elbo_every`` iterations, and at ``config.max_iters``,
+    ``score(state)`` returns ``(elbo, snapshot)``: the ELBO is checked
+    finite and traced, ``heldout(snapshot)`` (when given) is traced, and
+    the fit stops once the relative change between consecutive recorded
+    ELBOs falls below ``config.tol``.  ``monotone`` is for coordinate
+    sweeps, whose recorded ELBO can never decrease.  The fit always ends
+    on a recorded iteration, so the last snapshot is the final state.
+    """
+    elbo_trace = []
+    heldout_trace = []
+    prev = None
+    converged = False
+    start = time.perf_counter()
+
+    for t in range(1, config.max_iters + 1):
+        try:
+            state = step(state, t)
+        except NumericError as err:
+            if err.iteration is None:
+                raise NumericError(str(err), iteration=t) from err
+            raise
+        if t % config.elbo_every != 0 and t != config.max_iters:
+            continue
+        elbo, snapshot = score(state)
+        if not np.isfinite(elbo):
+            raise NumericError("ELBO is not finite", iteration=t)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        elbo_trace.append(TracePoint(t, float(elbo), elapsed_ms))
+        if heldout is not None:
+            heldout_trace.append(HeldoutPoint(t, heldout(snapshot)))
+        if prev is not None:
+            if monotone and elbo < prev - MONOTONE_SLACK * (1.0 + abs(elbo)):
+                raise MonotonicityError(
+                    f"ELBO decreased from {prev!r} to {elbo!r}", iteration=t
+                )
+            if abs(elbo - prev) / (1.0 + abs(elbo)) < config.tol:
+                converged = True
+                break
+        prev = elbo
+
+    return FitReport(
+        model_state=snapshot,
+        elbo_trace=elbo_trace,
+        heldout_trace=heldout_trace,
+        converged=converged,
+        iterations_run=t,
+        metadata=metadata,
+    )
+
+
 def cavi_fit(model, data, config, init=None):
     """Run coordinate ascent to convergence and report the trajectory.
 
@@ -231,8 +289,7 @@ def cavi_fit(model, data, config, init=None):
     -------
     FitReport
         ELBO trace (nondecreasing), held-out trace when configured,
-        convergence flag, and the final state in both model-native and
-        generic form.
+        convergence flag, and the final model state.
 
     Raises
     ------
@@ -245,44 +302,6 @@ def cavi_fit(model, data, config, init=None):
     state = init
     if state is None:
         state = init_state(model, train, InitStrategy.DATA_CALIBRATED, config.seed)
-
-    elbo_trace = []
-    heldout_trace = []
-    prev = None
-    converged = False
-    iterations = 0
-    start = time.perf_counter()
-
-    for t in range(1, config.max_iters + 1):
-        try:
-            state = model.sweep(state, train)
-        except NumericError as err:
-            if err.iteration is None:
-                raise NumericError(str(err), iteration=t) from err
-            raise
-        iterations = t
-        if t % config.elbo_every != 0 and t != config.max_iters:
-            continue
-        elbo = model.elbo(state, train)
-        if not np.isfinite(elbo):
-            raise NumericError("ELBO is not finite", iteration=t)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        elbo_trace.append(TracePoint(t, float(elbo), elapsed_ms))
-        if heldout is not None:
-            heldout_trace.append(
-                HeldoutPoint(t, model.heldout_log_predictive(state, heldout))
-            )
-        if prev is not None:
-            slack = MONOTONE_SLACK * (1.0 + abs(elbo))
-            if elbo < prev - slack:
-                raise MonotonicityError(
-                    f"ELBO decreased from {prev!r} to {elbo!r}", iteration=t
-                )
-            if abs(elbo - prev) / (1.0 + abs(elbo)) < config.tol:
-                converged = True
-                break
-        prev = elbo
-
     meta = {
         "model": model.name,
         "seed": config.seed,
@@ -290,14 +309,19 @@ def cavi_fit(model, data, config, init=None):
         "n_heldout": 0 if heldout is None else model.n_obs(heldout),
     }
     meta.update(model.metadata())
-    return FitReport(
-        final_state=model.export_state(state),
-        model_state=state,
-        elbo_trace=elbo_trace,
-        heldout_trace=heldout_trace,
-        converged=converged,
-        iterations_run=iterations,
-        metadata=meta,
+
+    def sweep(s, t):
+        return model.sweep(s, train)
+
+    def score(s):
+        return model.elbo(s, train), s
+
+    def held(s):
+        return model.heldout_log_predictive(s, heldout)
+
+    return _fit_loop(
+        config, state, sweep, score, meta,
+        heldout=None if heldout is None else held, monotone=True,
     )
 
 

@@ -2,6 +2,7 @@
 
 The CLI maps these onto process exit codes (config errors -> 2, data format
 errors -> 3, numeric failures -> 4); library callers can catch them directly.
+The text readers share :func:`numbered_lines`.
 """
 
 
@@ -44,3 +45,22 @@ class MonotonicityError(NumericError):
     wrong objective), never a property of the data, so it is raised as a
     hard error rather than a warning.
     """
+
+
+def numbered_lines(handle):
+    """``enumerate(handle, start=1)`` over a file opened as UTF-8 text, where
+    a byte sequence that is not UTF-8 raises :class:`DataFormatError` with
+    its line (found by rereading, since the decoder works on whole buffers).
+    """
+    try:
+        yield from enumerate(handle, start=1)
+    except UnicodeDecodeError:
+        with open(handle.name, "rb") as raw:
+            data = raw.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            head = data[: err.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise DataFormatError("file is not UTF-8 text", line=line) from None
+        raise

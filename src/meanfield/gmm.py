@@ -27,7 +27,7 @@ import numpy as np
 
 from .condconj import CondConjSpec, GlobalParam, GlobalStats
 from .engine import InitStrategy, MeanFieldState, VariationalModel
-from .errors import ConfigError, DataFormatError, DomainError
+from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
     LOG_2PI,
     ExpFamParam,
@@ -332,15 +332,12 @@ def conjugate_spec(k, sigma2, dim=1):
         raise ConfigError("dim", "must be >= 1")
     kd = k * dim
 
-    def unpack(lam):
+    def expected_global_stats(lam):
         b = np.asarray(lam.stat[kd:], dtype=float)
         if np.any(b <= 0.0):
             raise DomainError("quadratic coordinates must stay > 0")
         m = np.asarray(lam.stat[:kd], dtype=float).reshape(k, dim) / b[:, None]
-        return m, 1.0 / b
-
-    def expected_global_stats(lam):
-        m, s2 = unpack(lam)
+        s2 = 1.0 / b
         second = -0.5 * ((m**2).sum(axis=1) + dim * s2)
         entropy = 0.5 * dim * float(np.log(2.0 * math.pi * math.e * s2).sum())
         return GlobalStats(
@@ -356,15 +353,6 @@ def conjugate_spec(k, sigma2, dim=1):
         m = stats.stats[:kd].reshape(k, dim)
         return X @ m.T + stats.stats[kd:]
 
-    def to_factors(lam):
-        m, s2 = unpack(lam)
-        pairs = []
-        for j in range(k):
-            for c in range(dim):
-                label = f"mu[{j}]" if dim == 1 else f"mu[{j},{c}]"
-                pairs.append((label, ExpFamParam.gaussian(m[j, c], s2[j])))
-        return pairs
-
     prior_stat = np.concatenate([np.zeros(kd), np.full(k, 1.0 / sigma2)])
     return CondConjSpec(
         prior_stat=prior_stat,
@@ -373,7 +361,6 @@ def conjugate_spec(k, sigma2, dim=1):
         num_local_values=k,
         local_natural_param=local_natural_param,
         expected_global_stats=expected_global_stats,
-        to_factors=to_factors,
         expected_suff_stat=expected_suff_stat,
     )
 
@@ -474,6 +461,12 @@ class DiagGmmState:
     def __post_init__(self):
         for name in ("conc", "m", "b", "alpha", "beta", "r"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        k = self.m.shape[:1]
+        shapes = {getattr(self, n).shape for n in ("m", "b", "alpha", "beta")}
+        if self.m.ndim != 2 or len(shapes) != 1 or self.conc.shape != k:
+            raise DomainError("state arrays have inconsistent dimensions")
+        if self.r.shape[1:] != k:
+            raise DomainError("responsibilities must be (n, k)")
         if np.any(self.conc <= 0.0):
             raise DomainError("Dirichlet concentrations must be > 0")
         for name in ("b", "alpha", "beta"):
@@ -713,14 +706,14 @@ def read_data_csv(path):
     """Read a headerless numeric CSV into an (n, d) array.
 
     Every row must have the same number of comma-separated finite numeric
-    fields; violations raise :class:`DataFormatError` carrying the 1-based
-    line number.
+    fields, in UTF-8 text; violations raise :class:`DataFormatError`
+    carrying the 1-based line number.
     """
     rows = []
     linenos = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in numbered_lines(fh):
             line = line.strip()
             if not line:
                 continue

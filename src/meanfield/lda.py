@@ -26,14 +26,13 @@ rescaled minibatch estimate blended in at a Robbins-Monro step size.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condconj import step_size
-from .engine import FitReport, MeanFieldState, TracePoint, VariationalModel
-from .errors import ConfigError, DataFormatError, DomainError, NumericError
+from .condconj import _stochastic_fit
+from .engine import MeanFieldState, VariationalModel, cavi_fit
+from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import ExpFamParam, _dirichlet_expected_log_rows, digamma, log_gamma
 
 __all__ = [
@@ -149,9 +148,10 @@ def read_uci(path):
     summed count) above :data:`MAX_COUNT` is rejected, since it would lose
     precision as a float.
 
-    The file is read line by line.  Raises :class:`DataFormatError`
-    carrying the 1-based line number of the first malformed line; a file
-    that ends early reports the line after its last one.
+    The file is read line by line as UTF-8 text.  Raises
+    :class:`DataFormatError` carrying the 1-based line number of the first
+    malformed line; a file that ends early reports the line after its last
+    one.
     """
 
     def parse_int(lineno, token, what):
@@ -163,7 +163,7 @@ def read_uci(path):
     header = []
     lineno = 0
     with open(path, "r", encoding="utf-8") as handle:
-        lines = enumerate(handle, start=1)
+        lines = numbered_lines(handle)
         for lineno, line in lines:
             tokens = line.split()
             if not tokens:
@@ -514,9 +514,6 @@ class Lda(VariationalModel):
     def __init__(self, config):
         self.config = config
 
-    def n_obs(self, data):
-        return len(data)
-
     def take(self, data, indices):
         return data.subset(indices)
 
@@ -622,8 +619,6 @@ def lda_cavi_fit(corpus, config, fit_config):
     The metadata carries ``estep_cap_hits`` and ``estep_max_updates`` of
     the final sweep's E-step.
     """
-    from .engine import cavi_fit
-
     if len(corpus) == 0:
         raise DomainError("corpus has no documents")
     report = cavi_fit(Lda(config), corpus, fit_config)
@@ -641,73 +636,29 @@ def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
     natural parameters are an affine shift of lam, so blending lam
     directly is the natural-coordinate step.
 
-    The ELBO trace is recorded every ``elbo_every`` steps after a full
-    local pass at the current topics; as with any stochastic ascent it is
-    noisy rather than monotone.  Held-out monitoring is not traced;
-    evaluate the returned state instead.  Deterministic per seed.  The
-    metadata carries ``estep_cap_hits`` and ``estep_max_updates`` of the
-    final local pass.
+    The ELBO is recorded every ``elbo_every`` steps after a full local
+    pass at the current topics, the last of which is the report's state;
+    its ``estep_cap_hits`` and ``estep_max_updates`` go into the metadata.
+    Deterministic per seed: the initial topics are drawn before the first
+    minibatch.
     """
     n = len(corpus)
-    if n == 0:
-        raise DomainError("corpus has no documents")
-    if not (1 <= batch_size <= n):
-        raise ConfigError("batch_size", "must lie in [1, number of documents]")
     model = Lda(config)
-    rng = np.random.default_rng(fit_config.seed)
-    state = model.init_state(corpus, "prior", rng)
-    lam = np.array(state.lam)
-    doc_scale = n / batch_size
 
-    elbo_trace = []
-    prev = None
-    converged = False
-    iterations = 0
-    start = time.perf_counter()
+    def start(rng):
+        return np.array(model.init_state(corpus, "prior", rng).lam)
 
-    def local_pass(lam_now):
-        gamma, phi, updates = _fold_in(corpus, lam_now, config)
-        return LdaState(lam_now, gamma, corpus.split(phi), updates)
-
-    for t in range(1, fit_config.max_iters + 1):
-        # sorted for a fixed reduction order; sampling stays uniform
-        batch = corpus.subset(np.sort(rng.choice(n, size=batch_size, replace=False)))
+    def target(lam, batch):
+        batch = corpus.subset(batch)
         _, phi, _ = _fold_in(batch, lam, config)
-        lam_hat = config.eta + doc_scale * _term_stats(batch, phi)
-        eps = step_size(schedule, t)
-        lam = (1.0 - eps) * lam + eps * lam_hat
-        if not np.all(np.isfinite(lam)):
-            raise NumericError("topic parameters are not finite", iteration=t)
-        iterations = t
-        if t % fit_config.elbo_every != 0 and t != fit_config.max_iters:
-            continue
-        snapshot = local_pass(lam)
-        elbo = lda_elbo(snapshot, corpus, config)
-        if not np.isfinite(elbo):
-            raise NumericError("ELBO is not finite", iteration=t)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        elbo_trace.append(TracePoint(t, float(elbo), elapsed_ms))
-        if prev is not None and abs(elbo - prev) / (1.0 + abs(elbo)) < fit_config.tol:
-            converged = True
-            break
-        prev = elbo
+        return config.eta + (n / batch_size) * _term_stats(batch, phi)
 
-    final = local_pass(lam)
-    return FitReport(
-        final_state=model.export_state(final),
-        model_state=final,
-        elbo_trace=elbo_trace,
-        heldout_trace=[],
-        converged=converged,
-        iterations_run=iterations,
-        metadata={
-            "algorithm": "svi",
-            "seed": fit_config.seed,
-            "batch_size": batch_size,
-            "kappa": schedule.kappa,
-            "delay": schedule.delay,
-            "scale": schedule.scale,
-            **model.metadata(),
-            **_estep_summary(final),
-        },
-    )
+    def score(lam):
+        gamma, phi, updates = _fold_in(corpus, lam, config)
+        snapshot = LdaState(lam, gamma, corpus.split(phi), updates)
+        return lda_elbo(snapshot, corpus, config), snapshot
+
+    report = _stochastic_fit(n, batch_size, schedule, fit_config, start, target, score)
+    report.metadata.update(model.metadata())
+    report.metadata.update(_estep_summary(report.model_state))
+    return report

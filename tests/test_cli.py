@@ -89,6 +89,36 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "heldout_fraction" in res.stderr
 
+    def test_csv_that_is_not_utf8_reports_line(self, tmp_path):
+        # the bad byte lies past the first read buffer of the text decoder
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1.0\r\n" * 3000 + b"2.0\n\xff3.0\n4.0\n")
+        res = run_cli(
+            "fit", "--model", "gmm", "--k", "1", "--data", bad,
+            "--out", tmp_path / "o",
+        )
+        assert res.returncode == 3, res.stderr
+        assert "line 3002" in res.stderr
+        assert "UTF-8" in res.stderr
+
+    def test_corpus_that_is_not_utf8_reports_line(self, tmp_path):
+        bad = tmp_path / "corpus.txt"
+        bad.write_bytes(b"1\n3\n2\n1 1 1\n1 2 \xe9\n")
+        res = run_cli(
+            "fit", "--model", "lda", "--k", "1", "--data", bad,
+            "--out", tmp_path / "o",
+        )
+        assert res.returncode == 3, res.stderr
+        assert "line 5" in res.stderr
+
+    def test_config_file_that_is_not_utf8_reports_line(self, mixture_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"model = gmm\nk = \xff2\n")
+        res = run_cli("fit", "--config", cfg, "--data", mixture_csv,
+                      "--out", tmp_path / "o")
+        assert res.returncode == 2, res.stderr
+        assert "line 2" in res.stderr
+
     def test_malformed_csv_reports_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0\nnot-a-number\n")
@@ -325,6 +355,22 @@ class TestFit:
         assert np.asarray(doc["means"]).shape == (2, 1)
         assert np.all(np.asarray(doc["variances"]) > 0.0)
 
+    def test_gmm_svi_fit_document_describes_itself(self, mixture_csv, tmp_path):
+        out = tmp_path / "svi"
+        res = run_cli(
+            "fit", "--model", "gmm", "--algorithm", "svi", "--k", "2",
+            "--sigma2", "2", "--kappa", "0.7", "--batch", "10",
+            "--max-iters", "20", "--data", mixture_csv, "--out", out,
+        )
+        assert res.returncode == 0, res.stderr
+        meta = read_json(out / "fit_0.json")["metadata"]
+        assert meta["k"] == 2
+        assert meta["sigma2"] == 2.0
+        assert meta["n_train"] == 60
+        res = run_cli("eval", "--fit", out / "fit_0.json", "--data", mixture_csv,
+                      "--out", tmp_path / "e")
+        assert res.returncode == 0, res.stderr
+
     def test_gmm_svi_elbo_comparable_to_cavi(self, mixture_csv, tmp_path):
         res = run_cli(
             "fit", "--model", "gmm", "--k", "2", "--data", mixture_csv,
@@ -370,6 +416,7 @@ class TestFit:
         doc = read_json(out / "fit_3.json")
         assert doc["algorithm"] == "svi"
         assert doc["metadata"]["batch_size"] == 5
+        assert doc["metadata"]["n_train"] == 20
 
     @pytest.mark.parametrize("algorithm", ["cavi", "svi"])
     def test_lda_fit_reports_estep_cap_hits(self, corpus_txt, tmp_path, algorithm):
@@ -522,6 +569,49 @@ class TestEval:
         res = run_cli("eval", "--fit", fit, "--data", empty,
                       "--out", tmp_path / "e")
         assert res.returncode == 3
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            (json.dumps({"model": "gmm", "variances": [[0.5]]}), "'means'"),
+            (json.dumps([{"model": "gmm"}]), "JSON object"),
+            (
+                json.dumps({"model": "gmm", "means": [["0"], ["zero"]],
+                            "variances": [[0.5], [0.5]]}),
+                "'means'",
+            ),
+            ("[" * 100_000, "not valid JSON"),
+            (
+                json.dumps({"model": "blr-ard", "coefficients": 1.0}),
+                "'coefficients' must have 1 axes",
+            ),
+        ],
+        ids=["missing-field", "list", "non-numeric", "nested-too-deep", "scalar"],
+    )
+    def test_malformed_fit_document(self, tmp_path, text, needle):
+        fit = tmp_path / "fit_0.json"
+        fit.write_text(text)
+        heldout = tmp_path / "h.csv"
+        heldout.write_text("0\n")
+        res = run_cli("eval", "--fit", fit, "--data", heldout,
+                      "--out", tmp_path / "e")
+        assert res.returncode == 3, res.stderr
+        assert needle in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_inconsistent_fit_document_arrays(self, tmp_path):
+        fit = tmp_path / "fit_0.json"
+        fit.write_text(json.dumps({
+            "model": "gmm-diag", "weight_concentration": [1.0, 1.0],
+            "locations": [[0.0], [1.0]], "scales": [[1.0], [1.0]],
+            "shapes": [[1.0, 1.0], [1.0, 1.0]], "rates": [[1.0], [1.0]],
+        }))
+        heldout = tmp_path / "h.csv"
+        heldout.write_text("0\n")
+        res = run_cli("eval", "--fit", fit, "--data", heldout,
+                      "--out", tmp_path / "e")
+        assert res.returncode == 2, res.stderr
+        assert "inconsistent dimensions" in res.stderr
 
     def test_dimension_mismatch(self, tmp_path):
         fit = self._standard_normal_fit(tmp_path)

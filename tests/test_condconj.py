@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from _oracles import (
     condconj_elbo_loop,
@@ -315,6 +315,29 @@ class TestSviFit:
         with pytest.raises(DomainError):
             svi_fit(spec, [], StepSchedule(kappa=0.7), FitConfig(max_iters=1))
 
+    def test_heldout_fraction_rejected(self):
+        spec = conjugate_spec(k=2, sigma2=1.0)
+        cfg = FitConfig(max_iters=1, heldout_fraction=0.2)
+        with pytest.raises(ConfigError) as err:
+            svi_fit(spec, np.arange(10.0), StepSchedule(kappa=0.7), cfg)
+        assert err.value.field == "heldout_fraction"
+
+    # the fit stops at max_iters, on or off the ELBO cadence, or on tol
+    @pytest.mark.parametrize("max_iters, tol", [(7, 1e-300), (6, 1e-300), (300, 1e-4)])
+    def test_state_is_the_last_scored_pass(self, max_iters, tol):
+        data, _, _ = simulate(k=2, n=40, seed=8, dim=2)
+        spec = conjugate_spec(k=2, sigma2=1.0, dim=2)
+        report = svi_fit(
+            spec,
+            data,
+            StepSchedule(kappa=0.7, delay=1.0),
+            FitConfig(max_iters=max_iters, seed=3, elbo_every=3, tol=tol),
+            batch_size=5,
+        )
+        assert report.converged == (report.iterations_run < max_iters)
+        assert report.iterations_run == report.elbo_trace[-1].iteration
+        assert cond_conj_elbo(spec, report.model_state, data) == report.final_elbo
+
 
 class TestGlobalParam:
     def test_natural_concatenates_count(self):
@@ -400,8 +423,9 @@ class TestBatchedAgainstOracle:
 
 
 def test_svi_calls_local_natural_param_once_per_pass():
-    """One batched local step per minibatch, per ELBO pass and for the final
-    pass: a per-observation loop would call the model n times per pass."""
+    """One batched local step per minibatch and per ELBO pass: a
+    per-observation loop would call the model n times per pass, and the
+    fit ends on an ELBO pass, so no final pass repeats it."""
     data, _, _ = simulate(k=3, n=2000, seed=0, dim=2)
     spec = conjugate_spec(k=3, sigma2=1.0, dim=2)
     calls = []
@@ -411,7 +435,7 @@ def test_svi_calls_local_natural_param_once_per_pass():
         return spec.local_natural_param(stats, X)
 
     steps, every = 40, 10
-    svi_fit(
+    report = svi_fit(
         dataclasses.replace(spec, local_natural_param=counted),
         data,
         StepSchedule(kappa=0.7, delay=1.0),
@@ -419,9 +443,12 @@ def test_svi_calls_local_natural_param_once_per_pass():
         batch_size=50,
     )
     elbo_passes = steps // every
-    assert len(calls) == steps + elbo_passes + 1
+    assert len(calls) == steps + elbo_passes
     assert calls.count(50) == steps
-    assert calls.count(2000) == elbo_passes + 1
+    assert calls.count(2000) == elbo_passes
+    assert calls[-1] == 2000
+    lam = report.model_state.lam
+    assert_array_equal(report.model_state.phis, local_probs(spec, lam, data))
 
 
 class TestLocalProbsChecks:

@@ -28,6 +28,7 @@ from meanfield.lda import (
     LdaConfig,
     LdaState,
     lda_cavi_fit,
+    lda_elbo,
     lda_svi_fit,
     read_uci,
     simulate_corpus,
@@ -658,6 +659,13 @@ class TestSviFit:
         with pytest.raises(DomainError):
             lda_svi_fit(Corpus((), 8), config, self.schedule(), cfg)
 
+    def test_heldout_fraction_rejected(self):
+        corpus, _ = simulate_corpus(2, 5, 8, 10, seed=19)
+        cfg = FitConfig(max_iters=5, seed=1, heldout_fraction=0.2)
+        with pytest.raises(ConfigError) as err:
+            lda_svi_fit(corpus, LdaConfig(k=2), self.schedule(), cfg, batch_size=2)
+        assert err.value.field == "heldout_fraction"
+
 
 class TestStateValidation:
     def test_rejects_nonpositive_parameters(self):
@@ -791,12 +799,14 @@ class TestBatchedEStep:
             batch_size=4,
         )
         sizes = [len(call[0]) for call in e_step_calls]
-        # four minibatch steps; local passes after steps 2 and 4 and at the end
-        assert sizes == [4, 4, len(corpus), 4, 4, len(corpus), len(corpus)]
+        # four minibatch steps; local passes after steps 2 and 4, the last
+        # of which is the final state
+        assert sizes == [4, 4, len(corpus), 4, 4, len(corpus)]
         for call in e_step_calls:
             assert_matches_per_document_loop(call)
         final = e_step_calls[-1][4]
         assert_allclose(report.model_state.gamma, final[0], rtol=0, atol=0)
+        assert lda_elbo(report.model_state, corpus, config) == report.final_elbo
 
 
 class TestExpSpaceUnderflow:
@@ -891,8 +901,8 @@ class TestEStepCapReport:
             self.corpus(), LdaConfig(k=5), StepSchedule(kappa=0.7),
             FitConfig(max_iters=2, seed=0), batch_size=2,
         )
-        # two minibatches, an ELBO pass after each, the final pass
-        assert len(e_step_calls) == 5
+        # two minibatches and an ELBO pass after each; the last is final
+        assert len(e_step_calls) == 4
         self.check(report, e_step_calls[-1])
 
     def test_no_cap_hits_on_short_documents(self):
