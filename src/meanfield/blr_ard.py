@@ -30,7 +30,7 @@ import scipy.linalg
 
 from .engine import MeanFieldState, VariationalModel
 from .errors import ConfigError, DomainError, NumericError
-from .expfam import LOG_2PI, ExpFamParam, digamma, log_gamma
+from .expfam import LOG_2PI, ExpFamParam, gamma_kl, gamma_moments, gaussian_log_pdf
 
 __all__ = [
     "BlrArdConfig",
@@ -132,16 +132,15 @@ def blr_expectations(state, config):
     lower = _chol(state.v_inv)
     v_diag = _v_diag(lower)
     log_det_v = -2.0 * float(np.log(np.diag(lower)).sum())
-    e_tau = state.a / state.b
+    e_tau, e_log_tau = gamma_moments(state.a, state.b)
     if config.fix_relevance:
         e_alpha = np.ones_like(state.d)
         e_log_alpha = np.zeros_like(state.d)
     else:
-        e_alpha = state.c / state.d
-        e_log_alpha = digamma(state.c) - np.log(state.d)
+        e_alpha, e_log_alpha = gamma_moments(state.c, state.d)
     return {
         "e_tau": e_tau,
-        "e_log_tau": digamma(state.a) - math.log(state.b),
+        "e_log_tau": e_log_tau,
         "e_alpha": e_alpha,
         "e_log_alpha": e_log_alpha,
         "v_diag": v_diag,
@@ -191,8 +190,9 @@ def update_relevance(state, config):
 def blr_elbo(state, data, config):
     """Evidence lower bound with all constants kept.
 
-    With ``fix_relevance`` the relevance terms drop out and the bound is
-    tight at the exact conjugate posterior.
+    The noise factor, and unless ``fix_relevance`` each relevance factor,
+    enter through their Gamma KL divergences to the prior.  With
+    ``fix_relevance`` the bound is tight at the exact conjugate posterior.
     """
     x, y = _split(data)
     n, dim = x.shape
@@ -211,54 +211,17 @@ def blr_elbo(state, data, config):
         - 0.5 * (e_tau * float(resid @ resid) + trace_term)
     )
 
-    e_logp_coeff = (
-        0.5 * float(exp["e_log_alpha"].sum())
-        + 0.5 * dim * e_log_tau
-        - 0.5 * dim * LOG_2PI
-        - 0.5 * float(exp["e_alpha"] @ exp["e_tau_beta_sq"])
+    # E[log p(beta | tau, alpha)] - E[log q(beta | tau)]; the tau and
+    # 2 pi terms of the two Gaussians cancel.
+    coeff = 0.5 * (
+        float(exp["e_log_alpha"].sum())
+        - float(exp["e_alpha"] @ exp["e_tau_beta_sq"])
+        + exp["log_det_v"]
+        + dim
     )
-    e_logp_noise = (
-        config.a0 * math.log(config.b0)
-        - log_gamma(config.a0)
-        + (config.a0 - 1.0) * e_log_tau
-        - config.b0 * e_tau
-    )
-
-    e_logq_coeff = (
-        -0.5 * exp["log_det_v"]
-        + 0.5 * dim * e_log_tau
-        - 0.5 * dim * LOG_2PI
-        - 0.5 * dim
-    )
-    e_logq_noise = (
-        state.a * math.log(state.b)
-        - log_gamma(state.a)
-        + (state.a - 1.0) * e_log_tau
-        - state.b * e_tau
-    )
-
-    value = e_loglik + e_logp_coeff + e_logp_noise - e_logq_coeff - e_logq_noise
-
+    value = e_loglik + coeff - gamma_kl(state.a, state.b, config.a0, config.b0)
     if not config.fix_relevance:
-        e_log_alpha = exp["e_log_alpha"]
-        e_alpha = exp["e_alpha"]
-        e_logp_rel = float(
-            (
-                config.c0 * math.log(config.d0)
-                - log_gamma(config.c0)
-                + (config.c0 - 1.0) * e_log_alpha
-                - config.d0 * e_alpha
-            ).sum()
-        )
-        e_logq_rel = float(
-            (
-                state.c * np.log(state.d)
-                - log_gamma(state.c)
-                + (state.c - 1.0) * e_log_alpha
-                - state.d * e_alpha
-            ).sum()
-        )
-        value += e_logp_rel - e_logq_rel
+        value -= float(gamma_kl(state.c, state.d, config.c0, config.d0).sum())
     return value
 
 
@@ -273,8 +236,7 @@ def blr_log_predictive(state, point):
     lower = _chol(state.v_inv)
     u = scipy.linalg.solve_triangular(lower, x, lower=True)
     var = (state.b / state.a) * (1.0 + float(u @ u))
-    mean = float(x @ state.beta)
-    return -0.5 * (LOG_2PI + math.log(var) + (y - mean) ** 2 / var)
+    return float(gaussian_log_pdf(y, float(x @ state.beta), var))
 
 
 class BlrArd(VariationalModel):

@@ -47,7 +47,7 @@ import numpy as np
 
 from .engine import _fit_loop
 from .errors import ConfigError, DomainError, NumericError
-from .expfam import _SIMPLEX_TOL, ExpFamParam, categorical_rows
+from .expfam import _SIMPLEX_TOL, ExpFamParam, categorical_entropy, categorical_rows
 
 __all__ = [
     "GlobalParam",
@@ -346,16 +346,13 @@ def cond_conj_elbo(spec, state, data):
     probs = state.phis
     total = spec.prior_stat + _local_stat(spec, probs, X)
     stats = spec.expected_global_stats(state.lam)
-    nz = probs[probs > 0.0]
-    local_entropy = -float(np.dot(nz, np.log(nz)))
-    value = (
+    return (
         float(np.dot(total, stats.stats))
         - (spec.prior_count + n) * stats.log_norm
         - spec.prior_log_norm
         + stats.entropy
-        + local_entropy
+        + float(categorical_entropy(probs).sum())
     )
-    return value
 
 
 def coordinate_ascent(spec, data, lam, max_sweeps=200, tol=1e-10):

@@ -10,6 +10,9 @@ and KL divergences that coordinate ascent updates are written in terms of:
   families,
 * closed-form KL divergences between members of the same family.
 
+The moment, KL and entropy helpers broadcast over arrays and return floats
+for scalar input; every model ELBO takes its KL and entropy terms from them.
+
 ``ExpFamParam`` is the common currency for variational factors: a frozen
 value holding one density's canonical parameters together with accessors for
 its natural parameters, mean, and entropy.  Natural parameters are computed
@@ -51,6 +54,11 @@ LOG_2PI = math.log(2.0 * math.pi)
 # log Gamma is delegated to scipy; it is the one special function here with
 # no structural role in the updates (it only appears in normalizers).
 log_gamma = gammaln
+
+
+def _scalar(value):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def log_sum_exp(values, axis=None):
@@ -123,13 +131,14 @@ def gaussian_moments(mean, var):
 
 
 def gamma_moments(shape, rate):
-    """Return (E[x], E[log x]) for x ~ Gamma(shape, rate).
+    """Return (E[x], E[log x]) for x ~ Gamma(shape, rate), elementwise.
 
     E[x] = shape / rate and E[log x] = psi(shape) - log(rate).
     """
-    if not (shape > 0.0 and rate > 0.0):
+    a, r = map(np.asarray, (shape, rate))
+    if not (np.all(a > 0.0) and np.all(r > 0.0)):
         raise DomainError("gamma_moments requires shape > 0 and rate > 0")
-    return float(shape / rate), float(digamma(shape) - math.log(rate))
+    return _scalar(a / r), _scalar(digamma(a) - np.log(r))
 
 
 def dirichlet_expected_log(concentration):
@@ -157,74 +166,79 @@ def _dirichlet_expected_log_rows(c):
 
 
 def gaussian_kl(q_mean, q_var, p_mean, p_var):
-    """KL(q || p) between univariate Gaussians.
+    """KL(q || p) between univariate Gaussians, elementwise.
 
     Equals ``0.5 * (q_var/p_var + (p_mean - q_mean)^2/p_var - 1
     + log(p_var/q_var))``; nonnegative, zero iff the parameters match.
     """
-    if not (q_var > 0.0 and p_var > 0.0):
+    qv, pv = map(np.asarray, (q_var, p_var))
+    if not (np.all(qv > 0.0) and np.all(pv > 0.0)):
         raise DomainError("gaussian_kl requires positive variances")
-    ratio = q_var / p_var
-    return 0.5 * (ratio + (p_mean - q_mean) ** 2 / p_var - 1.0 - math.log(ratio))
+    ratio = qv / pv
+    diff = np.subtract(p_mean, q_mean)
+    return _scalar(0.5 * (ratio + diff**2 / pv - 1.0 - np.log(ratio)))
 
 
 def gamma_kl(q_shape, q_rate, p_shape, p_rate):
-    """KL(q || p) between Gamma(shape, rate) densities."""
-    if min(q_shape, q_rate, p_shape, p_rate) <= 0.0:
+    """KL(q || p) between Gamma(shape, rate) densities, elementwise."""
+    qa, qr, pa, pr = map(np.asarray, (q_shape, q_rate, p_shape, p_rate))
+    if not all(np.all(v > 0.0) for v in (qa, qr, pa, pr)):
         raise DomainError("gamma_kl requires positive shapes and rates")
-    return float(
-        (q_shape - p_shape) * digamma(q_shape)
-        - gammaln(q_shape)
-        + gammaln(p_shape)
-        + p_shape * (math.log(q_rate) - math.log(p_rate))
-        + q_shape * (p_rate - q_rate) / q_rate
+    return _scalar(
+        (qa - pa) * digamma(qa)
+        - gammaln(qa)
+        + gammaln(pa)
+        + pa * (np.log(qr) - np.log(pr))
+        + qa * (pr - qr) / qr
     )
 
 
 def dirichlet_kl(q_conc, p_conc):
-    """KL(q || p) between Dirichlet densities with matching dimension."""
+    """KL(q || p) between Dirichlet densities, one per row of ``q_conc``
+    (a float for a single vector); ``p_conc`` broadcasts against the rows."""
     q = np.asarray(q_conc, dtype=float)
     p = np.asarray(p_conc, dtype=float)
-    if q.shape != p.shape or q.ndim != 1:
+    if not 1 <= p.ndim <= q.ndim or p.shape != q.shape[q.ndim - p.ndim :]:
         raise DomainError("dirichlet_kl requires matching concentration vectors")
-    if np.any(q <= 0.0) or np.any(p <= 0.0):
+    if not (np.all(q > 0.0) and np.all(p > 0.0)):
         raise DomainError("dirichlet concentrations must be > 0")
-    q0 = q.sum()
-    elog = digamma(q) - digamma(q0)
-    return float(
+    q0 = q.sum(axis=-1)
+    elog = digamma(q) - digamma(q0[..., None])
+    return _scalar(
         gammaln(q0)
-        - gammaln(q).sum()
-        - gammaln(p.sum())
-        + gammaln(p).sum()
-        + np.dot(q - p, elog)
+        - gammaln(q).sum(axis=-1)
+        - gammaln(p.sum(axis=-1))
+        + gammaln(p).sum(axis=-1)
+        + ((q - p) * elog).sum(axis=-1)
     )
 
 
 def normal_gamma_kl(q_params, p_params):
-    """KL(q || p) between Normal-Gamma densities.
+    """KL(q || p) between Normal-Gamma densities, elementwise.
 
     Each parameter tuple is ``(m, b, shape, rate)`` describing
     ``Normal(mu | m, 1/(b*tau)) * Gamma(tau | shape, rate)``.
     """
-    qm, qb, qa, qr = q_params
-    pm, pb, pa, pr = p_params
-    if min(qb, qa, qr, pb, pa, pr) <= 0.0:
+    qm, qb, qa, qr = map(np.asarray, q_params)
+    pm, pb, pa, pr = map(np.asarray, p_params)
+    if not all(np.all(v > 0.0) for v in (qb, qa, qr, pb, pa, pr)):
         raise DomainError("normal_gamma_kl requires positive b, shape, rate")
     # Conditional Gaussian part: E_q[log N_q - log N_p] with tau integrated
     # against Gamma(qa, qr); E_q[tau * (mu - pm)^2] = (qa/qr)(qm - pm)^2 + 1/qb.
     normal_part = 0.5 * (
-        math.log(qb / pb) - 1.0 + pb * ((qa / qr) * (qm - pm) ** 2 + 1.0 / qb)
+        np.log(qb / pb) - 1.0 + pb * ((qa / qr) * (qm - pm) ** 2 + 1.0 / qb)
     )
-    return normal_part + gamma_kl(qa, qr, pa, pr)
+    return _scalar(normal_part + gamma_kl(qa, qr, pa, pr))
 
 
 def categorical_entropy(probs):
-    """Entropy of a categorical distribution, with 0 * log 0 = 0."""
-    p = np.asarray(probs, dtype=float)
-    if np.any(p < 0.0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
+    """Entropy of a categorical distribution, with 0 * log 0 = 0; one per
+    row of an ``(n, k)`` array, whose rows must each sum to 1 within 1e-9."""
+    p = np.atleast_1d(np.asarray(probs, dtype=float))
+    if np.any(p < 0.0) or not np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9):
         raise DomainError("categorical_entropy requires a probability vector")
-    nz = p[p > 0.0]
-    return float(-np.dot(nz, np.log(nz)))
+    logs = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    return _scalar(-np.einsum("...k,...k->...", p, logs))
 
 
 def gaussian_log_pdf(x, mean, var):

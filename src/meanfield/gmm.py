@@ -31,12 +31,16 @@ from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
     LOG_2PI,
     ExpFamParam,
+    categorical_entropy,
     categorical_rows,
     digamma,
     dirichlet_kl,
+    gamma_moments,
+    gaussian_kl,
     gaussian_log_pdf,
     log_gamma,
     log_sum_exp,
+    normal_gamma_kl,
 )
 
 __all__ = [
@@ -80,6 +84,13 @@ def _as_matrix(data):
     return x
 
 
+def _check_rows(r, name):
+    """Reject responsibilities with a negative entry or a row whose sum is
+    off 1 by more than 1e-9; an empty ``(0, k)`` array passes."""
+    if np.any(r < 0.0) or not np.all(np.abs(r.sum(axis=1) - 1.0) <= 1e-9):
+        raise DomainError(f"{name} rows must be probability vectors")
+
+
 # ---------------------------------------------------------------------------
 # unit-variance mixture
 # ---------------------------------------------------------------------------
@@ -117,11 +128,7 @@ class UniGmmState:
             raise DomainError("mean-factor variances must be > 0")
         if self.phi.ndim != 2 or self.phi.shape[1] != self.m.shape[0]:
             raise DomainError("phi must be (n, k)")
-        if self.phi.size and (
-            np.any(self.phi < 0.0)
-            or np.max(np.abs(self.phi.sum(axis=1) - 1.0)) > 1e-9
-        ):
-            raise DomainError("phi rows must be probability vectors")
+        _check_rows(self.phi, "phi")
 
 
 def update_assignments(state, data):
@@ -153,16 +160,17 @@ def update_components(state, data, sigma2):
 def gmm_elbo(state, data, sigma2):
     """Evidence lower bound with every constant kept.
 
-    Keeping all constants makes the bound directly comparable to the log
-    evidence: with one component the converged value equals log p(x)
-    exactly, and with no data the value is 0 at the prior.
+    The mean factors enter through their KL divergence to the
+    ``Normal(0, sigma2)`` prior and the responsibilities through their
+    entropy.  Keeping all constants makes the bound directly comparable to
+    the log evidence: with one component the converged value equals
+    log p(x) exactly, and with no data the value is 0 at the prior.
     """
     x = _as_matrix(data)
     k, d = state.m.shape
     n = x.shape[0]
     sq = (state.m**2 + state.s2).sum(axis=1)
 
-    prior = -0.5 * k * d * math.log(2.0 * math.pi * sigma2) - sq.sum() / (2.0 * sigma2)
     assign_prior = -n * math.log(k)
     lik_ik = (
         x @ state.m.T
@@ -171,10 +179,9 @@ def gmm_elbo(state, data, sigma2):
         - 0.5 * d * LOG_2PI
     )
     lik = float((state.phi * lik_ik).sum())
-    nz = state.phi[state.phi > 0.0]
-    assign_entropy = -float(np.dot(nz, np.log(nz)))
-    mean_entropy = 0.5 * float(np.log(2.0 * math.pi * math.e * state.s2).sum())
-    return prior + assign_prior + lik + assign_entropy + mean_entropy
+    assign_entropy = float(categorical_entropy(state.phi).sum())
+    mean_kl = float(gaussian_kl(state.m, state.s2, 0.0, sigma2).sum())
+    return assign_prior + lik + assign_entropy - mean_kl
 
 
 def predictive_log_density(state, x_new):
@@ -467,6 +474,7 @@ class DiagGmmState:
             raise DomainError("state arrays have inconsistent dimensions")
         if self.r.shape[1:] != k:
             raise DomainError("responsibilities must be (n, k)")
+        _check_rows(self.r, "responsibility")
         if np.any(self.conc <= 0.0):
             raise DomainError("Dirichlet concentrations must be > 0")
         for name in ("b", "alpha", "beta"):
@@ -476,8 +484,7 @@ class DiagGmmState:
 
 def _diag_expected_stats(state):
     e_log_pi = digamma(state.conc) - digamma(state.conc.sum())
-    e_log_tau = digamma(state.alpha) - np.log(state.beta)
-    e_tau = state.alpha / state.beta
+    e_tau, e_log_tau = gamma_moments(state.alpha, state.beta)
     return e_log_pi, e_log_tau, e_tau
 
 
@@ -530,34 +537,27 @@ def diag_gmm_sweep(state, data, config):
 
 
 def diag_gmm_elbo(state, data, config):
-    """Evidence lower bound; equals 0 on an empty dataset at the prior."""
+    """Evidence lower bound; equals 0 on an empty dataset at the prior.
+
+    The weights factor and each (k, d) Normal-Gamma factor enter through
+    their KL divergences to the prior, the responsibilities through their
+    entropy.
+    """
     x = _as_matrix(data)
-    k, d = state.m.shape
+    k = state.m.shape[0]
     e_log_pi, _, _ = _diag_expected_stats(state)
 
     lik = float((state.r * _diag_loglik_matrix(state, x)).sum())
     assign = float(state.r.sum(axis=0) @ e_log_pi)
-    nz = state.r[state.r > 0.0]
-    assign_entropy = -float(np.dot(nz, np.log(nz)))
+    assign_entropy = float(categorical_entropy(state.r).sum())
 
     weight_kl = dirichlet_kl(state.conc, np.full(k, config.a0))
-
-    # vectorized Normal-Gamma KL against the shared prior, per (k, d)
-    e_tau = state.alpha / state.beta
-    normal_part = 0.5 * (
-        np.log(state.b / config.b0)
-        - 1.0
-        + config.b0 * (e_tau * (state.m - config.m0) ** 2 + 1.0 / state.b)
+    component_kl = float(
+        normal_gamma_kl(
+            (state.m, state.b, state.alpha, state.beta),
+            (config.m0, config.b0, config.alpha0, config.beta0),
+        ).sum()
     )
-    gamma_part = (
-        (state.alpha - config.alpha0) * digamma(state.alpha)
-        - log_gamma(state.alpha)
-        + log_gamma(config.alpha0)
-        + config.alpha0 * (np.log(state.beta) - math.log(config.beta0))
-        + state.alpha * (config.beta0 - state.beta) / state.beta
-    )
-    component_kl = float((normal_part + gamma_part).sum())
-
     return lik + assign + assign_entropy - weight_kl - component_kl
 
 

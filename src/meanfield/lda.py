@@ -33,7 +33,13 @@ import numpy as np
 from .condconj import _stochastic_fit
 from .engine import MeanFieldState, VariationalModel, cavi_fit
 from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
-from .expfam import ExpFamParam, _dirichlet_expected_log_rows, digamma, log_gamma
+from .expfam import (
+    ExpFamParam,
+    _dirichlet_expected_log_rows,
+    categorical_entropy,
+    digamma,
+    dirichlet_kl,
+)
 
 __all__ = [
     "INNER_TOL",
@@ -473,17 +479,6 @@ def update_lambda(state, corpus, config):
     return config.eta + _term_stats(corpus, _stacked_phi(state.phi, config.k))
 
 
-def _dirichlet_kl_rows(conc, elog, prior):
-    """KL(Dir(conc_i) || Dir(prior)) per row; ``elog`` is E[log pi] under q."""
-    return (
-        log_gamma(conc.sum(axis=1))
-        - log_gamma(conc).sum(axis=1)
-        - log_gamma(prior.sum())
-        + log_gamma(prior).sum()
-        + ((conc - prior) * elog).sum(axis=1)
-    )
-
-
 def lda_elbo(state, corpus, config):
     """Evidence lower bound, all constants kept.
 
@@ -498,11 +493,10 @@ def lda_elbo(state, corpus, config):
         np.repeat(elog_theta, np.diff(corpus.indptr), axis=0)
         + elog_beta[:, corpus.ids].T
     )
-    safe = np.where(phi > 0.0, phi, 1.0)
-    total = float((corpus.cts[:, None] * phi * (scores - np.log(safe))).sum())
-    total -= float(_dirichlet_kl_rows(state.gamma, elog_theta, config.alpha).sum())
-    eta_row = np.full(corpus.v, config.eta)
-    total -= float(_dirichlet_kl_rows(state.lam, elog_beta, eta_row).sum())
+    total = float((corpus.cts[:, None] * phi * scores).sum())
+    total += float(corpus.cts @ categorical_entropy(phi))
+    total -= float(dirichlet_kl(state.gamma, config.alpha).sum())
+    total -= float(dirichlet_kl(state.lam, np.full(corpus.v, config.eta)).sum())
     return total
 
 

@@ -6,7 +6,8 @@ direct covariance-matrix marginal likelihoods through scipy, textbook
 conjugate posterior formulas, the digamma asymptotic series, the
 one-document-at-a-time log-space LDA local step, and the
 one-observation-at-a-time global-local (conditionally conjugate) mixture
-steps -- so agreement with the package is evidence of correctness rather
+steps, and model ELBOs with their prior, KL and entropy terms written out
+by hand -- so agreement with the package is evidence of correctness rather
 than of shared code.
 """
 
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 import scipy.stats
-from scipy.special import gammaln, logsumexp
+from scipy.special import digamma, gammaln, logsumexp
 
 
 def k1_gaussian_posterior(data, sigma2):
@@ -285,7 +286,7 @@ def lda_local_steps(corpus, elog_beta, gamma, alpha, tol, max_iters):
 
 def _obs_rows(data):
     x = np.asarray(data, dtype=float)
-    return x.reshape(x.shape[0], -1)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def gmm_suff_stat(j, x, k, dim):
@@ -340,8 +341,7 @@ def condconj_elbo_loop(spec, lam, probs, data, k, dim):
     local_entropy = 0.0
     for p, row in zip(probs, x):
         total += gmm_expected_stat(p, row, k, dim)
-        nz = p[p > 0.0]
-        local_entropy -= float(np.sum(nz * np.log(nz)))
+        local_entropy += nz_entropy(p)
     return (
         float(np.dot(total, stats.stats))
         - (spec.prior_count + x.shape[0]) * stats.log_norm
@@ -379,3 +379,169 @@ def condconj_svi_loop(spec, data, schedule, seed, max_iters, batch_size, init, k
         probs = condconj_local_loop(spec, lam, x, k, dim)
         elbos.append(condconj_elbo_loop(spec, lam, probs, x, k, dim))
     return elbos, np.array(lam.stat), lam.count
+
+
+# ---------------------------------------------------------------------------
+# model ELBOs with every prior, KL and entropy term written out by hand
+# ---------------------------------------------------------------------------
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def nz_entropy(probs):
+    """Total entropy of categorical rows, summed over the nonzero entries."""
+    nz = probs[probs > 0.0]
+    return -float(np.dot(nz, np.log(nz)))
+
+
+def gmm_elbo(state, data, sigma2):
+    """Unit-variance mixture ELBO with the Gaussian prior and the mean
+    factors' entropy as separate terms."""
+    x = _obs_rows(data)
+    k, d = state.m.shape
+    n = x.shape[0]
+    sq = (state.m**2 + state.s2).sum(axis=1)
+    prior = -0.5 * k * d * math.log(2.0 * math.pi * sigma2) - sq.sum() / (2.0 * sigma2)
+    lik_ik = (
+        x @ state.m.T
+        - 0.5 * sq[None, :]
+        - 0.5 * (x**2).sum(axis=1)[:, None]
+        - 0.5 * d * _LOG_2PI
+    )
+    mean_entropy = 0.5 * float(np.log(2.0 * math.pi * math.e * state.s2).sum())
+    return (
+        prior
+        - n * math.log(k)
+        + float((state.phi * lik_ik).sum())
+        + nz_entropy(state.phi)
+        + mean_entropy
+    )
+
+
+def diag_normal_gamma_kl(state, config):
+    """Per-(k, d) KL of the Normal-Gamma factors to the shared prior."""
+    e_tau = state.alpha / state.beta
+    normal_part = 0.5 * (
+        np.log(state.b / config.b0)
+        - 1.0
+        + config.b0 * (e_tau * (state.m - config.m0) ** 2 + 1.0 / state.b)
+    )
+    gamma_part = (
+        (state.alpha - config.alpha0) * digamma(state.alpha)
+        - gammaln(state.alpha)
+        + gammaln(config.alpha0)
+        + config.alpha0 * (np.log(state.beta) - math.log(config.beta0))
+        + state.alpha * (config.beta0 - state.beta) / state.beta
+    )
+    return normal_part + gamma_part
+
+
+def dirichlet_kl_rows(conc, elog, prior):
+    """KL(Dir(conc_i) || Dir(prior)) per row; ``elog`` is E[log pi] under q."""
+    return (
+        gammaln(conc.sum(axis=1))
+        - gammaln(conc).sum(axis=1)
+        - gammaln(prior.sum())
+        + gammaln(prior).sum()
+        + ((conc - prior) * elog).sum(axis=1)
+    )
+
+
+def diag_gmm_elbo(state, data, config):
+    """Dirichlet / Normal-Gamma mixture ELBO with the KL terms inline."""
+    x = _obs_rows(data)
+    k, d = state.m.shape
+    e_log_pi = digamma(state.conc) - digamma(state.conc.sum())
+    e_tau = state.alpha / state.beta
+    e_log_tau = digamma(state.alpha) - np.log(state.beta)
+    quad = (
+        (x**2) @ e_tau.T
+        - 2.0 * x @ (e_tau * state.m).T
+        + (e_tau * state.m**2 + 1.0 / state.b).sum(axis=1)[None, :]
+    )
+    lik = 0.5 * (e_log_tau.sum(axis=1)[None, :] - d * _LOG_2PI - quad)
+    weight_kl = dirichlet_kl_rows(
+        state.conc[None, :], e_log_pi[None, :], np.full(k, config.a0)
+    )[0]
+    return (
+        float((state.r * lik).sum())
+        + float(state.r.sum(axis=0) @ e_log_pi)
+        + nz_entropy(state.r)
+        - weight_kl
+        - float(diag_normal_gamma_kl(state, config).sum())
+    )
+
+
+def blr_gamma_terms(shape, rate, shape0, rate0):
+    """``E_q[log p] - E_q[log q]`` of Gamma(shape, rate) factors against a
+    Gamma(shape0, rate0) prior, each log density written out."""
+    e_x = shape / rate
+    e_log_x = digamma(shape) - np.log(rate)
+    e_logp = (
+        shape0 * math.log(rate0)
+        - gammaln(shape0)
+        + (shape0 - 1.0) * e_log_x
+        - rate0 * e_x
+    )
+    e_logq = shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * e_log_x - rate * e_x
+    return e_logp - e_logq
+
+
+def blr_elbo(state, data, config):
+    """ARD regression ELBO through a dense ``V*``, with the noise and
+    relevance Gamma terms written out."""
+    xy = np.asarray(data, dtype=float)
+    x, y = xy[:, :-1], xy[:, -1]
+    n, dim = x.shape
+    v = np.linalg.inv(state.v_inv)
+    _, log_det_v_inv = np.linalg.slogdet(state.v_inv)
+    e_tau = state.a / state.b
+    e_log_tau = digamma(state.a) - math.log(state.b)
+    if config.fix_relevance:
+        e_alpha, e_log_alpha = np.ones(dim), np.zeros(dim)
+    else:
+        e_alpha = state.c / state.d
+        e_log_alpha = digamma(state.c) - np.log(state.d)
+    e_tau_beta_sq = state.beta**2 * e_tau + np.diag(v)
+    resid = y - x @ state.beta
+    e_loglik = (
+        -0.5 * n * _LOG_2PI
+        + 0.5 * n * e_log_tau
+        - 0.5 * (e_tau * float(resid @ resid) + float(np.einsum("ij,jk,ik->", x, v, x)))
+    )
+    e_logp_coeff = (
+        0.5 * float(e_log_alpha.sum())
+        + 0.5 * dim * e_log_tau
+        - 0.5 * dim * _LOG_2PI
+        - 0.5 * float(e_alpha @ e_tau_beta_sq)
+    )
+    e_logq_coeff = (
+        0.5 * log_det_v_inv + 0.5 * dim * e_log_tau - 0.5 * dim * _LOG_2PI - 0.5 * dim
+    )
+    value = (
+        e_loglik
+        + e_logp_coeff
+        - e_logq_coeff
+        + blr_gamma_terms(state.a, state.b, config.a0, config.b0)
+    )
+    if not config.fix_relevance:
+        value += float(blr_gamma_terms(state.c, state.d, config.c0, config.d0).sum())
+    return float(value)
+
+
+def lda_elbo(state, corpus, config):
+    """LDA ELBO over the CSR entries with row-wise Dirichlet KLs inline."""
+    k = state.lam.shape[0]
+    elog_beta = digamma(state.lam) - digamma(state.lam.sum(axis=1))[:, None]
+    elog_theta = digamma(state.gamma) - digamma(state.gamma.sum(axis=1))[:, None]
+    phi = np.concatenate(state.phi) if state.phi else np.zeros((0, k))
+    scores = (
+        np.repeat(elog_theta, np.diff(corpus.indptr), axis=0)
+        + elog_beta[:, corpus.ids].T
+    )
+    safe = np.where(phi > 0.0, phi, 1.0)
+    total = float((corpus.cts[:, None] * phi * (scores - np.log(safe))).sum())
+    total -= float(dirichlet_kl_rows(state.gamma, elog_theta, config.alpha).sum())
+    eta_row = np.full(corpus.v, config.eta)
+    total -= float(dirichlet_kl_rows(state.lam, elog_beta, eta_row).sum())
+    return total

@@ -346,3 +346,102 @@ class TestExpFamParam:
         f = ExpFamParam.gaussian(0.0, 1.0)
         with pytest.raises(AttributeError):
             f.params = (1.0, 1.0)
+
+
+class TestBroadcast:
+    """The KL, entropy and moment helpers over arrays, as the ELBOs use them."""
+
+    RNG = np.random.default_rng(11)
+    Q = RNG.uniform(0.2, 5.0, size=(4, 3))
+    P = RNG.uniform(0.2, 5.0, size=(4, 3))
+    M = RNG.normal(size=(4, 3))
+
+    def _elementwise(self, f, *arrays):
+        b = np.broadcast_arrays(*arrays)
+        return np.array([f(*(float(a[i]) for a in b)) for i in np.ndindex(b[0].shape)])
+
+    @pytest.mark.parametrize(
+        "f,args",
+        [
+            (gaussian_kl, (M, Q, 0.5, P)),
+            (gamma_kl, (Q, P, 1.5, 2.0)),
+            (lambda *a: normal_gamma_kl(a[:4], a[4:]), (M, Q, P, Q + P, 0.0, 2.0, P, 1.0)),
+            (lambda a, r: gamma_moments(a, r)[0], (Q, P)),
+            (lambda a, r: gamma_moments(a, r)[1], (Q, P)),
+        ],
+    )
+    def test_array_matches_scalar_calls(self, f, args):
+        got = f(*args)
+        assert got.shape == (4, 3)
+        want = self._elementwise(f, *args).reshape(4, 3)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        assert type(f(*(float(np.ravel(a)[0]) for a in args))) is float
+
+    def test_scalar_input_returns_float(self):
+        assert type(gaussian_kl(0.0, 1.0, 0.5, 2.0)) is float
+        assert type(gamma_kl(2.0, 1.0, 1.0, 1.0)) is float
+        assert type(normal_gamma_kl((0.0, 1.0, 2.0, 1.0), (0.0, 1.0, 1.0, 1.0))) is float
+        assert all(type(v) is float for v in gamma_moments(2.0, 3.0))
+        assert type(dirichlet_kl([1.0, 2.0], [1.0, 1.0])) is float
+        assert type(categorical_entropy([0.25, 0.75])) is float
+
+    def test_dirichlet_kl_rows_with_broadcast_prior(self):
+        prior = np.array([0.5, 1.0, 2.0])
+        got = dirichlet_kl(self.Q, prior)
+        assert got.shape == (4,)
+        want = [dirichlet_kl(q, prior) for q in self.Q]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        rowwise = dirichlet_kl(self.Q, self.P)
+        want = [dirichlet_kl(q, p) for q, p in zip(self.Q, self.P)]
+        assert np.allclose(rowwise, want, rtol=1e-14, atol=0.0)
+        # single-column rows are point masses: no divergence at all
+        assert np.all(dirichlet_kl(self.Q[:, :1], [0.3]) == 0.0)
+        with pytest.raises(DomainError):
+            dirichlet_kl(self.Q, prior[:2])
+        with pytest.raises(DomainError):
+            dirichlet_kl(prior, self.Q)
+
+    def test_categorical_entropy_rows(self):
+        probs = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+        got = categorical_entropy(probs)
+        assert got.shape == (3,)
+        assert np.allclose(got, [categorical_entropy(p) for p in probs], rtol=1e-15)
+        empty = categorical_entropy(np.zeros((0, 3)))
+        assert empty.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q: gaussian_kl(0.0, q, 0.0, 1.0),
+            lambda q: gaussian_kl(0.0, 1.0, 0.0, q),
+            lambda q: gamma_kl(q, 1.0, 1.0, 1.0),
+            lambda q: gamma_kl(1.0, q, 1.0, 1.0),
+            lambda q: gamma_kl(1.0, 1.0, 1.0, q),
+            lambda q: normal_gamma_kl((0.0, q, 1.0, 1.0), (0.0, 1.0, 1.0, 1.0)),
+            lambda q: normal_gamma_kl((0.0, 1.0, q, 1.0), (0.0, 1.0, 1.0, 1.0)),
+            lambda q: normal_gamma_kl((0.0, 1.0, 1.0, 1.0), (0.0, 1.0, 1.0, q)),
+            lambda q: gamma_moments(q, 1.0),
+            lambda q: gamma_moments(1.0, q),
+            lambda q: dirichlet_kl(np.stack([q, q]), [1.0] * 6),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_one_bad_entry_raises(self, call, bad):
+        q = np.ones(6)
+        call(q)
+        q[4] = bad
+        # the helper's own check, not digamma's further down
+        with pytest.raises(DomainError, match="^(?!digamma)"):
+            call(q)
+
+    def test_categorical_entropy_rejects_one_bad_row(self):
+        probs = np.full((5, 2), 0.5)
+        categorical_entropy(probs)
+        for bad in ([-0.1, 1.1], [0.5, 0.500004], [0.5, 0.5 + 2e-9], [0.5, np.nan]):
+            rows = probs.copy()
+            rows[3] = bad
+            with pytest.raises(DomainError):
+                categorical_entropy(rows)
+            with pytest.raises(DomainError):
+                categorical_entropy(bad)
+        assert categorical_entropy([0.5, 0.5 + 5e-10]) == pytest.approx(math.log(2.0))

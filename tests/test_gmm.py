@@ -18,6 +18,7 @@ from meanfield.errors import ConfigError, DataFormatError, DomainError
 from meanfield.gmm import (
     DiagGmm,
     DiagGmmConfig,
+    DiagGmmState,
     UniGmmConfig,
     UniGmmState,
     UnitVarianceGmm,
@@ -344,6 +345,25 @@ class TestDiagGmm:
         report = cavi_fit(model, data, FitConfig(seed=0, max_iters=10))
         assert report.model_state.m.shape == (5, 64)
         assert np.isfinite(report.final_elbo)
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            [[0.9, 0.9], [-0.5, 1.5]],
+            [[0.5, 0.5], [-1e-3, 1.0 + 1e-3]],
+            [[0.5, 0.5], [0.3, 0.7 + 2e-9]],
+            [[0.5, 0.5], [np.nan, 0.5]],
+        ],
+    )
+    def test_state_rejects_invalid_responsibilities(self, r):
+        config = DiagGmmConfig(k=2)
+        state = init_state(DiagGmm(config), np.zeros((0, 1)), "prior", seed=0)
+        # the (0, k) array of a state rebuilt without data is valid
+        assert state.r.shape == (0, 2)
+        fields = {f: getattr(state, f) for f in ("conc", "m", "b", "alpha", "beta")}
+        DiagGmmState(**fields, r=[[0.5, 0.5], [0.3, 0.7 + 5e-10]])
+        with pytest.raises(DomainError):
+            DiagGmmState(**fields, r=r)
 
 
 class TestReadDataCsv:
