@@ -23,12 +23,12 @@ precision ``V*^-1``; only the diagonal of ``V*`` is ever formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .engine import MeanFieldState, VariationalModel
+from .engine import MeanFieldState, VariationalModel, predictive_rows
 from .errors import ConfigError, DomainError, NumericError
 from .expfam import LOG_2PI, ExpFamParam, gamma_kl, gamma_moments, gaussian_log_pdf
 
@@ -226,17 +226,18 @@ def blr_elbo(state, data, config):
 
 
 def blr_log_predictive(state, point):
-    """Log predictive density of one (x, y) row.
+    """Log predictive density of (x, y) rows.
 
     Scores ``y`` under ``Normal(x . beta*, (b*/a*) (1 + x^T V* x))``, the
-    moment-matched Gaussian approximation to the predictive.
+    moment-matched Gaussian approximation to the predictive.  One
+    ``(D + 1,)`` row gives a float, an ``(n, D + 1)`` batch an ``(n,)`` array.
     """
-    row = np.asarray(point, dtype=float)
-    x, y = row[:-1], row[-1]
-    lower = _chol(state.v_inv)
-    u = scipy.linalg.solve_triangular(lower, x, lower=True)
-    var = (state.b / state.a) * (1.0 + float(u @ u))
-    return float(gaussian_log_pdf(y, float(x @ state.beta), var))
+    rows, one = predictive_rows(point, state.beta.shape[0] + 1)
+    x, y = rows[:, :-1], rows[:, -1]
+    u = scipy.linalg.solve_triangular(_chol(state.v_inv), x.T, lower=True)
+    var = (state.b / state.a) * (1.0 + (u * u).sum(axis=0))
+    out = gaussian_log_pdf(y, x @ state.beta, var)
+    return float(out[0]) if one else out
 
 
 class BlrArd(VariationalModel):
@@ -271,8 +272,8 @@ class BlrArd(VariationalModel):
     def elbo(self, state, data):
         return blr_elbo(state, data, self.config)
 
-    def log_predictive(self, state, point):
-        return blr_log_predictive(state, point)
+    def log_predictive(self, state, data):
+        return blr_log_predictive(state, data)
 
     def export_state(self, state):
         """Per-coordinate view: factor ``beta_tau[d]`` is the exact
@@ -295,14 +296,7 @@ class BlrArd(VariationalModel):
         return MeanFieldState(tuple(factors), tuple(labels))
 
     def metadata(self):
-        c = self.config
-        return {
-            "a0": c.a0,
-            "b0": c.b0,
-            "c0": c.c0,
-            "d0": c.d0,
-            "fix_relevance": c.fix_relevance,
-        }
+        return asdict(self.config)
 
     def summary_dict(self, state):
         exp = blr_expectations(state, self.config)

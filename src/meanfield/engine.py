@@ -3,10 +3,10 @@
 A model plugs into the engine by subclassing :class:`VariationalModel` and
 supplying four things: a deterministic seeded initializer, one full
 coordinate sweep (local factors before global factors), the evidence lower
-bound, and a per-point log predictive density.  :func:`cavi_fit` then owns
-iteration, convergence, timing, held-out evaluation, and the monotonicity
-check, through the package's one iteration loop, which the stochastic fits
-share.
+bound, and a log predictive density scoring a whole batch of observations in
+one call.  :func:`cavi_fit` then owns iteration, convergence, timing,
+held-out evaluation, and the monotonicity check, through the package's one
+iteration loop, which the stochastic fits share.
 
 The ELBO is a true lower bound on the log evidence, and every coordinate
 sweep can only increase it.  A recorded decrease beyond floating-point slack
@@ -157,8 +157,10 @@ class VariationalModel(abc.ABC):
         """Evidence lower bound of ``state`` on ``data`` (all terms kept)."""
 
     @abc.abstractmethod
-    def log_predictive(self, state, point):
-        """Log approximate predictive density of one held-out point."""
+    def log_predictive(self, state, data):
+        """Log predictive density of each observation in ``data``, as an
+        ``(n,)`` array (``Lda``: of one document; it batches held-out sets
+        in its own ``heldout_log_predictive``)."""
 
     @abc.abstractmethod
     def export_state(self, state):
@@ -180,9 +182,12 @@ class VariationalModel(abc.ABC):
         n = self.n_obs(heldout)
         if n == 0:
             raise DomainError("held-out set is empty")
-        total = 0.0
-        for i in range(n):
-            total += self.log_predictive(state, self.take(heldout, [i])[0])
+        values = np.asarray(self.log_predictive(state, heldout), dtype=float)
+        if values.shape != (n,):
+            raise DomainError(f"log_predictive gave shape {values.shape}, not ({n},)")
+        total = 0.0  # summed left to right, not in numpy's pairwise order
+        for value in values.tolist():
+            total += value
         return total / n
 
     def perturbed_states(self, state, eps):
@@ -193,6 +198,16 @@ class VariationalModel(abc.ABC):
         perturbed state stays feasible.
         """
         raise NotImplementedError
+
+
+def predictive_rows(x, width):
+    """``x`` as ``(n, width)`` rows, and whether it was one point (a scalar
+    or ``(width,)`` row); a bad width or a non-finite entry is a DomainError."""
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(1, -1) if x.ndim < 2 else x
+    if rows.ndim != 2 or rows.shape[1] != width or not np.all(np.isfinite(rows)):
+        raise DomainError(f"held-out rows must each hold {width} finite entries")
+    return rows, x.ndim < 2
 
 
 def init_state(model, data, strategy, seed):

@@ -90,7 +90,8 @@ def log_sum_exp(values, axis=None):
     # A slice of all -inf has m = -inf; shift by 0 there so exp(-inf - 0)
     # stays defined and the result is -inf rather than NaN.
     shift = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)

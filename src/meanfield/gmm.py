@@ -21,12 +21,12 @@ returns fresh arrays, so a recorded state is never changed by later sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .condconj import CondConjSpec, GlobalParam, GlobalStats
-from .engine import InitStrategy, MeanFieldState, VariationalModel
+from .engine import InitStrategy, MeanFieldState, VariationalModel, predictive_rows
 from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
     LOG_2PI,
@@ -37,7 +37,6 @@ from .expfam import (
     dirichlet_kl,
     gamma_moments,
     gaussian_kl,
-    gaussian_log_pdf,
     log_gamma,
     log_sum_exp,
     normal_gamma_kl,
@@ -157,6 +156,12 @@ def update_components(state, data, sigma2):
     return m, s2
 
 
+def _unit_loglik(x, m, sq):
+    """(n, k) ``x . m_k - sq_k / 2 - |x|^2 / 2 - d log(2 pi) / 2``."""
+    xx = 0.5 * (x**2).sum(axis=1)[:, None]
+    return x @ m.T - 0.5 * sq[None, :] - xx - 0.5 * m.shape[1] * LOG_2PI
+
+
 def gmm_elbo(state, data, sigma2):
     """Evidence lower bound with every constant kept.
 
@@ -167,34 +172,28 @@ def gmm_elbo(state, data, sigma2):
     log p(x) exactly, and with no data the value is 0 at the prior.
     """
     x = _as_matrix(data)
-    k, d = state.m.shape
+    k = state.m.shape[0]
     n = x.shape[0]
     sq = (state.m**2 + state.s2).sum(axis=1)
 
     assign_prior = -n * math.log(k)
-    lik_ik = (
-        x @ state.m.T
-        - 0.5 * sq[None, :]
-        - 0.5 * (x**2).sum(axis=1)[:, None]
-        - 0.5 * d * LOG_2PI
-    )
-    lik = float((state.phi * lik_ik).sum())
+    lik = float((state.phi * _unit_loglik(x, state.m, sq)).sum())
     assign_entropy = float(categorical_entropy(state.phi).sum())
     mean_kl = float(gaussian_kl(state.m, state.s2, 0.0, sigma2).sum())
     return assign_prior + lik + assign_entropy - mean_kl
 
 
 def predictive_log_density(state, x_new):
-    """Log of the approximate predictive mixture density at one point.
+    """Log of the approximate predictive mixture density.
 
     Plugs the posterior-mean locations into equal-weight unit-variance
-    components: ``log (1/K) sum_k Normal(x; m_k, I)``.
+    components: ``log (1/K) sum_k Normal(x; m_k, I)``.  One point (a scalar
+    or ``(d,)`` row) gives a float, an ``(n, d)`` batch an ``(n,)`` array.
     """
-    x = np.atleast_1d(np.asarray(x_new, dtype=float))
-    if x.shape != (state.m.shape[1],):
-        raise DomainError("x_new dimension does not match the fitted means")
-    comp = gaussian_log_pdf(x[None, :], state.m, 1.0).sum(axis=1)
-    return log_sum_exp(comp) - math.log(state.m.shape[0])
+    x, point = predictive_rows(x_new, state.m.shape[1])
+    comp = _unit_loglik(x, state.m, (state.m**2).sum(axis=1))
+    out = log_sum_exp(comp, axis=1) - math.log(state.m.shape[0])
+    return float(out[0]) if point else out
 
 
 def simulate(k, n, seed, dim=1, mean_scale=5.0, min_separation=0.0):
@@ -266,8 +265,8 @@ class UnitVarianceGmm(VariationalModel):
     def elbo(self, state, data):
         return gmm_elbo(state, data, self.config.sigma2)
 
-    def log_predictive(self, state, point):
-        return predictive_log_density(state, point)
+    def log_predictive(self, state, data):
+        return predictive_log_density(state, _as_matrix(data))
 
     def export_state(self, state):
         k, d = state.m.shape
@@ -567,22 +566,21 @@ def diag_predictive_log_density(state, x_new):
     Component weights are posterior-mean mixture weights; integrating each
     Normal-Gamma factor against the Gaussian likelihood gives a Student-t
     with ``2 alpha`` degrees of freedom, location ``m``, and precision
-    ``alpha b / (beta (1 + b))``.
+    ``alpha b / (beta (1 + b))``.  One point (a scalar or ``(d,)`` row)
+    gives a float, an ``(n, d)`` batch an ``(n,)`` array.
     """
-    x = np.atleast_1d(np.asarray(x_new, dtype=float))
-    if x.shape != (state.m.shape[1],):
-        raise DomainError("x_new dimension does not match the fitted state")
+    x, point = predictive_rows(x_new, state.m.shape[1])
     nu = 2.0 * state.alpha
     lam = state.alpha * state.b / (state.beta * (1.0 + state.b))
-    z = lam * (x[None, :] - state.m) ** 2 / nu
+    z = lam * (x[:, None, :] - state.m) ** 2 / nu
     log_t = (
         log_gamma(0.5 * (nu + 1.0))
         - log_gamma(0.5 * nu)
         + 0.5 * (np.log(lam) - np.log(math.pi * nu))
-        - 0.5 * (nu + 1.0) * np.log1p(z)
-    )
+    ) - 0.5 * (nu + 1.0) * np.log1p(z)
     logw = np.log(state.conc / state.conc.sum())
-    return log_sum_exp(logw + log_t.sum(axis=1))
+    out = log_sum_exp(logw + log_t.sum(axis=2), axis=1)
+    return float(out[0]) if point else out
 
 
 class DiagGmm(VariationalModel):
@@ -621,8 +619,8 @@ class DiagGmm(VariationalModel):
     def elbo(self, state, data):
         return diag_gmm_elbo(state, data, self.config)
 
-    def log_predictive(self, state, point):
-        return diag_predictive_log_density(state, point)
+    def log_predictive(self, state, data):
+        return diag_predictive_log_density(state, _as_matrix(data))
 
     def export_state(self, state):
         k, d = state.m.shape
@@ -642,15 +640,7 @@ class DiagGmm(VariationalModel):
         return MeanFieldState(tuple(factors), tuple(labels))
 
     def metadata(self):
-        c = self.config
-        return {
-            "k": c.k,
-            "a0": c.a0,
-            "m0": c.m0,
-            "b0": c.b0,
-            "alpha0": c.alpha0,
-            "beta0": c.beta0,
-        }
+        return asdict(self.config)
 
     def summary_dict(self, state):
         return {

@@ -545,3 +545,51 @@ def lda_elbo(state, corpus, config):
     eta_row = np.full(corpus.v, config.eta)
     total -= float(dirichlet_kl_rows(state.lam, elog_beta, eta_row).sum())
     return total
+
+
+# ---------------------------------------------------------------------------
+# predictive densities, one held-out point at a time
+# ---------------------------------------------------------------------------
+
+
+def gmm_predictive_point(state, x_new):
+    """``log (1/K) sum_k Normal(x; m_k, I)`` at one point, each component
+    density summed coordinate by coordinate."""
+    x = np.atleast_1d(np.asarray(x_new, dtype=float))
+    comp = (-0.5 * (_LOG_2PI + (x[None, :] - state.m) ** 2)).sum(axis=1)
+    return float(logsumexp(comp) - math.log(state.m.shape[0]))
+
+
+def diag_gmm_predictive_point(state, x_new):
+    """Mixture of per-coordinate Student-t's at one point."""
+    x = np.atleast_1d(np.asarray(x_new, dtype=float))
+    nu = 2.0 * state.alpha
+    lam = state.alpha * state.b / (state.beta * (1.0 + state.b))
+    z = lam * (x[None, :] - state.m) ** 2 / nu
+    log_t = (
+        gammaln(0.5 * (nu + 1.0))
+        - gammaln(0.5 * nu)
+        + 0.5 * (np.log(lam) - np.log(math.pi * nu))
+        - 0.5 * (nu + 1.0) * np.log1p(z)
+    )
+    logw = np.log(state.conc / state.conc.sum())
+    return float(logsumexp(logw + log_t.sum(axis=1)))
+
+
+def blr_predictive_point(state, row):
+    """Moment-matched Gaussian predictive of one (x, y) row, through a
+    dense ``V*``."""
+    row = np.asarray(row, dtype=float)
+    x, y = row[:-1], row[-1]
+    var = (state.b / state.a) * (1.0 + x @ np.linalg.solve(state.v_inv, x))
+    return float(-0.5 * (_LOG_2PI + math.log(var) + (y - x @ state.beta) ** 2 / var))
+
+
+def heldout_mean_loop(point_fn, state, heldout):
+    """Mean of ``point_fn(state, row)`` over the rows of ``heldout``, one
+    call per row, summed left to right."""
+    rows = np.asarray(heldout, dtype=float)
+    total = 0.0
+    for row in rows:
+        total += point_fn(state, row)
+    return total / rows.shape[0]

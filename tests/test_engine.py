@@ -338,3 +338,46 @@ def _dataset(seed, n=80, k=3):
     from meanfield.gmm import simulate
 
     return simulate(k=k, n=n, seed=seed, dim=1)
+
+
+class TestBatchedHeldout:
+    def test_one_log_predictive_call_per_heldout_evaluation(self):
+        class Counting(UnitVarianceGmm):
+            calls = 0
+
+            def log_predictive(self, state, data):
+                self.calls += 1
+                return super().log_predictive(state, data)
+
+        data, _, _ = _dataset(seed=9, n=100)
+        model = Counting(UniGmmConfig(k=3))
+        report = cavi_fit(
+            model, data, FitConfig(seed=9, heldout_fraction=0.1, max_iters=40)
+        )
+        assert len(report.heldout_trace) > 1
+        assert model.calls == len(report.heldout_trace)
+
+    @pytest.mark.parametrize(
+        "reshape", [lambda v: float(v.mean()), lambda v: v[:, None], lambda v: v[:-1]]
+    )
+    def test_one_value_per_observation_is_enforced(self, reshape):
+        class Misshapen(UnitVarianceGmm):
+            def log_predictive(self, state, data):
+                return reshape(super().log_predictive(state, data))
+
+        state = UniGmmState(np.zeros((2, 1)), np.ones((2, 1)), np.ones((0, 2)) / 2)
+        with pytest.raises(DomainError, match="shape"):
+            Misshapen(UniGmmConfig(k=2)).heldout_log_predictive(
+                state, np.array([0.0, 1.0, 2.0])
+            )
+
+    def test_mean_is_the_left_to_right_sum(self):
+        model = UnitVarianceGmm(UniGmmConfig(k=2))
+        state = UniGmmState(
+            np.array([[-1.0], [2.0]]), np.ones((2, 1)), np.ones((0, 2)) / 2
+        )
+        data = np.linspace(-3.0, 4.0, 101)
+        total = 0.0
+        for value in model.log_predictive(state, data):
+            total += float(value)
+        assert model.heldout_log_predictive(state, data) == total / data.size

@@ -1,6 +1,7 @@
 """Exponential-family primitives: frozen oracles and invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -445,3 +446,20 @@ class TestBroadcast:
             with pytest.raises(DomainError):
                 categorical_entropy(bad)
         assert categorical_entropy([0.5, 0.5 + 5e-10]) == pytest.approx(math.log(2.0))
+
+
+class TestLogSumExpAllMinusInf:
+    """An all ``-inf`` slice reduces to ``-inf`` without a divide warning."""
+
+    def test_whole_array(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_sum_exp([-np.inf, -np.inf]) == -np.inf
+
+    def test_one_row_of_a_batch(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, 0.0], [-np.inf, 1.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_sum_exp(a, axis=1)
+        assert out[0] == -np.inf
+        assert out[1:].tolist() == [math.log(2.0), 1.5]
