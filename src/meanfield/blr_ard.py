@@ -26,7 +26,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .engine import MeanFieldState, VariationalModel, predictive_rows
 from .errors import ConfigError, DomainError, NumericError
@@ -118,6 +117,7 @@ def _chol(v_inv):
 def _v_diag(lower):
     """diag(V*) from the Cholesky factor of V*^-1, no dense inverse."""
     eye = np.eye(lower.shape[0])
+    import scipy.linalg
     w = scipy.linalg.solve_triangular(lower, eye, lower=True)
     return (w * w).sum(axis=0)
 
@@ -167,6 +167,7 @@ def update_coeff_precision(state, data, config):
     v_inv = np.diag(e_alpha) + x.T @ x
     lower = _chol(v_inv)
     xty = x.T @ y
+    import scipy.linalg
     beta = scipy.linalg.cho_solve((lower, True), xty)
     a = config.a0 + 0.5 * n
     b = config.b0 + 0.5 * (y @ y - beta @ xty)
@@ -203,6 +204,7 @@ def blr_elbo(state, data, config):
     # sum_i x_i^T V* x_i, via the Cholesky factor of V*^-1.  Cannot be
     # simplified through V*^-1 = E[diag alpha] + X^T X: between block
     # updates v_inv is stale relative to the current relevance factor.
+    import scipy.linalg
     half = scipy.linalg.solve_triangular(exp["chol_lower"], x.T, lower=True)
     trace_term = float((half * half).sum())
     e_loglik = (
@@ -234,6 +236,7 @@ def blr_log_predictive(state, point):
     """
     rows, one = predictive_rows(point, state.beta.shape[0] + 1)
     x, y = rows[:, :-1], rows[:, -1]
+    import scipy.linalg
     u = scipy.linalg.solve_triangular(_chol(state.v_inv), x.T, lower=True)
     var = (state.b / state.a) * (1.0 + (u * u).sum(axis=0))
     out = gaussian_log_pdf(y, x @ state.beta, var)

@@ -6,6 +6,7 @@ and KL divergences that coordinate ascent updates are written in terms of:
 * numerically safe ``log_sum_exp`` for normalizing log-weights, and
   ``categorical_rows`` for turning a batch of logits into probabilities,
 * ``digamma`` (and ``log_gamma``) for Dirichlet and Gamma expectations,
+  imported from ``scipy.special`` on first call (``gmm`` never loads scipy),
 * expected sufficient statistics of the Gaussian, Gamma, and Dirichlet
   families,
 * closed-form KL divergences between members of the same family.
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import digamma as _scipy_digamma
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -51,9 +50,12 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# log Gamma is delegated to scipy; it is the one special function here with
-# no structural role in the updates (it only appears in normalizers).
-log_gamma = gammaln
+
+def log_gamma(x):
+    """``scipy.special.gammaln``, imported on first call.  Unvalidated: it
+    only appears in normalizers, with no structural role in the updates."""
+    from scipy.special import gammaln
+    return gammaln(x)
 
 
 def _scalar(value):
@@ -120,7 +122,8 @@ def digamma(x):
     a = np.asarray(x, dtype=float)
     if not np.all((a > 0.0) & (a < np.inf)):
         raise DomainError("digamma requires finite x > 0")
-    out = _scipy_digamma(a)
+    from scipy.special import digamma as psi
+    out = psi(a)
     return float(out) if a.ndim == 0 else out
 
 
@@ -187,8 +190,8 @@ def gamma_kl(q_shape, q_rate, p_shape, p_rate):
         raise DomainError("gamma_kl requires positive shapes and rates")
     return _scalar(
         (qa - pa) * digamma(qa)
-        - gammaln(qa)
-        + gammaln(pa)
+        - log_gamma(qa)
+        + log_gamma(pa)
         + pa * (np.log(qr) - np.log(pr))
         + qa * (pr - qr) / qr
     )
@@ -206,10 +209,10 @@ def dirichlet_kl(q_conc, p_conc):
     q0 = q.sum(axis=-1)
     elog = digamma(q) - digamma(q0[..., None])
     return _scalar(
-        gammaln(q0)
-        - gammaln(q).sum(axis=-1)
-        - gammaln(p.sum(axis=-1))
-        + gammaln(p).sum(axis=-1)
+        log_gamma(q0)
+        - log_gamma(q).sum(axis=-1)
+        - log_gamma(p.sum(axis=-1))
+        + log_gamma(p).sum(axis=-1)
         + ((q - p) * elog).sum(axis=-1)
     )
 
@@ -378,11 +381,11 @@ class ExpFamParam:
             return 0.5 * (LOG_2PI + 1.0 + math.log(p[1]))
         if self.family is Family.GAMMA:
             a, b = p
-            return float(a - math.log(b) + gammaln(a) + (1.0 - a) * digamma(a))
+            return float(a - math.log(b) + log_gamma(a) + (1.0 - a) * digamma(a))
         if self.family is Family.DIRICHLET:
             c = np.array(p)
             c0 = c.sum()
-            log_b = gammaln(c).sum() - gammaln(c0)
+            log_b = log_gamma(c).sum() - log_gamma(c0)
             return float(
                 log_b + (c0 - c.size) * digamma(c0) - np.dot(c - 1.0, digamma(c))
             )
@@ -390,7 +393,7 @@ class ExpFamParam:
             return categorical_entropy(p)
         m, b, a, r = p
         # H[mu, tau] = H[tau] + E_tau H[mu | tau]
-        gamma_h = a - math.log(r) + gammaln(a) + (1.0 - a) * digamma(a)
+        gamma_h = a - math.log(r) + log_gamma(a) + (1.0 - a) * digamma(a)
         cond_gauss_h = 0.5 * (LOG_2PI + 1.0 - math.log(b)) - 0.5 * (
             digamma(a) - math.log(r)
         )

@@ -21,6 +21,7 @@ returns fresh arrays, so a recorded state is never changed by later sweeps.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -156,8 +157,12 @@ def update_components(state, data, sigma2):
     return m, s2
 
 
-def _unit_loglik(x, m, sq):
-    """(n, k) ``x . m_k - sq_k / 2 - |x|^2 / 2 - d log(2 pi) / 2``."""
+def _unit_loglik(x, m, var=0.0):
+    """(n, k) ``-(|x_i - m_k|^2 + var_k + d log(2 pi)) / 2`` in matmul form, on
+    ``x`` and ``m`` shifted by the mean ``m`` row: no cancellation far from 0."""
+    c = m.mean(axis=0)
+    x, m = x - c, m - c
+    sq = (m**2).sum(axis=1) + var
     xx = 0.5 * (x**2).sum(axis=1)[:, None]
     return x @ m.T - 0.5 * sq[None, :] - xx - 0.5 * m.shape[1] * LOG_2PI
 
@@ -174,10 +179,9 @@ def gmm_elbo(state, data, sigma2):
     x = _as_matrix(data)
     k = state.m.shape[0]
     n = x.shape[0]
-    sq = (state.m**2 + state.s2).sum(axis=1)
 
     assign_prior = -n * math.log(k)
-    lik = float((state.phi * _unit_loglik(x, state.m, sq)).sum())
+    lik = float((state.phi * _unit_loglik(x, state.m, state.s2.sum(axis=1))).sum())
     assign_entropy = float(categorical_entropy(state.phi).sum())
     mean_kl = float(gaussian_kl(state.m, state.s2, 0.0, sigma2).sum())
     return assign_prior + lik + assign_entropy - mean_kl
@@ -191,7 +195,7 @@ def predictive_log_density(state, x_new):
     or ``(d,)`` row) gives a float, an ``(n, d)`` batch an ``(n,)`` array.
     """
     x, point = predictive_rows(x_new, state.m.shape[1])
-    comp = _unit_loglik(x, state.m, (state.m**2).sum(axis=1))
+    comp = _unit_loglik(x, state.m)
     out = log_sum_exp(comp, axis=1) - math.log(state.m.shape[0])
     return float(out[0]) if point else out
 
@@ -698,7 +702,22 @@ def read_data_csv(path):
     Every row must have the same number of comma-separated finite numeric
     fields, in UTF-8 text; violations raise :class:`DataFormatError`
     carrying the 1-based line number.
+
+    Parsed by numpy's C reader (``np.loadtxt``); a file it rejects or finds
+    empty or non-finite is reread line by line, whose result or error stands.
     """
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: reread below
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        if data.size and np.isfinite(data).all():
+            return data
+    except ValueError:
+        pass
+    return _read_data_csv_lines(path)
+
+
+def _read_data_csv_lines(path):
     rows = []
     linenos = []
     width = None

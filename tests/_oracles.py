@@ -418,6 +418,26 @@ def gmm_elbo(state, data, sigma2):
     )
 
 
+def gmm_elbo_direct(state, data, sigma2):
+    """``gmm_elbo`` with the expected log likelihood summed coordinate by
+    coordinate, ``-((x_id - m_kd)^2 + s2_kd) / 2``: no large terms cancel
+    when the data sit far from the origin."""
+    x = _obs_rows(data)
+    k, d = state.m.shape
+    sq_dev = ((x[:, None, :] - state.m[None, :, :]) ** 2 + state.s2[None, :, :]).sum(axis=2)
+    lik_ik = -0.5 * sq_dev - 0.5 * d * _LOG_2PI
+    sq = (state.m**2 + state.s2).sum()
+    prior = -0.5 * k * d * math.log(2.0 * math.pi * sigma2) - sq / (2.0 * sigma2)
+    mean_entropy = 0.5 * float(np.log(2.0 * math.pi * math.e * state.s2).sum())
+    return (
+        prior
+        - x.shape[0] * math.log(k)
+        + float((state.phi * lik_ik).sum())
+        + nz_entropy(state.phi)
+        + mean_entropy
+    )
+
+
 def diag_normal_gamma_kl(state, config):
     """Per-(k, d) KL of the Normal-Gamma factors to the shared prior."""
     e_tau = state.alpha / state.beta

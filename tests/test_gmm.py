@@ -7,6 +7,8 @@ import pytest
 
 from _oracles import (
     align_accuracy,
+    gmm_elbo_direct,
+    gmm_predictive_point,
     gmm_kl_to_posterior,
     gmm_log_evidence,
     k1_gaussian_posterior,
@@ -392,3 +394,23 @@ class TestReadDataCsv:
         p.write_text("")
         with pytest.raises(DataFormatError):
             read_data_csv(p)
+
+
+class TestFarFromOrigin:
+    """Means and data 1e3 and 1e5 from the origin: the matmul form of the
+    expected log likelihood must not cancel away the digits of |x - m|^2."""
+
+    @pytest.mark.parametrize("offset", [1e3, 1e5])
+    def test_predictive_and_elbo_match_per_coordinate_oracles(self, offset):
+        rng = np.random.default_rng(7)
+        k, d, n = 3, 8, 12
+        m = offset + 5.0 * rng.standard_normal((k, d))
+        x = m[rng.integers(k, size=n)] + 0.01 * rng.standard_normal((n, d))
+        state = UniGmmState(m, rng.uniform(0.1, 1.0, (k, d)), rng.dirichlet(np.ones(k), n))
+        want = [gmm_predictive_point(state, row) for row in x]
+        np.testing.assert_allclose(predictive_log_density(state, x), want, rtol=1e-12, atol=0.0)
+        # A wide prior keeps the prior term from swamping the likelihood.
+        sigma2 = 1e12
+        assert gmm_elbo(state, x, sigma2) == pytest.approx(
+            gmm_elbo_direct(state, x, sigma2), rel=1e-12, abs=0.0
+        )
