@@ -20,9 +20,10 @@ Fisher matrix is ever formed because the natural gradient in this family is
 exactly "conditional update minus current value".  Updates blend in natural
 coordinates with a Robbins-Monro step size.
 
-The local family here is categorical (mixture assignments); models with
-richer local structure supply their own local step to the same stochastic
-ascent (see the topic model module).  That ascent is written once, next to
+The local family here is categorical (mixture assignments; the mixture's
+own fit scores with its own ELBO); models with richer local structure
+supply their own local step to the same stochastic ascent (see the topic
+model module).  That ascent is written once, next to
 :func:`step_size`: minibatch sampling, the natural-coordinate blend and its
 checks, and the fit metadata; iteration, the ELBO trace and the stopping
 rule are the engine's one fit loop, shared with coordinate ascent.
@@ -120,9 +121,11 @@ class CondConjSpec:
         equal ``-KL(q(beta) || prior)`` exactly when there is no data.
     num_local_values
         Support size ``k`` of the categorical local latent.
-    local_natural_param(stats, X)
+    local_natural_param(lam, X)
         ``(n, k)`` expected log complete-conditional weights of the local
-        latents (unnormalized logits), given :class:`GlobalStats`.
+        latents (unnormalized logits, up to a per-row constant) at the
+        global natural parameter ``lam``, from which the model forms them
+        in whatever numerically stable way suits it.
     expected_global_stats(lam)
         Moments of the global factor at natural parameter ``lam``.
     expected_suff_stat(probs, X)
@@ -279,8 +282,7 @@ def local_probs(spec, lam, X):
     complete-conditional at the current global factor; rows are normalized
     in log space and then checked as categorical distributions.
     """
-    stats = spec.expected_global_stats(lam)
-    logw = np.asarray(spec.local_natural_param(stats, X), dtype=float)
+    logw = np.asarray(spec.local_natural_param(lam, X), dtype=float)
     if logw.shape != (X.shape[0], spec.num_local_values):
         raise DomainError("local_natural_param must return (n, k) logits")
     return _check_probs(categorical_rows(logw))
@@ -382,10 +384,21 @@ def svi_fit(spec, data, schedule, config, init=None, batch_size=1):
     last such pass is the report's state.  Deterministic per seed.
     """
     X = _rows(data)
-    n = X.shape[0]
 
-    def start(rng):
-        return (init if init is not None else prior_param(spec)).natural()
+    def score(lam):
+        snapshot = GlobalLocalState(lam, local_probs(spec, lam, X))
+        return cond_conj_elbo(spec, snapshot, X), snapshot
+
+    init = prior_param(spec) if init is None else init
+    return _spec_stochastic_fit(spec, X, schedule, config, init, batch_size, score)
+
+
+def _spec_stochastic_fit(spec, X, schedule, config, init, batch_size, score):
+    """:func:`_stochastic_fit` on a spec from the global parameter ``init``,
+    blending in ``prior + (n / batch_size) * minibatch statistics``.
+    ``score(lam)`` gets a :class:`GlobalParam` and returns ``(elbo,
+    snapshot)``, so a model can report its own ELBO and state."""
+    n = X.shape[0]
 
     def target(lam, batch):
         xb = X[batch]
@@ -395,9 +408,7 @@ def svi_fit(spec, data, schedule, config, init=None, batch_size=1):
             spec.prior_stat + (n / batch_size) * total, spec.prior_count + n
         )
 
-    def score(lam):
-        lam = GlobalParam(lam[:-1], lam[-1])
-        snapshot = GlobalLocalState(lam, local_probs(spec, lam, X))
-        return cond_conj_elbo(spec, snapshot, X), snapshot
-
-    return _stochastic_fit(n, batch_size, schedule, config, start, target, score)
+    return _stochastic_fit(
+        n, batch_size, schedule, config, lambda rng: init.natural(), target,
+        lambda lam: score(GlobalParam(lam[:-1], lam[-1])),
+    )

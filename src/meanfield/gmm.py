@@ -4,11 +4,12 @@ Two variants live here:
 
 * :class:`UnitVarianceGmm` -- K components with identity observation
   covariance, uniform mixing weights, and independent ``Normal(0, sigma2)``
-  priors on each mean coordinate.  Its two coordinate updates (assignment
-  responsibilities, then component mean factors) are available both as
-  plain functions and packaged as a :class:`VariationalModel`.
-  ``conjugate_spec`` exposes the same model through the generic
-  global-local machinery, which is how it gains a stochastic fit.
+  priors on each mean coordinate.  It is conditionally conjugate, and
+  ``conjugate_spec`` holds its one set of steps: the assignment
+  responsibilities are the spec's local step and the component mean
+  factors its global step (:func:`condconj.global_step`).  The CAVI sweep
+  and the stochastic fit :func:`gmm_svi_fit` both run on them and both
+  report :func:`gmm_elbo`.
 
 * :class:`DiagGmm` -- Dirichlet-weighted mixture with per-coordinate
   Normal-Gamma factors on (mean, precision), i.e. diagonal covariances
@@ -26,8 +27,21 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .condconj import CondConjSpec, GlobalParam, GlobalStats
-from .engine import InitStrategy, MeanFieldState, VariationalModel, predictive_rows
+from .condconj import (
+    CondConjSpec,
+    GlobalParam,
+    GlobalStats,
+    _spec_stochastic_fit,
+    global_step,
+    local_probs,
+)
+from .engine import (
+    InitStrategy,
+    MeanFieldState,
+    VariationalModel,
+    init_state,
+    predictive_rows,
+)
 from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
     LOG_2PI,
@@ -48,14 +62,12 @@ __all__ = [
     "UniGmmState",
     "UnitVarianceGmm",
     "update_assignments",
-    "update_components",
     "gmm_elbo",
+    "gmm_svi_fit",
     "predictive_log_density",
     "simulate",
     "conjugate_spec",
-    "conjugate_elbo_offset",
     "global_param_from_state",
-    "state_from_global",
     "DiagGmmConfig",
     "DiagGmmState",
     "DiagGmm",
@@ -82,6 +94,19 @@ def _as_matrix(data):
     if x.size and not np.all(np.isfinite(x)):
         raise DomainError("data must be finite")
     return x
+
+
+def _initial_means(x, k, strategy, rng, prior_mean):
+    """``(k, d)`` starting component locations.  The prior strategy (or no
+    data) puts them all at ``prior_mean``; the calibrated strategy draws
+    them from a Gaussian matched to each data coordinate's empirical mean
+    and variance, which breaks the symmetric fixed point."""
+    d = x.shape[1] if x.size else max(x.shape[1], 1)
+    if strategy is InitStrategy.PRIOR or x.shape[0] == 0:
+        return np.full((k, d), prior_mean)
+    if strategy is InitStrategy.DATA_CALIBRATED:
+        return x.mean(axis=0) + x.std(axis=0) * rng.standard_normal((k, d))
+    raise ConfigError("strategy", f"unknown init strategy {strategy!r}")
 
 
 def _check_rows(r, name):
@@ -136,35 +161,29 @@ def update_assignments(state, data):
 
     Row ``i`` is proportional to ``exp(E[mu_k] . x_i - E[|mu_k|^2] / 2)``,
     normalized in log space.  Depends only on the mean factors, not on the
-    previous responsibilities.
+    previous responsibilities.  This is the local step of
+    :func:`conjugate_spec` at :func:`global_param_from_state` (the prior
+    variance does not enter it).
     """
     x = _as_matrix(data)
-    second = 0.5 * (state.m**2 + state.s2).sum(axis=1)
-    return categorical_rows(x @ state.m.T - second[None, :])
+    spec = conjugate_spec(state.m.shape[0], 1.0, x.shape[1])
+    return local_probs(spec, global_param_from_state(state), x)
 
 
-def update_components(state, data, sigma2):
-    """Optimal mean factors given responsibilities.
-
-    Each component sees a responsibility-weighted pseudo-sample:
-    ``m_k = sum_i phi_ik x_i / (1/sigma2 + sum_i phi_ik)`` with variance
-    ``1 / (1/sigma2 + sum_i phi_ik)``, shared across coordinates.
-    """
-    x = _as_matrix(data)
-    precision = 1.0 / sigma2 + state.phi.sum(axis=0)
-    m = (state.phi.T @ x) / precision[:, None]
-    s2 = np.broadcast_to((1.0 / precision)[:, None], m.shape).copy()
-    return m, s2
+def _centred_logits(x, m, var):
+    """(n, k) ``x_i . m_k - (|m_k|^2 + var_k) / 2`` up to a per-row constant,
+    formed on ``x`` and ``m`` shifted by the mean ``m`` row, so nothing
+    cancels far from the origin; also returns the shifted ``x``."""
+    c = m.mean(axis=0)
+    x, m = x - c, m - c
+    return x @ m.T - 0.5 * ((m**2).sum(axis=1) + var)[None, :], x
 
 
 def _unit_loglik(x, m, var=0.0):
-    """(n, k) ``-(|x_i - m_k|^2 + var_k + d log(2 pi)) / 2`` in matmul form, on
-    ``x`` and ``m`` shifted by the mean ``m`` row: no cancellation far from 0."""
-    c = m.mean(axis=0)
-    x, m = x - c, m - c
-    sq = (m**2).sum(axis=1) + var
+    """(n, k) ``-(|x_i - m_k|^2 + var_k + d log(2 pi)) / 2`` in matmul form."""
+    logits, x = _centred_logits(x, m, var)
     xx = 0.5 * (x**2).sum(axis=1)[:, None]
-    return x @ m.T - 0.5 * sq[None, :] - xx - 0.5 * m.shape[1] * LOG_2PI
+    return logits - xx - 0.5 * m.shape[1] * LOG_2PI
 
 
 def gmm_elbo(state, data, sigma2):
@@ -233,7 +252,11 @@ def simulate(k, n, seed, dim=1, mean_scale=5.0, min_separation=0.0):
 
 
 class UnitVarianceGmm(VariationalModel):
-    """Engine adapter for the unit-variance mixture."""
+    """Engine adapter for the unit-variance mixture.
+
+    A sweep is the local and the global step of :func:`conjugate_spec`,
+    the same steps :func:`gmm_svi_fit` takes on minibatches.
+    """
 
     name = "gmm"
 
@@ -241,30 +264,18 @@ class UnitVarianceGmm(VariationalModel):
         self.config = config
 
     def init_state(self, data, strategy, rng):
-        """Prior strategy starts every factor at the prior (responsibilities
-        uniform); the calibrated strategy draws component means from a
-        Gaussian matched to each data coordinate's empirical mean and
-        variance, which breaks the symmetric fixed point."""
         x = _as_matrix(data)
         k = self.config.k
-        d = x.shape[1] if x.size else max(x.shape[1], 1)
-        if strategy is InitStrategy.PRIOR or x.shape[0] == 0:
-            m = np.zeros((k, d))
-        elif strategy is InitStrategy.DATA_CALIBRATED:
-            center = x.mean(axis=0)
-            spread = x.std(axis=0)
-            m = center[None, :] + spread[None, :] * rng.standard_normal((k, d))
-        else:
-            raise ConfigError("strategy", f"unknown init strategy {strategy!r}")
-        s2 = np.full((k, d), self.config.sigma2)
+        m = _initial_means(x, k, strategy, rng, 0.0)
+        s2 = np.full(m.shape, self.config.sigma2)
         phi = np.full((x.shape[0], k), 1.0 / k)
         return UniGmmState(m, s2, phi)
 
     def sweep(self, state, data):
-        phi = update_assignments(state, data)
-        mid = UniGmmState(state.m, state.s2, phi)
-        m, s2 = update_components(mid, data, self.config.sigma2)
-        return UniGmmState(m, s2, phi)
+        x = _as_matrix(data)
+        spec = conjugate_spec(self.config.k, self.config.sigma2, x.shape[1])
+        phi = local_probs(spec, global_param_from_state(state), x)
+        return _state_from_param(global_step(spec, phi, x), phi)
 
     def elbo(self, state, data):
         return gmm_elbo(state, data, self.config.sigma2)
@@ -327,13 +338,14 @@ def conjugate_spec(k, sigma2, dim=1):
     Global sufficient statistics are the flattened mean coordinates
     followed by one per-component quadratic block, so the prior natural
     parameter is zeros for the mean block, ``1/sigma2`` for each quadratic
-    coordinate, and a count of 0.  Alternating ``local_probs`` /
-    ``global_step`` under this spec reproduces ``update_assignments`` /
-    ``update_components`` iterates exactly.
+    coordinate, and a count of 0.  The global step gives the mean factors
+    ``m_k = sum_i phi_ik x_i / (1/sigma2 + sum_i phi_ik)`` with variance
+    ``1 / (1/sigma2 + sum_i phi_ik)``, shared across coordinates.
 
     The local callables take a batch ``X`` of shape ``(n, dim)``:
     ``local_natural_param`` returns the ``(n, k)`` logits
-    ``X E[mu]^T - E[|mu_k|^2] / 2`` as one matrix product, and
+    ``X E[mu]^T - E[|mu_k|^2] / 2`` up to a per-row constant, formed on
+    data and means centred on the mean component location, and
     ``expected_suff_stat(probs, X)`` the statistics summed over rows,
     ``[vec(probs^T X), probs.sum(axis=0)]``.
     """
@@ -343,11 +355,7 @@ def conjugate_spec(k, sigma2, dim=1):
     kd = k * dim
 
     def expected_global_stats(lam):
-        b = np.asarray(lam.stat[kd:], dtype=float)
-        if np.any(b <= 0.0):
-            raise DomainError("quadratic coordinates must stay > 0")
-        m = np.asarray(lam.stat[:kd], dtype=float).reshape(k, dim) / b[:, None]
-        s2 = 1.0 / b
+        m, s2 = _moments(lam, k, dim)
         second = -0.5 * ((m**2).sum(axis=1) + dim * s2)
         entropy = 0.5 * dim * float(np.log(2.0 * math.pi * math.e * s2).sum())
         return GlobalStats(
@@ -359,9 +367,9 @@ def conjugate_spec(k, sigma2, dim=1):
     def expected_suff_stat(probs, X):
         return np.concatenate([(probs.T @ X).ravel(), probs.sum(axis=0)])
 
-    def local_natural_param(stats, X):
-        m = stats.stats[:kd].reshape(k, dim)
-        return X @ m.T + stats.stats[kd:]
+    def local_natural_param(lam, X):
+        m, s2 = _moments(lam, k, dim)
+        return _centred_logits(X, m, dim * s2)[0]
 
     prior_stat = np.concatenate([np.zeros(kd), np.full(k, 1.0 / sigma2)])
     return CondConjSpec(
@@ -375,19 +383,13 @@ def conjugate_spec(k, sigma2, dim=1):
     )
 
 
-def conjugate_elbo_offset(data, k):
-    """Constant separating the two ELBO conventions on the same state.
-
-    ``gmm_elbo == cond_conj_elbo + conjugate_elbo_offset(data, k)``: the
-    global-local ELBO omits the per-observation base measure
-    ``-|x_i|^2/2 - (d/2) log 2 pi - log K``, which depends on neither set
-    of variational parameters.
-    """
-    x = _as_matrix(data)
-    n, d = x.shape
-    return float(
-        -0.5 * (x**2).sum() - 0.5 * n * d * LOG_2PI - n * math.log(k)
-    )
+def _moments(lam, k, dim):
+    """Means ``(k, dim)`` and shared variances ``(k,)`` of the mean factors
+    at the natural global parameter ``lam``."""
+    b = lam.stat[k * dim :]
+    if np.any(b <= 0.0):
+        raise DomainError("quadratic coordinates must stay > 0")
+    return lam.stat[: k * dim].reshape(k, dim) / b[:, None], 1.0 / b
 
 
 def global_param_from_state(state):
@@ -403,23 +405,39 @@ def global_param_from_state(state):
     )
 
 
-def state_from_global(state, k, dim=1):
-    """Inverse of :func:`global_param_from_state` for a full fit state.
+def _state_from_param(lam, phi):
+    """The :class:`UniGmmState` of natural global parameter ``lam`` and
+    ``(n, k)`` responsibilities ``phi``."""
+    k = phi.shape[1]
+    m, s2 = _moments(lam, k, lam.stat.size // k - 1)
+    return UniGmmState(m, np.broadcast_to(s2[:, None], m.shape), phi)
 
-    Unpacks the natural global parameter of a conditionally conjugate fit
-    (mean block scaled by precisions, then the precision block) and the
-    ``(n, k)`` local factor array back into a :class:`UniGmmState`.
+
+def gmm_svi_fit(data, config, schedule, fit_config, batch_size=1):
+    """Stochastic fit of the unit-variance mixture; returns a :class:`FitReport`.
+
+    Starts from the data-calibrated state seeded by ``fit_config.seed`` and
+    runs the stochastic ascent of :func:`condconj.svi_fit` on
+    :func:`conjugate_spec`, so the minibatches for a seed are the same.
+    Each ELBO pass takes the local step on all of ``data`` and scores the
+    resulting :class:`UniGmmState` with :func:`gmm_elbo`, which keeps every
+    constant; that state is the report's ``model_state``.
     """
-    kd = k * dim
-    stat = np.asarray(state.lam.stat, dtype=float)
-    if stat.shape != (kd + k,):
-        raise DomainError("global parameter does not match k and dim")
-    b = stat[kd:]
-    if np.any(b <= 0.0):
-        raise DomainError("quadratic coordinates must stay > 0")
-    m = stat[:kd].reshape(k, dim) / b[:, None]
-    s2 = np.broadcast_to((1.0 / b)[:, None], (k, dim)).copy()
-    return UniGmmState(m, s2, state.phis.reshape(-1, k))
+    x = _as_matrix(data)
+    model = UnitVarianceGmm(config)
+    spec = conjugate_spec(config.k, config.sigma2, x.shape[1])
+    start = init_state(model, x, InitStrategy.DATA_CALIBRATED, fit_config.seed)
+
+    def score(lam):
+        state = _state_from_param(lam, local_probs(spec, lam, x))
+        return model.elbo(state, x), state
+
+    report = _spec_stochastic_fit(
+        spec, x, schedule, fit_config, global_param_from_state(start),
+        batch_size, score,
+    )
+    report.metadata.update(model.metadata())
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -597,24 +615,15 @@ class DiagGmm(VariationalModel):
 
     def init_state(self, data, strategy, rng):
         x = _as_matrix(data)
-        k = self.config.k
-        d = x.shape[1] if x.size else max(x.shape[1], 1)
         c = self.config
-        if strategy is InitStrategy.PRIOR or x.shape[0] == 0:
-            m = np.full((k, d), c.m0)
-        elif strategy is InitStrategy.DATA_CALIBRATED:
-            center = x.mean(axis=0)
-            spread = x.std(axis=0)
-            m = center[None, :] + spread[None, :] * rng.standard_normal((k, d))
-        else:
-            raise ConfigError("strategy", f"unknown init strategy {strategy!r}")
+        m = _initial_means(x, c.k, strategy, rng, c.m0)
         return DiagGmmState(
-            conc=np.full(k, c.a0),
+            conc=np.full(c.k, c.a0),
             m=m,
-            b=np.full((k, d), c.b0),
-            alpha=np.full((k, d), c.alpha0),
-            beta=np.full((k, d), c.beta0),
-            r=np.full((x.shape[0], k), 1.0 / k),
+            b=np.full(m.shape, c.b0),
+            alpha=np.full(m.shape, c.alpha0),
+            beta=np.full(m.shape, c.beta0),
+            r=np.full((x.shape[0], c.k), 1.0 / c.k),
         )
 
     def sweep(self, state, data):

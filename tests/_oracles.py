@@ -4,9 +4,10 @@ Everything here is deliberately implemented by routes the package itself
 never takes -- exhaustive enumeration over assignment configurations,
 direct covariance-matrix marginal likelihoods through scipy, textbook
 conjugate posterior formulas, the digamma asymptotic series, the
-one-document-at-a-time log-space LDA local step, and the
+one-document-at-a-time log-space LDA local step, the
 one-observation-at-a-time global-local (conditionally conjugate) mixture
-steps, and model ELBOs with their prior, KL and entropy terms written out
+steps, the mixture's dedicated component update and per-coordinate
+responsibilities, and model ELBOs with their prior, KL and entropy terms written out
 by hand -- so agreement with the package is evidence of correctness rather
 than of shared code.
 """
@@ -315,6 +316,55 @@ def gmm_local_factor(stats, x, k, dim):
     )
     probs = np.exp(logw - logsumexp(logw))
     return probs / probs.sum()
+
+
+def gmm_update_components(state, data, sigma2):
+    """Optimal mean factors given responsibilities, the dedicated CAVI update
+    the conjugate spec's global step replaced.
+
+    Each component sees a responsibility-weighted pseudo-sample:
+    ``m_k = sum_i phi_ik x_i / (1/sigma2 + sum_i phi_ik)`` with variance
+    ``1 / (1/sigma2 + sum_i phi_ik)``, shared across coordinates.
+    """
+    x = _obs_rows(data)
+    precision = 1.0 / sigma2 + state.phi.sum(axis=0)
+    m = (state.phi.T @ x) / precision[:, None]
+    s2 = np.broadcast_to((1.0 / precision)[:, None], m.shape).copy()
+    return m, s2
+
+
+def gmm_conjugate_elbo_offset(data, k):
+    """Constant separating the two ELBO conventions on the same state.
+
+    ``gmm_elbo == cond_conj_elbo + gmm_conjugate_elbo_offset(data, k)``: the
+    global-local ELBO omits the per-observation base measure
+    ``-|x_i|^2/2 - (d/2) log 2 pi - log K``, which depends on neither set
+    of variational parameters.
+    """
+    x = _obs_rows(data)
+    n, d = x.shape
+    return float(
+        -0.5 * (x**2).sum() - 0.5 * n * d * math.log(2.0 * math.pi) - n * math.log(k)
+    )
+
+
+def gmm_state_from_param(lam, phi):
+    """Unit-variance mixture ``(m, s2)`` of a natural global parameter:
+    the mean block divided by the precisions, and their inverses."""
+    k = phi.shape[1]
+    b = np.asarray(lam.stat[-k:])
+    m = np.asarray(lam.stat[:-k]).reshape(k, -1) / b[:, None]
+    return m, np.broadcast_to((1.0 / b)[:, None], m.shape).copy()
+
+
+def gmm_responsibilities(m, s2, data):
+    """Responsibilities as a softmax (scipy's logsumexp) of the
+    per-coordinate logits ``-(sum_c (x_c - m_kc)^2 + sum_c s2_kc) / 2``."""
+    x = _obs_rows(data)
+    logits = -0.5 * (
+        ((x[:, None, :] - m[None, :, :]) ** 2).sum(axis=2) + s2.sum(axis=1)[None, :]
+    )
+    return np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
 
 
 def condconj_local_loop(spec, lam, data, k, dim):

@@ -1,8 +1,8 @@
 """End-to-end tests of the command line: exit codes, artifacts, determinism.
 
-Every test runs the installed module in a subprocess, so these cover
-argument parsing, error-to-exit-code mapping, and file layout exactly as a
-user sees them.
+Every test but the last runs the installed module in a subprocess, so
+these cover argument parsing, error-to-exit-code mapping, and file layout
+exactly as a user sees them.
 """
 
 import json
@@ -665,3 +665,24 @@ class TestEval:
         assert np.isfinite(float(res.stdout))
         doc = read_json(tmp_path / "e" / "eval.json")
         assert doc["count"] == 2
+
+
+@pytest.mark.parametrize("model", ["gmm", "lda"])
+def test_svi_fit_is_called_through_its_module_name(model, request, tmp_path, monkeypatch):
+    """The benchmark's spans (``perfbench/spans.py``) time a function by
+    rebinding its name in every ``meanfield`` module, so the CLI must reach
+    each SVI fit through the name at run time, not a reference it kept."""
+    from meanfield import cli
+
+    name = f"{model}_svi_fit"
+    real = getattr(cli, name)
+    calls = []
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(name) or real(*args))
+    data = request.getfixturevalue("mixture_csv" if model == "gmm" else "corpus_txt")
+    monkeypatch.setenv("VI_LOG", "quiet")
+    code = cli.main([
+        "fit", "--model", model, "--algorithm", "svi", "--kappa", "0.7",
+        "--k", "2", "--max-iters", "5", "--data", str(data), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    assert calls == [name]

@@ -12,7 +12,11 @@ from _oracles import (
     condconj_global_loop,
     condconj_local_loop,
     condconj_svi_loop,
+    gmm_conjugate_elbo_offset,
+    gmm_state_from_param,
+    gmm_update_components,
 )
+from meanfield import gmm
 from meanfield.condconj import (
     GlobalLocalState,
     GlobalParam,
@@ -28,18 +32,18 @@ from meanfield.condconj import (
     step_size,
     svi_fit,
 )
-from meanfield.engine import FitConfig, init_state
+from meanfield.engine import FitConfig, InitStrategy, cavi_fit, init_state
 from meanfield.errors import ConfigError, DomainError
 from meanfield.gmm import (
     UniGmmConfig,
+    UniGmmState,
     UnitVarianceGmm,
-    conjugate_elbo_offset,
     conjugate_spec,
     global_param_from_state,
     gmm_elbo,
+    gmm_svi_fit,
     simulate,
     update_assignments,
-    update_components,
 )
 
 
@@ -126,7 +130,7 @@ class TestLocalGlobalSteps:
             for i in range(len(data)):
                 assert np.allclose(phis[i].params, phi[i], atol=1e-12)
             mid = type(state)(state.m, state.s2, phi)
-            m, s2 = update_components(mid, data, 2.0)
+            m, s2 = gmm_update_components(mid, data, 2.0)
             lam = global_step(spec, phis, data)
             b = lam.stat[3:]
             assert np.allclose(lam.stat[:3] / b, m[:, 0], atol=1e-12)
@@ -210,7 +214,7 @@ class TestElbo:
             gstate = type(
                 init_state(UnitVarianceGmm(UniGmmConfig(k=2)), data, "prior", 0)
             )((lam.stat[:2] / b)[:, None], (1.0 / b)[:, None], phi)
-            offset = conjugate_elbo_offset(data, 2)
+            offset = gmm_conjugate_elbo_offset(data, 2)
             assert gmm_elbo(gstate, data, 1.0) == pytest.approx(
                 cond_conj_elbo(spec, state, data) + offset, abs=1e-9
             )
@@ -422,33 +426,109 @@ class TestBatchedAgainstOracle:
         assert report.model_state.lam.count == count
 
 
-def test_svi_calls_local_natural_param_once_per_pass():
-    """One batched local step per minibatch and per ELBO pass: a
-    per-observation loop would call the model n times per pass, and the
-    fit ends on an ELBO pass, so no final pass repeats it."""
+class TestGmmSviFit:
+    """The mixture's own stochastic fit explains itself: its trace is
+    ``gmm_elbo`` of the states it scored, and it runs the minibatch stream
+    that ``svi_fit`` runs on the spec from the same start."""
+
+    SIGMA2, SEED, BATCH = 2.0, 5, 20
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        data, _, _ = simulate(k=3, n=200, seed=4, dim=2)
+        config = UniGmmConfig(k=3, sigma2=self.SIGMA2)
+        sched = StepSchedule(kappa=0.7, delay=1.0)
+        fit_cfg = FitConfig(max_iters=30, seed=self.SEED, elbo_every=10, tol=1e-300)
+        scored = []
+
+        def recording(state, x, sigma2):
+            scored.append(state)
+            return gmm_elbo(state, x, sigma2)
+
+        monkeypatch.setattr(gmm, "gmm_elbo", recording)
+        report = gmm_svi_fit(data, config, sched, fit_cfg, batch_size=self.BATCH)
+        monkeypatch.undo()
+        return data, config, sched, fit_cfg, report, scored
+
+    def test_trace_is_gmm_elbo_of_each_scored_state(self, run):
+        data, _, _, _, report, scored = run
+        assert [p.iteration for p in report.elbo_trace] == [10, 20, 30]
+        assert [p.elbo for p in report.elbo_trace] == [
+            gmm_elbo(state, data, self.SIGMA2) for state in scored
+        ]
+        assert isinstance(report.model_state, UniGmmState)
+        assert report.model_state is scored[-1]
+        assert report.final_elbo == gmm_elbo(report.model_state, data, self.SIGMA2)
+
+    def test_trace_is_the_global_local_elbo_plus_the_base_measure(self, run):
+        data, _, _, _, report, scored = run
+        spec = conjugate_spec(3, self.SIGMA2, dim=2)
+        offset = gmm_conjugate_elbo_offset(data, 3)
+        want = [
+            cond_conj_elbo(
+                spec, GlobalLocalState(global_param_from_state(s), s.phi), data
+            ) + offset
+            for s in scored
+        ]
+        assert_allclose([p.elbo for p in report.elbo_trace], want, rtol=1e-12)
+
+    def test_state_matches_svi_fit_on_the_spec_from_the_same_start(self, run):
+        data, config, sched, fit_cfg, report, _ = run
+        spec = conjugate_spec(3, self.SIGMA2, dim=2)
+        start = init_state(
+            UnitVarianceGmm(config), data, InitStrategy.DATA_CALIBRATED, self.SEED
+        )
+        ref = svi_fit(
+            spec, data, sched, fit_cfg,
+            init=global_param_from_state(start), batch_size=self.BATCH,
+        )
+        m, s2 = gmm_state_from_param(ref.model_state.lam, ref.model_state.phis)
+        assert_allclose(report.model_state.m, m, rtol=1e-12)
+        assert_allclose(report.model_state.s2, s2, rtol=1e-12)
+        assert_allclose(report.model_state.phi, ref.model_state.phis, rtol=1e-12)
+        offset = gmm_conjugate_elbo_offset(data, 3)
+        assert_allclose(
+            [p.elbo for p in report.elbo_trace],
+            [p.elbo + offset for p in ref.elbo_trace],
+            rtol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("fit", ["svi_fit", "gmm_svi_fit", "cavi_fit"])
+def test_local_natural_param_runs_once_per_pass(fit, monkeypatch):
+    """One batched local step per minibatch and per ELBO pass of either
+    stochastic fit, and one per coordinate sweep: a per-observation loop
+    would call the model n times per pass.  A stochastic fit ends on an
+    ELBO pass, so no final pass repeats it; the mixture's CAVI ELBO reads
+    the sweep's responsibilities and takes no local step of its own."""
     data, _, _ = simulate(k=3, n=2000, seed=0, dim=2)
     spec = conjugate_spec(k=3, sigma2=1.0, dim=2)
     calls = []
 
-    def counted(stats, X):
-        calls.append(X.shape[0])
-        return spec.local_natural_param(stats, X)
+    def counted(lam, X):
+        calls.append((lam, X.shape[0]))
+        return spec.local_natural_param(lam, X)
 
+    counted_spec = dataclasses.replace(spec, local_natural_param=counted)
     steps, every = 40, 10
-    report = svi_fit(
-        dataclasses.replace(spec, local_natural_param=counted),
-        data,
-        StepSchedule(kappa=0.7, delay=1.0),
-        FitConfig(max_iters=steps, seed=0, elbo_every=every, tol=1e-300),
-        batch_size=50,
-    )
-    elbo_passes = steps // every
-    assert len(calls) == steps + elbo_passes
-    assert calls.count(50) == steps
-    assert calls.count(2000) == elbo_passes
-    assert calls[-1] == 2000
-    lam = report.model_state.lam
-    assert_array_equal(report.model_state.phis, local_probs(spec, lam, data))
+    schedule = StepSchedule(kappa=0.7, delay=1.0)
+    config = FitConfig(max_iters=steps, seed=0, elbo_every=every, tol=1e-300)
+    if fit == "svi_fit":
+        report = svi_fit(counted_spec, data, schedule, config, batch_size=50)
+        phis = report.model_state.phis
+    else:
+        monkeypatch.setattr(gmm, "conjugate_spec", lambda *args: counted_spec)
+        model = UnitVarianceGmm(UniGmmConfig(k=3))
+        if fit == "gmm_svi_fit":
+            report = gmm_svi_fit(data, model.config, schedule, config, batch_size=50)
+        else:
+            report = cavi_fit(model, data, config)
+        phis = report.model_state.phi
+    if fit == "cavi_fit":
+        assert [size for _, size in calls] == [2000] * steps
+    else:
+        assert [size for _, size in calls] == ([50] * every + [2000]) * (steps // every)
+    assert_array_equal(phis, local_probs(spec, calls[-1][0], data))
 
 
 class TestLocalProbsChecks:

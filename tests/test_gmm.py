@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from _oracles import (
     align_accuracy,
@@ -11,10 +12,14 @@ from _oracles import (
     gmm_predictive_point,
     gmm_kl_to_posterior,
     gmm_log_evidence,
+    gmm_responsibilities,
+    gmm_state_from_param,
+    gmm_update_components,
     k1_gaussian_posterior,
     normal_gamma_log_marginal,
     normal_gamma_posterior,
 )
+from meanfield.condconj import GlobalParam, local_probs
 from meanfield.engine import FitConfig, cavi_fit, coordinate_optimality_gap, init_state
 from meanfield.errors import ConfigError, DataFormatError, DomainError
 from meanfield.gmm import (
@@ -24,6 +29,7 @@ from meanfield.gmm import (
     UniGmmConfig,
     UniGmmState,
     UnitVarianceGmm,
+    conjugate_spec,
     diag_gmm_elbo,
     diag_gmm_sweep,
     diag_predictive_log_density,
@@ -32,7 +38,6 @@ from meanfield.gmm import (
     read_data_csv,
     simulate,
     update_assignments,
-    update_components,
 )
 
 
@@ -74,6 +79,19 @@ class TestAssignments:
         state = _state([2.0], [0.5], [[1.0]])
         phi = update_assignments(state, [0.0, 1.0, 2.0])
         assert np.array_equal(phi, np.ones((3, 1)))
+
+
+def update_components(state, data, sigma2):
+    """The mean factors of one sweep, which are the spec's global step,
+    held to the dedicated component update at rtol 1e-15.  Every state
+    below is at its local optimum, so the sweep keeps its
+    responsibilities."""
+    new = UnitVarianceGmm(UniGmmConfig(state.m.shape[0], sigma2)).sweep(state, data)
+    assert np.array_equal(new.phi, state.phi)
+    m, s2 = gmm_update_components(state, data, sigma2)
+    assert_allclose(new.m, m, rtol=1e-15, atol=0.0)
+    assert_allclose(new.s2, s2, rtol=1e-15, atol=0.0)
+    return new.m, new.s2
 
 
 class TestComponents:
@@ -414,3 +432,42 @@ class TestFarFromOrigin:
         assert gmm_elbo(state, x, sigma2) == pytest.approx(
             gmm_elbo_direct(state, x, sigma2), rel=1e-12, abs=0.0
         )
+
+
+class TestCentredLocalStep:
+    """The one local step forms its logits on data and means centred on the
+    mean component location, so responsibilities keep their digits when
+    the means sit 1e3 or 1e5 from the origin (k=4, d=8, spread 0.5)."""
+
+    K, D, N = 4, 8, 40
+
+    def problem(self, offset, seed):
+        rng = np.random.default_rng(seed)
+        m = offset + 0.5 * rng.standard_normal((self.K, self.D))
+        x = m[rng.integers(self.K, size=self.N)]
+        x = x + 0.5 * rng.standard_normal((self.N, self.D)) / math.sqrt(self.D)
+        return rng, m, x
+
+    @pytest.mark.parametrize("offset", [5.0, 1e3, 1e5])
+    def test_update_assignments_matches_per_coordinate_softmax(self, offset):
+        rng, m, x = self.problem(offset, 3)
+        # Variances that are powers of two make m -> m / s2 -> m exact in the
+        # natural-parameter form the local step reads; one ulp of m at 1e5
+        # (1.5e-11) would by itself move responsibilities by about 1e-11.
+        s2 = np.repeat(2.0 ** -rng.integers(0, 6, size=(self.K, 1)), self.D, axis=1)
+        state = UniGmmState(m, s2, np.full((self.N, self.K), 1.0 / self.K))
+        assert_allclose(
+            update_assignments(state, x), gmm_responsibilities(m, s2, x),
+            rtol=0.0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("offset", [5.0, 1e3, 1e5])
+    def test_local_probs_matches_per_coordinate_softmax(self, offset):
+        rng, m, x = self.problem(offset, 4)
+        b = rng.uniform(1.0, 100.0, size=self.K)
+        lam = GlobalParam(np.concatenate([(m * b[:, None]).ravel(), b]), self.N)
+        spec = conjugate_spec(self.K, 1.0, self.D)
+        got = local_probs(spec, lam, x)
+        # the oracle reads the moments that lam carries
+        want = gmm_responsibilities(*gmm_state_from_param(lam, got), x)
+        assert_allclose(got, want, rtol=0.0, atol=1e-12)
