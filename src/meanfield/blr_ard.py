@@ -16,8 +16,9 @@ two-block coordinate ascent and the ELBO is monotone.
 A large fitted ``E[alpha_d]`` marks coefficient ``d`` as irrelevant: its
 prior precision grows and the posterior mean is shrunk toward zero.
 
-All linear algebra goes through a Cholesky factor of the coefficient
-precision ``V*^-1``; only the diagonal of ``V*`` is ever formed.
+All linear algebra goes through a Cholesky factor ``L`` of the coefficient
+precision ``V*^-1`` and its inverse, so that ``V* = L^-T L^-1``; only the
+diagonal of ``V*`` is ever formed.
 """
 
 from __future__ import annotations
@@ -114,23 +115,17 @@ def _chol(v_inv):
     return lower
 
 
-def _v_diag(lower):
-    """diag(V*) from the Cholesky factor of V*^-1, no dense inverse."""
-    eye = np.eye(lower.shape[0])
-    import scipy.linalg
-    w = scipy.linalg.solve_triangular(lower, eye, lower=True)
-    return (w * w).sum(axis=0)
-
-
 def blr_expectations(state, config):
     """Moments the updates and ELBO consume.
 
     Returns a dict with ``e_tau``, ``e_log_tau``, ``e_alpha``,
-    ``e_log_alpha``, ``v_diag``, ``log_det_v``, and ``e_tau_beta_sq`` where
-    ``e_tau_beta_sq[d] = E[tau beta_d^2] = beta*_d^2 a*/b* + V*_dd``.
+    ``e_log_alpha``, ``v_diag``, ``log_det_v``, ``e_tau_beta_sq`` where
+    ``e_tau_beta_sq[d] = E[tau beta_d^2] = beta*_d^2 a*/b* + V*_dd``, and
+    ``chol_inv``, the inverse ``L^-1`` of the Cholesky factor of ``V*^-1``.
     """
     lower = _chol(state.v_inv)
-    v_diag = _v_diag(lower)
+    inv = np.linalg.inv(lower)
+    v_diag = (inv * inv).sum(axis=0)
     log_det_v = -2.0 * float(np.log(np.diag(lower)).sum())
     e_tau, e_log_tau = gamma_moments(state.a, state.b)
     if config.fix_relevance:
@@ -146,7 +141,7 @@ def blr_expectations(state, config):
         "v_diag": v_diag,
         "log_det_v": log_det_v,
         "e_tau_beta_sq": state.beta**2 * e_tau + v_diag,
-        "chol_lower": lower,
+        "chol_inv": inv,
     }
 
 
@@ -165,10 +160,9 @@ def update_coeff_precision(state, data, config):
     else:
         e_alpha = state.c / state.d
     v_inv = np.diag(e_alpha) + x.T @ x
-    lower = _chol(v_inv)
+    inv = np.linalg.inv(_chol(v_inv))
     xty = x.T @ y
-    import scipy.linalg
-    beta = scipy.linalg.cho_solve((lower, True), xty)
+    beta = inv.T @ (inv @ xty)
     a = config.a0 + 0.5 * n
     b = config.b0 + 0.5 * (y @ y - beta @ xty)
     return BlrArdState(beta, v_inv, a, b, state.c, state.d)
@@ -204,8 +198,7 @@ def blr_elbo(state, data, config):
     # sum_i x_i^T V* x_i, via the Cholesky factor of V*^-1.  Cannot be
     # simplified through V*^-1 = E[diag alpha] + X^T X: between block
     # updates v_inv is stale relative to the current relevance factor.
-    import scipy.linalg
-    half = scipy.linalg.solve_triangular(exp["chol_lower"], x.T, lower=True)
+    half = exp["chol_inv"] @ x.T
     trace_term = float((half * half).sum())
     e_loglik = (
         -0.5 * n * LOG_2PI
@@ -236,8 +229,7 @@ def blr_log_predictive(state, point):
     """
     rows, one = predictive_rows(point, state.beta.shape[0] + 1)
     x, y = rows[:, :-1], rows[:, -1]
-    import scipy.linalg
-    u = scipy.linalg.solve_triangular(_chol(state.v_inv), x.T, lower=True)
+    u = np.linalg.inv(_chol(state.v_inv)) @ x.T
     var = (state.b / state.a) * (1.0 + (u * u).sum(axis=0))
     out = gaussian_log_pdf(y, x @ state.beta, var)
     return float(out[0]) if one else out

@@ -69,6 +69,17 @@ __all__ = [
 ]
 
 
+def _frozen(a):
+    """``a`` as a read-only float array, copied unless it already is a
+    read-only float64 array that owns its data (such as the rows
+    :func:`local_probs` returns), which no view can change."""
+    owned = isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.owndata
+    if not owned or a.flags.writeable:
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class GlobalParam:
     """Natural parameter of the global factor: ``stat`` plus a count.
@@ -83,9 +94,7 @@ class GlobalParam:
     count: float
 
     def __post_init__(self):
-        s = np.array(self.stat, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "stat", s)
+        object.__setattr__(self, "stat", _frozen(self.stat))
         object.__setattr__(self, "count", float(self.count))
 
     def natural(self):
@@ -166,7 +175,7 @@ def _check_probs(probs):
 
 
 def _as_probs(phis):
-    """Local factors as a read-only ``(n, k)`` array.
+    """Local factors as a read-only, checked ``(n, k)`` array.
 
     Accepts the array itself or a sequence of categorical
     :class:`ExpFamParam` (one per observation), converted once.
@@ -176,9 +185,7 @@ def _as_probs(phis):
         phis = np.reshape(rows, (len(rows), -1 if rows else 0))
     if phis.ndim != 2:
         raise DomainError("local factors must be an (n, k) array")
-    probs = _check_probs(np.array(phis, dtype=float))
-    probs.setflags(write=False)
-    return probs
+    return _check_probs(_frozen(phis))
 
 
 @dataclass(frozen=True)
@@ -280,12 +287,16 @@ def local_probs(spec, lam, X):
 
     Each row is proportional to the exponentiated expected log
     complete-conditional at the current global factor; rows are normalized
-    in log space and then checked as categorical distributions.
+    in log space and then checked as categorical distributions.  The array
+    is read-only, so the global step and the states built from it keep it
+    without a copy.
     """
     logw = np.asarray(spec.local_natural_param(lam, X), dtype=float)
     if logw.shape != (X.shape[0], spec.num_local_values):
         raise DomainError("local_natural_param must return (n, k) logits")
-    return _check_probs(categorical_rows(logw))
+    probs = _check_probs(categorical_rows(logw))
+    probs.setflags(write=False)
+    return probs
 
 
 def local_step(spec, lam, x):

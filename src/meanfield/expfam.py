@@ -6,7 +6,8 @@ and KL divergences that coordinate ascent updates are written in terms of:
 * numerically safe ``log_sum_exp`` for normalizing log-weights, and
   ``categorical_rows`` for turning a batch of logits into probabilities,
 * ``digamma`` (and ``log_gamma``) for Dirichlet and Gamma expectations,
-  imported from ``scipy.special`` on first call (``gmm`` never loads scipy),
+  vectorised numpy kernels: one broadcast recurrence step lifts arguments
+  below 10, then an asymptotic series finishes (no command loads scipy),
 * expected sufficient statistics of the Gaussian, Gamma, and Dirichlet
   families,
 * closed-form KL divergences between members of the same family.
@@ -50,12 +51,70 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# digamma and log_gamma lift arguments below this by the recurrence before
+# the asymptotic series; from it up, the first term the series leaves out
+# is below 1e-15.
+_SHIFT = 10.0
+
+# The recurrence's ten factors x + j, j < 10, pair up as
+# (x + j)(x + 9 - j) = x (x + 9) + j (9 - j); these are j (9 - j), 1 <= j < 5.
+_PAIRS = np.array([[8.0], [14.0], [18.0], [20.0]])
+
+# Asymptotic series in z = 1/y^2, highest power first:
+#   psi(y) ~ log y - 1/(2y) - z P(z),  P through y^-12 (B_2n / 2n),
+#   lnG(y) ~ (y - 1/2) log y - y + log(2 pi)/2 + Q(z)/y,
+#            Q through y^-13 (B_2n / (2n (2n - 1))).
+_PSI_SERIES = (
+    -691.0 / 32760.0, 1.0 / 132.0, -1.0 / 240.0, 1.0 / 252.0, -1.0 / 120.0,
+    1.0 / 12.0,
+)
+_LOG_GAMMA_SERIES = (
+    1.0 / 156.0, -691.0 / 360360.0, 1.0 / 1188.0, -1.0 / 1680.0,
+    1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0,
+)
+
+
+def _horner(z, coefficients):
+    """Polynomial in the array ``z``, coefficients highest power first."""
+    out = coefficients[0] * z
+    out += coefficients[1]
+    for c in coefficients[2:]:
+        out *= z
+        out += c
+    return out
+
+
+def _lift(a):
+    """The recurrence step for ``a.reshape(-1)``, in one broadcast.
+
+    Returns ``(small, y, c, c9, quads)``.  ``small`` marks arguments below
+    10; there ``y = a + 10``, elsewhere ``y = a``.  ``c`` is ``a`` capped at
+    10, ``c9 = c + 9`` and ``quads`` the (4, n) array ``c c9 + j (9 - j)``,
+    ``1 <= j < 5``, so that ``prod_{j<10} (c + j) = c c9 prod(quads)``.  The
+    cap keeps them finite where they go unused.
+    """
+    flat = a.reshape(-1)
+    small = flat < _SHIFT
+    c = np.minimum(flat, _SHIFT)
+    c9 = c + 9.0
+    return small, np.where(small, flat + _SHIFT, flat), c, c9, c * c9 + _PAIRS
+
 
 def log_gamma(x):
-    """``scipy.special.gammaln``, imported on first call.  Unvalidated: it
-    only appears in normalizers, with no structural role in the updates."""
-    from scipy.special import gammaln
-    return gammaln(x)
+    """log Gamma(x) for x > 0, elementwise; a float for scalar input.
+
+    ``lnG(x) = lnG(x + 10) - log prod_{j<10} (x + j)`` below 10, then
+    Stirling's series through ``y**-13``.  Unvalidated: it only appears in
+    normalizers, with no structural role in the updates.
+    """
+    a = np.asarray(x, dtype=float)
+    small, y, c, c9, quads = _lift(a)
+    r = 1.0 / y
+    out = (y - 0.5) * np.log(y) - y + 0.5 * LOG_2PI
+    out += r * _horner(r * r, _LOG_GAMMA_SERIES)
+    factors = c * c9 * ((quads[0] * quads[3]) * (quads[1] * quads[2]))
+    out -= np.where(small, np.log(factors), 0.0)
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 
 def _scalar(value):
@@ -116,15 +175,28 @@ def categorical_rows(logits):
 def digamma(x):
     """Digamma function psi(x) = d/dx log Gamma(x) for x > 0.
 
-    A validated wrapper over ``scipy.special.digamma``.  Accepts scalars or
-    arrays; nonpositive or non-finite input raises :class:`DomainError`.
+    Accepts scalars or arrays; nonpositive or non-finite input raises
+    :class:`DomainError`.  Below 10, ``psi(x) = psi(x + 10) - sum_{j<10}
+    1/(x + j)`` in one broadcast step, then the asymptotic series through
+    ``y**-12``; there is no data-dependent loop.  Agrees with
+    ``scipy.special.digamma`` to within 1e-10 or 4 ulp on [1e-6, 1e6].
     """
     a = np.asarray(x, dtype=float)
     if not np.all((a > 0.0) & (a < np.inf)):
         raise DomainError("digamma requires finite x > 0")
-    from scipy.special import digamma as psi
-    out = psi(a)
-    return float(out) if a.ndim == 0 else out
+    small, y, c, c9, quads = _lift(a)
+    # sum_{j<10} 1/(c + j): the pairs j, 9 - j (1 <= j < 5) as
+    # (2c + 9) / quad, and 1/c, the largest term, added last
+    t = 1.0 / quads
+    steps = 1.0 / c9 + (c + c9) * ((t[0] + t[3]) + (t[1] + t[2]))
+    steps += 1.0 / c
+    r = 1.0 / y
+    z = r * r
+    out = np.log(y)
+    out -= 0.5 * r
+    out -= z * _horner(z, _PSI_SERIES)
+    out -= np.where(small, steps, 0.0)
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 
 def gaussian_moments(mean, var):
@@ -160,13 +232,13 @@ def dirichlet_expected_log(concentration):
 
 
 def _dirichlet_expected_log_rows(c):
-    """Row-wise E[log pi] for a matrix of Dirichlet concentrations.
+    """E[log pi] for each Dirichlet along the last axis of ``c``.
 
     Internal helper: no length-2 floor, so degenerate one-column rows (a
     single-topic model) give the correct value 0.
     """
     c = np.asarray(c, dtype=float)
-    return digamma(c) - digamma(c.sum(axis=1))[:, None]
+    return digamma(c) - digamma(c.sum(axis=-1, keepdims=True))
 
 
 def gaussian_kl(q_mean, q_var, p_mean, p_var):
@@ -206,10 +278,14 @@ def dirichlet_kl(q_conc, p_conc):
         raise DomainError("dirichlet_kl requires matching concentration vectors")
     if not (np.all(q > 0.0) and np.all(p > 0.0)):
         raise DomainError("dirichlet concentrations must be > 0")
-    q0 = q.sum(axis=-1)
-    elog = digamma(q) - digamma(q0[..., None])
+    return _dirichlet_kl(q, p, _dirichlet_expected_log_rows(q))
+
+
+def _dirichlet_kl(q, p, elog):
+    """:func:`dirichlet_kl` of checked float arrays, given ``elog``, the
+    ``E[log pi]`` rows of ``q``, for a caller that already holds them."""
     return _scalar(
-        log_gamma(q0)
+        log_gamma(q.sum(axis=-1))
         - log_gamma(q).sum(axis=-1)
         - log_gamma(p.sum(axis=-1))
         + log_gamma(p).sum(axis=-1)

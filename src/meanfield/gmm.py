@@ -31,6 +31,7 @@ from .condconj import (
     CondConjSpec,
     GlobalParam,
     GlobalStats,
+    _frozen,
     _spec_stochastic_fit,
     global_step,
     local_probs,
@@ -76,12 +77,6 @@ __all__ = [
     "diag_predictive_log_density",
     "read_data_csv",
 ]
-
-
-def _frozen(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def _as_matrix(data):

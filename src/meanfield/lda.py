@@ -36,9 +36,9 @@ from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
     ExpFamParam,
     _dirichlet_expected_log_rows,
+    _dirichlet_kl,
     categorical_entropy,
     digamma,
-    dirichlet_kl,
 )
 
 __all__ = [
@@ -484,7 +484,7 @@ def lda_elbo(state, corpus, config):
 
     Token terms (likelihood, assignment cross-entropy, assignment entropy)
     sum over the CSR entries; the theta and beta blocks enter as exact
-    Dirichlet KL divergences to their priors.
+    Dirichlet KL divergences to their priors, from the same ``E[log]``.
     """
     elog_beta = _dirichlet_expected_log_rows(state.lam)
     elog_theta = _dirichlet_expected_log_rows(state.gamma)
@@ -495,8 +495,9 @@ def lda_elbo(state, corpus, config):
     )
     total = float((corpus.cts[:, None] * phi * scores).sum())
     total += float(corpus.cts @ categorical_entropy(phi))
-    total -= float(dirichlet_kl(state.gamma, config.alpha).sum())
-    total -= float(dirichlet_kl(state.lam, np.full(corpus.v, config.eta)).sum())
+    total -= float(_dirichlet_kl(state.gamma, config.alpha, elog_theta).sum())
+    eta = np.full(corpus.v, config.eta)
+    total -= float(_dirichlet_kl(state.lam, eta, elog_beta).sum())
     return total
 
 

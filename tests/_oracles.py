@@ -3,7 +3,8 @@
 Everything here is deliberately implemented by routes the package itself
 never takes -- exhaustive enumeration over assignment configurations,
 direct covariance-matrix marginal likelihoods through scipy, textbook
-conjugate posterior formulas, the digamma asymptotic series, the
+conjugate posterior formulas, the digamma asymptotic series, scipy's
+triangular and Cholesky solves for the regression model, the
 one-document-at-a-time log-space LDA local step, the
 one-observation-at-a-time global-local (conditionally conjugate) mixture
 steps, the mixture's dedicated component update and per-coordinate
@@ -16,6 +17,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.stats
 from scipy.special import digamma, gammaln, logsumexp
 
@@ -597,6 +599,19 @@ def blr_elbo(state, data, config):
     if not config.fix_relevance:
         value += float(blr_gamma_terms(state.c, state.d, config.c0, config.d0).sum())
     return float(value)
+
+
+def blr_cholesky_solves(v_inv, xty, x):
+    """The regression model's four solves through scipy, from the lower
+    Cholesky factor ``L`` of ``V*^-1``: ``diag(V*)`` by triangular solve
+    against the identity, ``V* X^T y`` by ``cho_solve``, and the per-row
+    ``x_i^T V* x_i`` (the ELBO's trace term and the predictive variance)
+    as ``|L^-1 x_i|^2`` by triangular solve."""
+    lower = np.linalg.cholesky(v_inv)
+    w = scipy.linalg.solve_triangular(lower, np.eye(lower.shape[0]), lower=True)
+    beta = scipy.linalg.cho_solve((lower, True), xty)
+    u = scipy.linalg.solve_triangular(lower, x.T, lower=True)
+    return (w * w).sum(axis=0), beta, (u * u).sum(axis=0)
 
 
 def lda_elbo(state, corpus, config):

@@ -33,7 +33,11 @@ from meanfield.engine import (
 )
 from meanfield.errors import ConfigError, DomainError
 
-from _oracles import bayes_linreg_log_marginal, bayes_linreg_posterior
+from _oracles import (
+    bayes_linreg_log_marginal,
+    bayes_linreg_posterior,
+    blr_cholesky_solves,
+)
 
 
 def make_regression(n, d, seed, relevant=None, noise=0.3):
@@ -142,6 +146,32 @@ class TestFixedRelevanceExactness:
         assert blr_elbo(state, data, config) == pytest.approx(0.0, abs=1e-12)
         state = model.sweep(state, data)
         assert blr_elbo(state, data, config) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestCholeskySolves:
+    """The numpy solves on ``L^-1`` against scipy's triangular and
+    Cholesky solves, at states whose relevances span up to ten decades."""
+
+    @pytest.mark.parametrize("seed,spread", [(0, 0.0), (1, 4.0), (2, 10.0)])
+    def test_match_scipy_oracle(self, seed, spread):
+        rng = np.random.default_rng(seed)
+        dim = 6
+        x, y, _ = make_regression(n=40, d=dim, seed=seed)
+        config = BlrArdConfig()
+        d = 10.0 ** rng.uniform(-spread / 2, spread / 2, dim)
+        state = BlrArdState(np.zeros(dim), np.eye(dim), 2.0, 3.0, 1.5, d)
+        state = update_coeff_precision(state, stack(x, y), config)
+        v_diag, beta, quad = blr_cholesky_solves(state.v_inv, x.T @ y, x)
+
+        exp = blr_expectations(state, config)
+        assert_allclose(exp["v_diag"], v_diag, rtol=1e-10)
+        assert_allclose(state.beta, beta, rtol=1e-10)
+        half = exp["chol_inv"] @ x.T
+        assert_allclose((half * half).sum(axis=0), quad, rtol=1e-10)
+        var = (state.b / state.a) * (1.0 + quad)
+        want = -0.5 * (math.log(2.0 * math.pi) + np.log(var)
+                       + (y - x @ state.beta) ** 2 / var)
+        assert_allclose(blr_log_predictive(state, stack(x, y)), want, rtol=1e-10)
 
 
 class TestRelevanceUpdates:

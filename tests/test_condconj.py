@@ -558,3 +558,24 @@ class TestLocalProbsChecks:
             GlobalLocalState(lam, np.array([[0.7], [1.0]]))
         with pytest.raises(DomainError):
             GlobalLocalState(lam, np.array([1.0, 1.0]))
+
+    def test_read_only_rows_are_kept_and_writeable_ones_copied(self):
+        spec = conjugate_spec(k=2, sigma2=1.0)
+        x = np.array([[-1.0], [0.5], [2.0]])
+        probs = local_probs(spec, prior_param(spec), x)
+        assert not probs.flags.writeable
+        m, s2 = np.zeros((2, 1)), np.ones((2, 1))
+        assert UniGmmState(m, s2, probs).phi is probs
+        assert GlobalLocalState(prior_param(spec), probs).phis is probs
+        assert_array_equal(global_step(spec, probs, x).stat,
+                           global_step(spec, probs.copy(), x).stat)
+        rows = probs.copy()
+        state = UniGmmState(m, s2, rows)
+        rows[:] = [1.0, 0.0]
+        assert_array_equal(state.phi, probs)
+        # a read-only view of writeable memory is copied too
+        view = np.array(probs)[:]
+        view.setflags(write=False)
+        assert UniGmmState(m, s2, view).phi is not view
+        with pytest.raises(DomainError):
+            UniGmmState(m, s2, np.full((3, 2), 0.7))

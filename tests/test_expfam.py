@@ -22,6 +22,7 @@ from meanfield.expfam import (
     gaussian_kl,
     gaussian_log_pdf,
     gaussian_moments,
+    log_gamma,
     log_sum_exp,
     normal_gamma_kl,
 )
@@ -133,6 +134,35 @@ class TestDigamma:
         ref = digamma_series(xs)
         tol = np.maximum(1e-10, 4.0 * np.spacing(np.abs(ref)))
         assert np.all(np.abs(digamma(xs) - ref) <= tol)
+
+
+class TestLogGamma:
+    def test_agrees_with_scipy_on_grid(self):
+        xs = np.geomspace(1e-6, 1e6, 5001)
+        ref = scipy.special.gammaln(xs)
+        tol = np.maximum(1e-12, 4.0 * np.spacing(np.abs(ref)))
+        assert np.all(np.abs(log_gamma(xs) - ref) <= tol)
+
+    @pytest.mark.parametrize("x,want", [
+        (1.0, 0.0), (2.0, 0.0), (0.5, 0.5 * math.log(math.pi)),
+    ])
+    def test_exact_points(self, x, want):
+        assert abs(log_gamma(x) - want) <= 1e-14
+
+    @given(st.floats(1e-5, 1e4))
+    def test_recurrence(self, x):
+        # lnGamma(x + 1) = lnGamma(x) + ln x
+        lhs = log_gamma(x + 1.0)
+        rhs = log_gamma(x) + math.log(x)
+        assert lhs == pytest.approx(rhs, abs=max(1e-10, 1e-12 * abs(rhs)))
+
+    def test_vectorized_matches_scalar(self):
+        xs = np.array([[0.25, 1.0], [3.5, 80.0]])
+        out = log_gamma(xs)
+        assert out.shape == xs.shape
+        assert isinstance(log_gamma(3.5), float)
+        for x, got in zip(xs.ravel(), out.ravel()):
+            assert got == log_gamma(float(x))
 
 
 class TestMoments:

@@ -1,9 +1,8 @@
-"""Which commands load scipy, checked in fresh processes.
+"""No command loads scipy, checked in fresh processes.
 
-scipy is bound on first use (``expfam.digamma``/``log_gamma``, the
-``blr_ard`` solves), so importing the CLI and every unit-variance mixture
-command run without it, while the models that need it still load it and
-run.  Each case starts its own interpreter because pytest itself has
+The package's special functions and linear algebra are numpy only, so
+importing the CLI and running any model's ``fit`` or ``eval`` leaves scipy
+unloaded.  Each case starts its own interpreter because pytest itself has
 imported scipy by the time a test runs.
 """
 
@@ -77,14 +76,24 @@ def test_gmm_commands_leave_scipy_unloaded(inputs, case):
     assert not scipy_loaded
 
 
-@pytest.mark.parametrize("model,data", [
-    ("gmm-diag", "mix.csv"), ("blr-ard", "reg.csv"), ("lda", "corpus.txt"),
-])
-def test_models_that_need_scipy_load_it_on_first_use(inputs, model, data):
+def test_digamma_models_leave_scipy_unloaded(inputs):
     d = inputs
-    codes, scipy_loaded = run_commands(
-        ["fit", "--model", model, "--k", "2", "--seed", "0", "--max-iters", "5",
-         "--data", d / data, "--out", d / "o"]
-    )
-    assert codes == [0]
-    assert scipy_loaded
+
+    def fit(model, data, out, *extra):
+        return ["fit", "--model", model, "--k", "2", "--seed", "0",
+                "--max-iters", "5", "--data", d / data, "--out", d / out, *extra]
+
+    commands = [
+        fit("gmm-diag", "mix.csv", "diag"),
+        fit("blr-ard", "reg.csv", "blr"),
+        fit("lda", "corpus.txt", "lda"),
+        fit("lda", "corpus.txt", "lda-svi", "--algorithm", "svi", "--kappa", "0.7",
+            "--batch", "2"),
+        ["eval", "--fit", d / "blr" / "fit_0.json", "--data", d / "reg.csv",
+         "--out", d / "ev-blr"],
+        ["eval", "--fit", d / "lda" / "fit_0.json", "--data", d / "corpus.txt",
+         "--out", d / "ev-lda"],
+    ]
+    codes, scipy_loaded = run_commands(*commands)
+    assert codes == [0] * len(commands)
+    assert not scipy_loaded
