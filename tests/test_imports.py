@@ -76,24 +76,26 @@ def test_gmm_commands_leave_scipy_unloaded(inputs, case):
     assert not scipy_loaded
 
 
-def test_digamma_models_leave_scipy_unloaded(inputs):
+@pytest.mark.parametrize("model,data", [
+    ("gmm-diag", "mix.csv"), ("blr-ard", "reg.csv"), ("lda", "corpus.txt"),
+])
+def test_digamma_models_leave_scipy_unloaded(inputs, model, data):
     d = inputs
 
-    def fit(model, data, out, *extra):
+    def fit(out, *extra):
         return ["fit", "--model", model, "--k", "2", "--seed", "0",
                 "--max-iters", "5", "--data", d / data, "--out", d / out, *extra]
 
-    commands = [
-        fit("gmm-diag", "mix.csv", "diag"),
-        fit("blr-ard", "reg.csv", "blr"),
-        fit("lda", "corpus.txt", "lda"),
-        fit("lda", "corpus.txt", "lda-svi", "--algorithm", "svi", "--kappa", "0.7",
-            "--batch", "2"),
-        ["eval", "--fit", d / "blr" / "fit_0.json", "--data", d / "reg.csv",
-         "--out", d / "ev-blr"],
-        ["eval", "--fit", d / "lda" / "fit_0.json", "--data", d / "corpus.txt",
-         "--out", d / "ev-lda"],
-    ]
+    def evaluate(out):
+        return ["eval", "--fit", d / out / "fit_0.json", "--data", d / data,
+                "--out", d / ("ev-" + out)]
+
+    commands = {
+        "gmm-diag": [fit("o")],
+        "blr-ard": [fit("o"), evaluate("o")],
+        "lda": [fit("o"), fit("svi", "--algorithm", "svi", "--kappa", "0.7", "--batch", "2"),
+                evaluate("o")],
+    }[model]
     codes, scipy_loaded = run_commands(*commands)
     assert codes == [0] * len(commands)
     assert not scipy_loaded
