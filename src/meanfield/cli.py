@@ -591,7 +591,7 @@ def _rebuild(doc, fit_dir):
             eta=float(_numeric(meta, "eta", 0, default=0.1)),
             alpha=_numeric(meta, "alpha", default=0.1),
         )
-        state = LdaState(lam, np.zeros((0, lam.shape[0])), ())
+        state = LdaState(lam, np.zeros((0, lam.shape[0])), np.zeros((0, lam.shape[0])))
         return Lda(config), state
     raise DataFormatError(f"fit document has unknown model {model_name!r}")
 

@@ -159,8 +159,7 @@ class VariationalModel(abc.ABC):
     @abc.abstractmethod
     def log_predictive(self, state, data):
         """Log predictive density of each observation in ``data``, as an
-        ``(n,)`` array (``Lda``: of one document; it batches held-out sets
-        in its own ``heldout_log_predictive``)."""
+        ``(n,)`` array; an observation is a row, or a document of a corpus."""
 
     @abc.abstractmethod
     def export_state(self, state):

@@ -13,9 +13,11 @@ Dirichlet ``gamma_d`` per document, and a categorical ``phi`` row per
 share their assignment factor, weighted by the term count; this is
 equivalent to per-token factors because tokens are exchangeable.
 
-The local step (:func:`e_step`) runs all documents of a corpus or minibatch
-at once over its CSR layout, in the exp-space form of Hoffman, Blei & Bach
-(2010): with ``t_d = exp E[log theta_d]`` and ``b_w = exp E[log beta_w]``,
+A :class:`Corpus` is one CSR layout (``indptr``, ``ids``, ``cts``) with an
+entry per such pair, and :class:`LdaState` keeps ``phi`` as one (entries, K)
+array in the same order.  The local step (:func:`e_step`) runs all
+documents of a corpus or minibatch at once over that layout, in the
+exp-space form of Hoffman, Blei & Bach (2010): with ``t_d = exp E[log theta_d]`` and ``b_w = exp E[log beta_w]``,
 ``gamma_d = alpha + t_d * sum_w (c_dw / t_d . b_w) b_w``, and ``phi`` is
 formed only at the end, where a caller needs it.  One coordinate sweep runs
 that step at the current topics, then refreshes every ``lambda_k`` from the
@@ -52,8 +54,6 @@ __all__ = [
     "read_uci",
     "write_uci",
     "simulate_corpus",
-    "update_phi",
-    "update_gamma",
     "update_lambda",
     "e_step",
     "lda_cavi_fit",
@@ -80,63 +80,61 @@ def _frozen(a, dtype=float):
 
 @dataclass(frozen=True)
 class Corpus:
-    """Bag-of-words corpus: per document, distinct term ids and counts.
+    """Bag-of-words corpus in CSR form, one entry per (document, distinct
+    term) pair.
 
-    ``docs`` is a tuple of ``(terms, counts)`` pairs where ``terms`` holds
-    sorted distinct 0-based term ids and ``counts`` the positive
-    multiplicity of each.  ``v`` is the vocabulary size.
-
-    Construction lays the corpus out once in CSR form, one entry per
-    (document, distinct term) pair: document ``d`` owns entries
-    ``indptr[d]:indptr[d + 1]`` of ``ids`` (term ids) and ``cts`` (counts),
-    and ``docs`` holds read-only views of them.  The E-step, the ELBO and
-    the topic statistics run over these flat arrays.
+    Document ``d`` owns entries ``indptr[d]:indptr[d + 1]`` of ``ids``
+    (0-based term ids, distinct within a document) and ``cts`` (the
+    positive multiplicity of each); ``v`` is the vocabulary size.  The
+    E-step, the ELBO and the topic statistics run over these flat arrays.
     """
 
-    docs: tuple
+    indptr: np.ndarray
+    ids: np.ndarray
+    cts: np.ndarray
     v: int
 
     def __post_init__(self):
         if int(self.v) != self.v or self.v < 1:
             raise DomainError("vocabulary size must be a positive integer")
         object.__setattr__(self, "v", int(self.v))
-        lens = [np.size(terms) for terms, _ in self.docs]
-        if any(np.ndim(t) != 1 or np.shape(c) != np.shape(t) for t, c in self.docs):
+        for name, dtype in (("indptr", int), ("ids", int), ("cts", float)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        indptr, ids, cts = self.indptr, self.ids, self.cts
+        if ids.ndim != 1 or cts.shape != ids.shape:
             raise DomainError("each document needs matching term/count vectors")
-        ids = _frozen(np.concatenate([[], *(t for t, _ in self.docs)]), int)
-        cts = _frozen(np.concatenate([[], *(c for _, c in self.docs)]))
+        if indptr.ndim != 1 or indptr[:1].tolist() != [0] or indptr[-1] != ids.size:
+            raise DomainError("indptr must run from 0 to the number of entries")
+        if np.any(np.diff(indptr) < 0):
+            raise DomainError("indptr must never decrease")
         if ids.size and (ids.min() < 0 or ids.max() >= self.v):
             raise DomainError("term ids must lie in [0, vocabulary size)")
-        rows = np.repeat(np.arange(len(lens)), lens)
-        if np.unique(rows * self.v + ids).size != ids.size:
+        if np.unique(_entry_docs(indptr) * self.v + ids).size != ids.size:
             raise DomainError("term ids must be distinct within a document")
         if not np.all((cts >= 1.0) & (cts < np.inf)):
             raise DomainError("term counts must be finite and >= 1")
-        object.__setattr__(self, "indptr", _frozen(np.cumsum([0, *lens]), int))
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "cts", cts)
-        object.__setattr__(self, "docs", tuple(zip(self.split(ids), self.split(cts))))
-
-    @property
-    def d(self):
-        return len(self.docs)
 
     def __len__(self):
-        return len(self.docs)
+        return self.indptr.size - 1
 
     @property
     def total_tokens(self):
         return float(self.cts.sum())
 
     def doc_lengths(self):
-        return np.array([counts.sum() for _, counts in self.docs])
+        return np.bincount(_entry_docs(self.indptr), self.cts, len(self))
 
     def subset(self, indices):
-        return Corpus(tuple(self.docs[int(i)] for i in indices), self.v)
+        docs = np.asarray(indices, dtype=int)
+        starts, lens = self.indptr[docs], np.diff(self.indptr)[docs]
+        indptr = np.concatenate([[0], np.cumsum(lens)])
+        take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lens)
+        return Corpus(indptr, self.ids[take], self.cts[take], self.v)
 
-    def split(self, rows):
-        """Per-document views of an array with one row per CSR entry."""
-        return tuple(rows[a:b] for a, b in zip(self.indptr[:-1], self.indptr[1:]))
+
+def _entry_docs(indptr):
+    """The document of each CSR entry."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 # Corpus stores counts as float64, which represents every integer up to
@@ -192,7 +190,7 @@ def read_uci(path):
             )
 
         num_docs, vocab, nnz = header
-        cells = [dict() for _ in range(num_docs)]
+        cells = {}
         found = 0
         for lineno, line in lines:
             tokens = line.split()
@@ -214,30 +212,29 @@ def read_uci(path):
                 raise DataFormatError(f"term id {term} outside 1..{vocab}", line=lineno)
             if count < 1:
                 raise DataFormatError("count must be >= 1", line=lineno)
-            cell = cells[doc - 1]
-            total = cell.get(term - 1, 0) + count
+            key = (doc - 1, term - 1)
+            total = cells.get(key, 0) + count
             if total > MAX_COUNT:
                 raise DataFormatError(
                     "count exceeds 2**53, the largest exact float count", line=lineno
                 )
-            cell[term - 1] = total
+            cells[key] = total
 
     if found < nnz:
         raise DataFormatError(f"expected {nnz} triples, found {found}", line=lineno + 1)
 
-    docs = []
-    for cell in cells:
-        terms = np.array(sorted(cell), dtype=int)
-        counts = np.array([cell[t] for t in sorted(cell)], dtype=float)
-        docs.append((terms, counts))
-    return Corpus(tuple(docs), vocab)
+    keys = sorted(cells)
+    docs, terms = np.array(keys, dtype=int).reshape(-1, 2).T
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(docs, minlength=num_docs))])
+    cts = np.array([cells[key] for key in keys], dtype=float)
+    return Corpus(indptr, terms, cts, vocab)
 
 
 def write_uci(corpus, path):
     """Write a :class:`Corpus` as UCI bag-of-words text (integer counts)."""
     if np.any(corpus.cts != np.floor(corpus.cts)):
         raise DomainError("file format stores integer counts only")
-    docs = np.repeat(np.arange(1, len(corpus) + 1), np.diff(corpus.indptr))
+    docs = _entry_docs(corpus.indptr) + 1
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{len(corpus)}\n{corpus.v}\n{corpus.ids.size}\n")
         handle.writelines(
@@ -276,16 +273,17 @@ def simulate_corpus(
         topics = rng.dirichlet(np.full(vocab_size, eta), size=k)
     proportions = rng.dirichlet(np.full(k, alpha), size=num_docs)
 
-    docs = []
+    terms, counts = [], []
     for d in range(num_docs):
         per_topic = rng.multinomial(doc_length, proportions[d])
         word_counts = np.zeros(vocab_size, dtype=int)
         for j in range(k):
             if per_topic[j]:
                 word_counts += rng.multinomial(per_topic[j], topics[j])
-        terms = np.flatnonzero(word_counts)
-        docs.append((terms, word_counts[terms].astype(float)))
-    corpus = Corpus(tuple(docs), vocab_size)
+        terms.append(np.flatnonzero(word_counts))
+        counts.append(word_counts[terms[-1]])
+    indptr = np.cumsum([0, *(t.size for t in terms)])
+    corpus = Corpus(indptr, np.concatenate(terms), np.concatenate(counts), vocab_size)
     truth = {"topics": topics, "doc_topic": proportions}
     return corpus, truth
 
@@ -322,8 +320,8 @@ class LdaConfig:
 @dataclass(frozen=True)
 class LdaState:
     """Variational parameters: topics ``lam`` (K, V), proportions
-    ``gamma`` (D, K), and one assignment matrix per document in ``phi``
-    (rows are distinct terms in corpus order).
+    ``gamma`` (D, K), and the assignment rows ``phi`` (entries, K), one per
+    CSR entry of the corpus the state belongs to, in corpus order.
 
     ``estep_updates`` is each document's update count in the E-step that
     produced ``gamma`` (``None`` for a state no E-step produced); it is a
@@ -332,34 +330,32 @@ class LdaState:
 
     lam: np.ndarray
     gamma: np.ndarray
-    phi: tuple
+    phi: np.ndarray
     estep_updates: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _frozen(self.lam))
-        object.__setattr__(self, "gamma", _frozen(self.gamma))
-        object.__setattr__(self, "phi", tuple(_frozen(p) for p in self.phi))
+        for name in ("lam", "gamma", "phi"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if self.lam.ndim != 2 or self.gamma.ndim != 2:
             raise DomainError("lam and gamma must be matrices")
         k = self.lam.shape[0]
-        if self.gamma.shape != (len(self.phi), k):
-            raise DomainError("gamma must have one row per document")
+        if self.gamma.shape[1] != k:
+            raise DomainError("gamma must have one column per topic")
         if np.any(self.lam <= 0.0) or np.any(self.gamma <= 0.0):
             raise DomainError("Dirichlet parameters must be > 0")
-        for p in self.phi:
-            if p.ndim != 2 or p.shape[1] != k:
-                raise DomainError("phi rows must have one column per topic")
-        flat = _stacked_phi(self.phi, k)
-        if flat.size and (
-            np.any(flat < 0.0)
-            or not np.allclose(flat.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+        if self.phi.ndim != 2 or self.phi.shape[1] != k:
+            raise DomainError("phi rows must have one column per topic")
+        if np.any(self.phi < 0.0) or not np.allclose(
+            self.phi.sum(axis=1), 1.0, rtol=0.0, atol=1e-9
         ):
             raise DomainError("phi rows must be probability vectors")
 
 
-def _stacked_phi(phis, k):
-    """Per-document assignment matrices as one (entries, K) array."""
-    return np.concatenate(phis) if phis else np.zeros((0, k))
+def _check_matches(state, corpus):
+    """Raise unless ``state`` has one ``phi`` row per CSR entry and one
+    ``gamma`` row per document of ``corpus``."""
+    if state.phi.shape[0] != corpus.ids.size or state.gamma.shape[0] != len(corpus):
+        raise DomainError("state does not match the corpus entries and documents")
 
 
 def _term_stats(corpus, phi):
@@ -452,31 +448,11 @@ def _fold_in(corpus, lam, config, want_phi=True):
     )
 
 
-def update_phi(state, d, corpus, config):
-    """Assignment rows for document ``d`` at the current gamma and lam.
-
-    Row ``t`` for term ``w`` is proportional to
-    ``exp(psi(gamma_dk) + psi(lam_kw) - psi(sum_v lam_kv))`` over topics.
-    """
-    del config
-    terms, _ = corpus.docs[d]
-    elog_beta = _dirichlet_expected_log_rows(state.lam)
-    log_theta = _shifted(digamma(state.gamma[d : d + 1]))
-    beta = np.exp(_shifted(elog_beta[:, terms].T))
-    return _phi_rows(np.repeat(log_theta, terms.size, axis=0), beta, elog_beta, terms)
-
-
-def update_gamma(state, d, corpus, config):
-    """Proportion parameters for document ``d`` from its current phi:
-    ``gamma_d = alpha + sum over distinct terms of count * phi row``."""
-    _, counts = corpus.docs[d]
-    return config.alpha + state.phi[d].T @ counts
-
-
 def update_lambda(state, corpus, config):
     """Topic parameters from all assignment rows:
     ``lam_kv = eta + sum_d count_{dv} phi_{dv}^k``."""
-    return config.eta + _term_stats(corpus, _stacked_phi(state.phi, config.k))
+    _check_matches(state, corpus)
+    return config.eta + _term_stats(corpus, state.phi)
 
 
 def lda_elbo(state, corpus, config):
@@ -486,15 +462,15 @@ def lda_elbo(state, corpus, config):
     sum over the CSR entries; the theta and beta blocks enter as exact
     Dirichlet KL divergences to their priors, from the same ``E[log]``.
     """
+    _check_matches(state, corpus)
     elog_beta = _dirichlet_expected_log_rows(state.lam)
     elog_theta = _dirichlet_expected_log_rows(state.gamma)
-    phi = _stacked_phi(state.phi, config.k)
     scores = (
         np.repeat(elog_theta, np.diff(corpus.indptr), axis=0)
         + elog_beta[:, corpus.ids].T
     )
-    total = float((corpus.cts[:, None] * phi * scores).sum())
-    total += float(corpus.cts @ categorical_entropy(phi))
+    total = float((corpus.cts[:, None] * state.phi * scores).sum())
+    total += float(corpus.cts @ categorical_entropy(state.phi))
     total -= float(_dirichlet_kl(state.gamma, config.alpha, elog_theta).sum())
     eta = np.full(corpus.v, config.eta)
     total -= float(_dirichlet_kl(state.lam, eta, elog_beta).sum())
@@ -522,7 +498,7 @@ class Lda(VariationalModel):
         k, v = self.config.k, data.v
         scale = 0.01 * data.total_tokens / (k * v)
         lam = self.config.eta + scale * rng.uniform(size=(k, v))
-        phi = data.split(np.full((data.ids.size, k), 1.0 / k))
+        phi = np.full((data.ids.size, k), 1.0 / k)
         return LdaState(lam, _fresh_gamma(data, self.config), phi)
 
     def sweep(self, state, data):
@@ -530,14 +506,15 @@ class Lda(VariationalModel):
         elog_beta = _dirichlet_expected_log_rows(state.lam)
         gamma, phi, updates = e_step(data, elog_beta, state.gamma, config.alpha)
         lam = config.eta + _term_stats(data, phi)
-        return LdaState(lam, gamma, data.split(phi), updates)
+        return LdaState(lam, gamma, phi, updates)
 
     def elbo(self, state, data):
         return lda_elbo(state, data, self.config)
 
-    def _log_predictive_total(self, state, corpus):
-        """Fold every document in against frozen topics, then score each
-        token under the mean topic mixture ``sum_k E[theta_k] E[beta_kv]``."""
+    def _entry_log_probs(self, state, corpus):
+        """Log probability of each CSR entry's term under the mean topic
+        mixture ``sum_k E[theta_k] E[beta_kv]``, every document folded in
+        against frozen topics."""
         gamma, _, _ = _fold_in(corpus, state.lam, self.config, want_phi=False)
         theta = gamma / gamma.sum(axis=1, keepdims=True)
         beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
@@ -545,11 +522,12 @@ class Lda(VariationalModel):
             np.repeat(theta, np.diff(corpus.indptr), axis=0)
             * beta_mean[:, corpus.ids].T
         ).sum(axis=1)
-        return float(corpus.cts @ np.log(token_probs))
+        return np.log(token_probs)
 
-    def log_predictive(self, state, point):
-        """Total log predictive of one held-out document ``(terms, counts)``."""
-        return self._log_predictive_total(state, Corpus((point,), state.lam.shape[1]))
+    def log_predictive(self, state, data):
+        """Total log predictive of each held-out document, as a (D,) array."""
+        weighted = data.cts * self._entry_log_probs(state, data)
+        return np.bincount(_entry_docs(data.indptr), weighted, len(data))
 
     def heldout_log_predictive(self, state, heldout):
         """Per-word average over the held-out documents (token-weighted)."""
@@ -558,7 +536,7 @@ class Lda(VariationalModel):
         tokens = heldout.total_tokens
         if tokens == 0.0:
             raise DomainError("held-out documents contain no tokens")
-        return self._log_predictive_total(state, heldout) / tokens
+        return float(heldout.cts @ self._entry_log_probs(state, heldout)) / tokens
 
     def export_state(self, state):
         factors = []
@@ -569,10 +547,9 @@ class Lda(VariationalModel):
         for d in range(state.gamma.shape[0]):
             factors.append(ExpFamParam.dirichlet(state.gamma[d]))
             labels.append(f"theta[{d}]")
-        for d, phi in enumerate(state.phi):
-            for t in range(phi.shape[0]):
-                factors.append(ExpFamParam.categorical(phi[t]))
-                labels.append(f"z[{d},{t}]")
+        for i in range(state.phi.shape[0]):
+            factors.append(ExpFamParam.categorical(state.phi[i]))
+            labels.append(f"z[{i}]")
         return MeanFieldState(tuple(factors), tuple(labels))
 
     def metadata(self):
@@ -650,7 +627,7 @@ def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
 
     def score(lam):
         gamma, phi, updates = _fold_in(corpus, lam, config)
-        snapshot = LdaState(lam, gamma, corpus.split(phi), updates)
+        snapshot = LdaState(lam, gamma, phi, updates)
         return lda_elbo(snapshot, corpus, config), snapshot
 
     report = _stochastic_fit(n, batch_size, schedule, fit_config, start, target, score)

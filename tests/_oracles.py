@@ -5,12 +5,14 @@ never takes -- exhaustive enumeration over assignment configurations,
 direct covariance-matrix marginal likelihoods through scipy, textbook
 conjugate posterior formulas, the digamma asymptotic series, scipy's
 triangular and Cholesky solves for the regression model, the
-one-document-at-a-time log-space LDA local step, the
+one-document-at-a-time log-space LDA local step, a bag-of-words file's
+CSR arrays assembled through one dict per document, the
 one-observation-at-a-time global-local (conditionally conjugate) mixture
 steps, the mixture's dedicated component update and per-coordinate
 responsibilities, and model ELBOs with their prior, KL and entropy terms written out
 by hand -- so agreement with the package is evidence of correctness rather
-than of shared code.
+than of shared code.  The exceptions are ``corpus_of``, a constructor, and
+the LDA single-document updates, which the tests compose by hand.
 """
 
 import itertools
@@ -20,6 +22,10 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 from scipy.special import digamma, gammaln, logsumexp
+
+from meanfield.expfam import _dirichlet_expected_log_rows
+from meanfield.expfam import digamma as np_digamma
+from meanfield.lda import Corpus, _phi_rows, _shifted
 
 
 def k1_gaussian_posterior(data, sigma2):
@@ -266,20 +272,77 @@ def doc_inner(gamma_d, elog_beta_doc, counts, alpha, tol, max_iters):
 
 
 def lda_local_steps(corpus, elog_beta, gamma, alpha, tol, max_iters):
-    """The per-document loop over a whole corpus.
+    """The per-document loop over a whole corpus, walking its ``indptr``.
 
     Returns ``(gamma (D, K), phi tuple, iterations (D,))``.
     """
+    bounds = zip(corpus.indptr[:-1], corpus.indptr[1:])
     out = [
-        doc_inner(np.asarray(gamma[d], dtype=float), elog_beta[:, terms],
-                  counts, alpha, tol, max_iters)
-        for d, (terms, counts) in enumerate(corpus.docs)
+        doc_inner(np.asarray(gamma[d], dtype=float), elog_beta[:, corpus.ids[a:b]],
+                  corpus.cts[a:b], alpha, tol, max_iters)
+        for d, (a, b) in enumerate(bounds)
     ]
     return (
         np.array([g for g, _, _ in out]).reshape(len(out), -1),
         tuple(p for _, p, _ in out),
         np.array([i for _, _, i in out]),
     )
+
+
+# ---------------------------------------------------------------------------
+# LDA corpora and single-document steps, one document at a time
+# ---------------------------------------------------------------------------
+
+
+def corpus_of(docs, v):
+    """A :class:`Corpus` from one ``(terms, counts)`` pair per document,
+    laid end to end; the corpus checks the arrays."""
+    lens = [np.size(terms) for terms, _ in docs]
+    ids = np.concatenate([[], *(terms for terms, _ in docs)])
+    cts = np.concatenate([[], *(counts for _, counts in docs)])
+    return Corpus(np.cumsum([0, *lens]), ids, cts, v)
+
+
+def uci_csr(num_docs, triples):
+    """CSR arrays ``(indptr, ids, cts)`` of 1-based ``(doc, term, count)``
+    triples, assembled as the first file reader did: one dict per declared
+    document, duplicates summed, each document's terms sorted."""
+    cells = [dict() for _ in range(num_docs)]
+    for doc, term, count in triples:
+        cell = cells[doc - 1]
+        cell[term - 1] = cell.get(term - 1, 0) + count
+    terms = [sorted(cell) for cell in cells]
+    counts = [cell[t] for cell, ts in zip(cells, terms) for t in ts]
+    return (
+        np.cumsum([0, *map(len, terms)]),
+        np.array([t for ts in terms for t in ts], dtype=int),
+        np.array(counts, dtype=float),
+    )
+
+
+# The two single-document updates below are the package's own, kept for
+# tests that compose them by hand: ``lda_update_phi`` forms its rows with
+# the package's exp-space kernel and its log-space fallback.
+
+
+def lda_update_phi(state, d, corpus):
+    """Assignment rows for document ``d`` at the current gamma and lam.
+
+    Row ``t`` for term ``w`` is proportional to
+    ``exp(psi(gamma_dk) + psi(lam_kw) - psi(sum_v lam_kv))`` over topics.
+    """
+    terms = corpus.ids[corpus.indptr[d] : corpus.indptr[d + 1]]
+    elog_beta = _dirichlet_expected_log_rows(state.lam)
+    log_theta = _shifted(np_digamma(state.gamma[d : d + 1]))
+    beta = np.exp(_shifted(elog_beta[:, terms].T))
+    return _phi_rows(np.repeat(log_theta, terms.size, axis=0), beta, elog_beta, terms)
+
+
+def lda_update_gamma(state, d, corpus, config):
+    """Proportion parameters for document ``d`` from its current phi:
+    ``gamma_d = alpha + sum over distinct terms of count * phi row``."""
+    a, b = corpus.indptr[d], corpus.indptr[d + 1]
+    return config.alpha + state.phi[a:b].T @ corpus.cts[a:b]
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +679,9 @@ def blr_cholesky_solves(v_inv, xty, x):
 
 def lda_elbo(state, corpus, config):
     """LDA ELBO over the CSR entries with row-wise Dirichlet KLs inline."""
-    k = state.lam.shape[0]
     elog_beta = digamma(state.lam) - digamma(state.lam.sum(axis=1))[:, None]
     elog_theta = digamma(state.gamma) - digamma(state.gamma.sum(axis=1))[:, None]
-    phi = np.concatenate(state.phi) if state.phi else np.zeros((0, k))
+    phi = state.phi
     scores = (
         np.repeat(elog_theta, np.diff(corpus.indptr), axis=0)
         + elog_beta[:, corpus.ids].T

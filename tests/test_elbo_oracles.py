@@ -15,7 +15,7 @@ from meanfield.gmm import (
     diag_gmm_elbo,
     gmm_elbo,
 )
-from meanfield.lda import Corpus, LdaConfig, LdaState, lda_elbo
+from meanfield.lda import LdaConfig, LdaState, lda_elbo
 
 RTOL = 1e-12
 
@@ -92,14 +92,14 @@ def test_lda_elbo_matches_oracle(k):
     for length in (5, 0, 8, 3):  # the second document is empty
         terms = np.sort(rng.choice(v, size=length, replace=False))
         docs.append((terms, rng.integers(1, 6, size=length).astype(float)))
-    corpus = Corpus(tuple(docs), v)
+    corpus = _oracles.corpus_of(docs, v)
     phi = _rows(rng, corpus.ids.size, k)
     if k > 1:
         assert np.any(phi == 0.0)
     state = LdaState(
         lam=rng.uniform(0.2, 5.0, size=(k, v)),
         gamma=rng.uniform(0.2, 5.0, size=(len(docs), k)),
-        phi=corpus.split(phi),
+        phi=phi,
     )
     config = LdaConfig(k, eta=0.3, alpha=rng.uniform(0.1, 1.0, size=k))
     _close(lda_elbo(state, corpus, config), _oracles.lda_elbo(state, corpus, config))

@@ -9,10 +9,17 @@ disjoint-vocabulary topics.
 """
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanfield.lda as lda_module
@@ -32,13 +39,18 @@ from meanfield.lda import (
     lda_svi_fit,
     read_uci,
     simulate_corpus,
-    update_gamma,
     update_lambda,
-    update_phi,
     write_uci,
 )
 
-from _oracles import doc_phi, lda_local_steps
+from _oracles import (
+    corpus_of,
+    doc_phi,
+    lda_local_steps,
+    lda_update_gamma,
+    lda_update_phi,
+    uci_csr,
+)
 
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + exp(-1))
 
@@ -49,7 +61,12 @@ def tiny_corpus():
         (np.array([1]), np.array([3.0])),
         (np.array([0, 1, 3]), np.array([1.0, 1.0, 1.0])),
     )
-    return Corpus(docs, 4)
+    return corpus_of(docs, 4)
+
+
+def doc_rows(corpus, d):
+    """The CSR entries of document ``d``, as a slice."""
+    return slice(corpus.indptr[d], corpus.indptr[d + 1])
 
 
 def fit_state(corpus, config, seed=0, max_iters=200, tol=1e-12):
@@ -61,7 +78,7 @@ class TestCorpus:
     def test_basic_properties(self):
         c = tiny_corpus()
         assert len(c) == 3
-        assert c.d == 3
+        assert_array_equal(c.indptr, [0, 2, 3, 6])
         assert c.v == 4
         assert c.total_tokens == 9.0
         assert_allclose(c.doc_lengths(), [3.0, 3.0, 3.0])
@@ -70,30 +87,42 @@ class TestCorpus:
         c = tiny_corpus()
         s = c.subset([2, 0])
         assert len(s) == 2
-        assert_allclose(s.docs[0][0], [0, 1, 3])
+        assert_array_equal(s.indptr, [0, 3, 5])
+        assert_array_equal(s.ids, [0, 1, 3, 0, 2])
+        assert_array_equal(s.cts, [1.0, 1.0, 1.0, 2.0, 1.0])
         assert s.v == 4
 
     def test_rejects_out_of_range_terms(self):
         with pytest.raises(DomainError):
-            Corpus(((np.array([4]), np.array([1.0])),), 4)
+            corpus_of(((np.array([4]), np.array([1.0])),), 4)
         with pytest.raises(DomainError):
-            Corpus(((np.array([-1]), np.array([1.0])),), 4)
+            corpus_of(((np.array([-1]), np.array([1.0])),), 4)
 
     def test_rejects_duplicate_terms(self):
         with pytest.raises(DomainError):
-            Corpus(((np.array([1, 1]), np.array([1.0, 1.0])),), 4)
+            corpus_of(((np.array([1, 1]), np.array([1.0, 1.0])),), 4)
 
     def test_rejects_small_counts(self):
         with pytest.raises(DomainError):
-            Corpus(((np.array([1]), np.array([0.5])),), 4)
+            corpus_of(((np.array([1]), np.array([0.5])),), 4)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(DomainError):
-            Corpus(((np.array([1, 2]), np.array([1.0])),), 4)
+            corpus_of(((np.array([1, 2]), np.array([1.0])),), 4)
+
+    @pytest.mark.parametrize(
+        "indptr",
+        [[], [1, 2], [0, 1], [0, 3], [0, 2, 1, 2], [[0, 2]]],
+        ids=["empty", "from-1", "short", "long", "decreasing", "matrix"],
+    )
+    def test_rejects_bad_indptr(self, indptr):
+        with pytest.raises(DomainError):
+            Corpus(indptr, [0, 1], [1.0, 1.0], 4)
 
     def test_allows_empty_documents(self):
-        c = Corpus(((np.array([], dtype=int), np.array([])),), 3)
+        c = corpus_of(((np.array([], dtype=int), np.array([])),), 3)
         assert c.total_tokens == 0.0
+        assert_array_equal(c.doc_lengths(), [0.0])
 
 
 class TestUciFormat:
@@ -106,10 +135,9 @@ class TestUciFormat:
         path = self.write(tmp_path, "2\n3\n3\n1 1 2\n1 3 1\n2 2 5\n")
         c = read_uci(path)
         assert len(c) == 2 and c.v == 3
-        assert_allclose(c.docs[0][0], [0, 2])
-        assert_allclose(c.docs[0][1], [2.0, 1.0])
-        assert_allclose(c.docs[1][0], [1])
-        assert_allclose(c.docs[1][1], [5.0])
+        assert_array_equal(c.indptr, [0, 2, 3])
+        assert_array_equal(c.ids, [0, 2, 1])
+        assert_array_equal(c.cts, [2.0, 1.0, 5.0])
 
     def test_roundtrip(self, tmp_path):
         c = tiny_corpus()
@@ -117,19 +145,19 @@ class TestUciFormat:
         write_uci(c, path)
         back = read_uci(path)
         assert back.v == c.v and len(back) == len(c)
-        for (t1, c1), (t2, c2) in zip(c.docs, back.docs):
-            assert_allclose(t1, t2)
-            assert_allclose(c1, c2)
+        assert_array_equal(back.indptr, c.indptr)
+        assert_array_equal(back.ids, c.ids)
+        assert_array_equal(back.cts, c.cts)
 
     def test_duplicate_pairs_are_summed(self, tmp_path):
         path = self.write(tmp_path, "1\n2\n2\n1 1 2\n1 1 3\n")
         c = read_uci(path)
-        assert_allclose(c.docs[0][1], [5.0])
+        assert_array_equal(c.cts, [5.0])
 
     def test_skips_blank_lines(self, tmp_path):
         path = self.write(tmp_path, "1\n2\n\n1\n1 2 4\n\n")
         c = read_uci(path)
-        assert_allclose(c.docs[0][0], [1])
+        assert_array_equal(c.ids, [1])
 
     @pytest.mark.parametrize(
         "text, line",
@@ -157,8 +185,58 @@ class TestUciFormat:
         with pytest.raises(DataFormatError):
             read_uci(path)
 
+    @pytest.mark.parametrize(
+        "triples, line, message",
+        [
+            # an overflow on line 5, then a malformed line 6
+            ((f"1 1 {2**53}", "1 1 1", "1 x 1"), 5, "count exceeds"),
+            # a malformed line 5, then an overflow on line 6
+            ((f"1 1 {2**53}", "1 x 1", "1 1 1"), 5, "expected integer term id"),
+        ],
+        ids=["overflow-then-malformed", "malformed-then-overflow"],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, triples, line, message):
+        path = self.write(tmp_path, "1\n3\n3\n" + "\n".join(triples) + "\n")
+        with pytest.raises(DataFormatError, match=message) as err:
+            read_uci(path)
+        assert err.value.line == line
+
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_matches_per_document_assembly(self, tmp_path, data):
+        # random triples in any order, with duplicates, empty and trailing
+        # empty documents, and blank lines anywhere after the header
+        num_docs = data.draw(st.integers(0, 6))
+        vocab = data.draw(st.integers(1, 5))
+        triples = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(1, max(num_docs, 1)),
+                    st.integers(1, vocab),
+                    st.integers(1, 9),
+                ),
+                max_size=12 if num_docs else 0,
+            )
+        )
+        lines = [f"{d} {t} {c}" for d, t, c in triples]
+        for _ in range(data.draw(st.integers(0, 3))):
+            lines.insert(data.draw(st.integers(0, len(lines))), "")
+        text = f"{num_docs}\n{vocab}\n{len(triples)}\n" + "\n".join(lines) + "\n"
+        corpus = read_uci(self.write(tmp_path, text))
+        indptr, ids, cts = uci_csr(num_docs, triples)
+        assert len(corpus) == num_docs and corpus.v == vocab
+        assert_array_equal(corpus.indptr, indptr)
+        assert_array_equal(corpus.ids, ids)
+        assert_array_equal(corpus.cts, cts)
+
     def test_write_rejects_fractional_counts(self, tmp_path):
-        c = Corpus(((np.array([0]), np.array([1.5])),), 2)
+        c = corpus_of(((np.array([0]), np.array([1.5])),), 2)
         with pytest.raises(DomainError):
             write_uci(c, tmp_path / "bad.txt")
 
@@ -167,9 +245,9 @@ class TestSimulateCorpus:
     def test_deterministic_per_seed(self):
         a, truth_a = simulate_corpus(2, 10, 12, 20, seed=5)
         b, truth_b = simulate_corpus(2, 10, 12, 20, seed=5)
-        for (t1, c1), (t2, c2) in zip(a.docs, b.docs):
-            assert_allclose(t1, t2)
-            assert_allclose(c1, c2)
+        assert_array_equal(a.indptr, b.indptr)
+        assert_array_equal(a.ids, b.ids)
+        assert_array_equal(a.cts, b.cts)
         assert_allclose(truth_a["topics"], truth_b["topics"])
 
     def test_shapes_and_lengths(self):
@@ -227,7 +305,7 @@ def uniform_state(corpus, config, lam=None, gamma=None):
         lam = np.full((k, corpus.v), 1.0)
     if gamma is None:
         gamma = np.full((len(corpus), k), 1.0)
-    phi = tuple(np.full((t.size, k), 1.0 / k) for t, _ in corpus.docs)
+    phi = np.full((corpus.ids.size, k), 1.0 / k)
     return LdaState(lam, gamma, phi)
 
 
@@ -236,25 +314,24 @@ class TestUpdatePhi:
         corpus = tiny_corpus()
         config = LdaConfig(k=1)
         state = uniform_state(corpus, config)
-        phi = update_phi(state, 0, corpus, config)
+        phi = lda_update_phi(state, 0, corpus)
         assert_allclose(phi, np.ones((2, 1)), rtol=0, atol=0)
 
     def test_symmetric_parameters_give_uniform_rows(self):
         corpus = tiny_corpus()
         config = LdaConfig(k=3)
         state = uniform_state(corpus, config, lam=np.full((3, 4), 2.0))
-        phi = update_phi(state, 2, corpus, config)
+        phi = lda_update_phi(state, 2, corpus)
         assert_allclose(phi, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
     def test_two_topic_single_word_logistic_value(self):
-        corpus = Corpus(((np.array([0]), np.array([1.0])),), 2)
-        config = LdaConfig(k=2)
+        corpus = corpus_of(((np.array([0]), np.array([1.0])),), 2)
         state = LdaState(
             np.array([[2.0, 1.0], [1.0, 2.0]]),
             np.array([[1.0, 1.0]]),
-            (np.full((1, 2), 0.5),),
+            np.full((1, 2), 0.5),
         )
-        phi = update_phi(state, 0, corpus, config)
+        phi = lda_update_phi(state, 0, corpus)
         assert phi[0, 0] == pytest.approx(SIGMOID_1, abs=1e-12)
         assert phi[0, 1] == pytest.approx(1.0 - SIGMOID_1, abs=1e-12)
 
@@ -269,63 +346,59 @@ class TestUpdatePhi:
             gamma=rng.uniform(0.5, 3.0, size=(3, 4)),
         )
         for d in range(len(corpus)):
-            phi = update_phi(state, d, corpus, config)
+            phi = lda_update_phi(state, d, corpus)
             assert_allclose(phi.sum(axis=1), np.ones(phi.shape[0]), atol=1e-12)
 
     def test_empty_document(self):
-        corpus = Corpus(((np.array([], dtype=int), np.array([])),), 3)
+        corpus = corpus_of(((np.array([], dtype=int), np.array([])),), 3)
         config = LdaConfig(k=2)
         state = uniform_state(corpus, config)
-        assert update_phi(state, 0, corpus, config).shape == (0, 2)
+        assert lda_update_phi(state, 0, corpus).shape == (0, 2)
 
 
 class TestUpdateGamma:
     def test_empty_document_returns_prior(self):
-        corpus = Corpus(((np.array([], dtype=int), np.array([])),), 3)
+        corpus = corpus_of(((np.array([], dtype=int), np.array([])),), 3)
         config = LdaConfig(k=2, alpha=[0.3, 0.7])
         state = uniform_state(corpus, config)
-        assert_allclose(update_gamma(state, 0, corpus, config), [0.3, 0.7])
+        assert_allclose(lda_update_gamma(state, 0, corpus, config), [0.3, 0.7])
 
     def test_uniform_phi_four_tokens(self):
-        corpus = Corpus(((np.array([0, 1]), np.array([1.0, 3.0])),), 2)
+        corpus = corpus_of(((np.array([0, 1]), np.array([1.0, 3.0])),), 2)
         config = LdaConfig(k=2, alpha=0.5)
         state = uniform_state(corpus, config)
-        assert_allclose(update_gamma(state, 0, corpus, config), [2.5, 2.5])
+        assert_allclose(lda_update_gamma(state, 0, corpus, config), [2.5, 2.5])
 
     def test_component_sum_identity(self):
         rng = np.random.default_rng(8)
         corpus = tiny_corpus()
         config = LdaConfig(k=3, alpha=[0.2, 0.5, 0.9])
-        phis = []
-        for terms, _ in corpus.docs:
-            raw = rng.uniform(size=(terms.size, 3))
-            phis.append(raw / raw.sum(axis=1, keepdims=True))
-        state = LdaState(np.ones((3, 4)), np.ones((3, 3)), tuple(phis))
+        raw = rng.uniform(size=(corpus.ids.size, 3))
+        phi = raw / raw.sum(axis=1, keepdims=True)
+        state = LdaState(np.ones((3, 4)), np.ones((3, 3)), phi)
         for d in range(len(corpus)):
-            gamma = update_gamma(state, d, corpus, config)
-            n_d = corpus.docs[d][1].sum()
+            gamma = lda_update_gamma(state, d, corpus, config)
+            n_d = corpus.cts[doc_rows(corpus, d)].sum()
             assert gamma.sum() == pytest.approx(config.alpha.sum() + n_d, abs=1e-10)
 
 
 class TestUpdateLambda:
     def test_unassigned_topic_row_is_prior(self):
-        corpus = Corpus(((np.array([1]), np.array([4.0])),), 3)
+        corpus = corpus_of(((np.array([1]), np.array([4.0])),), 3)
         config = LdaConfig(k=2, eta=0.25)
         state = LdaState(
             np.ones((2, 3)),
             np.ones((1, 2)),
-            (np.array([[1.0, 0.0]]),),
+            np.array([[1.0, 0.0]]),
         )
         lam = update_lambda(state, corpus, config)
         assert_allclose(lam[1], np.full(3, 0.25), rtol=0, atol=0)
         assert_allclose(lam[0], [0.25, 4.25, 0.25])
 
     def test_single_occurrence_increments_one_cell(self):
-        corpus = Corpus(((np.array([2]), np.array([1.0])),), 4)
+        corpus = corpus_of(((np.array([2]), np.array([1.0])),), 4)
         config = LdaConfig(k=2, eta=0.5)
-        state = LdaState(
-            np.ones((2, 4)), np.ones((1, 2)), (np.array([[0.0, 1.0]]),)
-        )
+        state = LdaState(np.ones((2, 4)), np.ones((1, 2)), np.array([[0.0, 1.0]]))
         lam = update_lambda(state, corpus, config)
         expected = np.full((2, 4), 0.5)
         expected[1, 2] = 1.5
@@ -335,16 +408,14 @@ class TestUpdateLambda:
         rng = np.random.default_rng(4)
         corpus = tiny_corpus()
         config = LdaConfig(k=2, eta=0.1)
-        phis = []
-        for terms, _ in corpus.docs:
-            raw = rng.uniform(size=(terms.size, 2))
-            phis.append(raw / raw.sum(axis=1, keepdims=True))
-        state = LdaState(np.ones((2, 4)), np.ones((3, 2)), tuple(phis))
+        raw = rng.uniform(size=(corpus.ids.size, 2))
+        phi = raw / raw.sum(axis=1, keepdims=True)
+        state = LdaState(np.ones((2, 4)), np.ones((3, 2)), phi)
         lam = update_lambda(state, corpus, config)
         for k in range(2):
             expected = 4 * 0.1 + sum(
-                float(counts @ phi[:, k])
-                for (_, counts), phi in zip(corpus.docs, phis)
+                float(corpus.cts[doc_rows(corpus, d)] @ phi[doc_rows(corpus, d), k])
+                for d in range(len(corpus))
             )
             assert lam[k].sum() == pytest.approx(expected, rel=1e-12)
 
@@ -366,14 +437,16 @@ class TestSweepIdentities:
         for _ in range(5):
             state = model.sweep(state, corpus)
             for d in range(len(corpus)):
-                n_d = corpus.docs[d][1].sum()
+                n_d = corpus.cts[doc_rows(corpus, d)].sum()
                 assert state.gamma[d].sum() == pytest.approx(
                     config.alpha.sum() + n_d, abs=1e-9
                 )
             assert state.lam.sum() == pytest.approx(
                 3 * 15 * 0.3 + corpus.total_tokens, abs=1e-9
             )
-            for phi in state.phi:
+            assert state.phi.shape == (corpus.ids.size, 3)
+            for d in range(len(corpus)):
+                phi = state.phi[doc_rows(corpus, d)]
                 if phi.size:
                     assert_allclose(phi.sum(axis=1), np.ones(phi.shape[0]), atol=1e-12)
 
@@ -382,7 +455,7 @@ class TestSweepIdentities:
             (np.array([0, 1]), np.array([2.0, 2.0])),
             (np.array([], dtype=int), np.array([])),
         )
-        corpus = Corpus(docs, 3)
+        corpus = corpus_of(docs, 3)
         config = LdaConfig(k=2, alpha=[0.3, 0.8])
         model = Lda(config)
         state = model.sweep(
@@ -411,11 +484,10 @@ class TestCaviFit:
         report = lda_cavi_fit(corpus, config, FitConfig(max_iters=10, tol=1e-12, seed=0))
         state = report.model_state
         token_counts = np.zeros(4)
-        for terms, counts in corpus.docs:
-            token_counts[terms] += counts
+        np.add.at(token_counts, corpus.ids, corpus.cts)
         assert_allclose(state.lam[0], 0.5 + token_counts, rtol=0, atol=0)
         for d in range(len(corpus)):
-            assert state.gamma[d, 0] == 0.7 + corpus.docs[d][1].sum()
+            assert state.gamma[d, 0] == 0.7 + corpus.cts[doc_rows(corpus, d)].sum()
         assert report.converged
         assert report.iterations_run == 2  # constant ELBO from the first sweep on
 
@@ -425,9 +497,11 @@ class TestCaviFit:
         model = Lda(config)
         state, _ = fit_state(corpus, config, seed=1, max_iters=100)
 
-        doubled = Corpus(corpus.docs + corpus.docs, corpus.v)
+        doubled = corpus.subset(np.tile(np.arange(len(corpus)), 2))
         stacked = LdaState(
-            state.lam, np.vstack([state.gamma, state.gamma]), state.phi + state.phi
+            state.lam,
+            np.vstack([state.gamma, state.gamma]),
+            np.vstack([state.phi, state.phi]),
         )
         one = model.sweep(state, corpus)
         two = model.sweep(stacked, doubled)
@@ -459,7 +533,9 @@ class TestCaviFit:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DomainError):
             lda_cavi_fit(
-                Corpus((), 5), LdaConfig(k=2), FitConfig(max_iters=5, tol=1e-8, seed=0)
+                corpus_of((), 5),
+                LdaConfig(k=2),
+                FitConfig(max_iters=5, tol=1e-8, seed=0),
             )
 
     def test_heldout_monitoring_per_word(self):
@@ -492,10 +568,32 @@ class TestPredictive:
         model = Lda(config)
         state, _ = fit_state(corpus, config, seed=0, max_iters=60)
         held = corpus.subset([0, 1, 2])
-        totals = [model.log_predictive(state, doc) for doc in held.docs]
+        totals = [model.log_predictive(state, held.subset([d]))[0] for d in range(3)]
         expected = sum(totals) / held.total_tokens
         assert model.heldout_log_predictive(state, held) == pytest.approx(expected)
         assert expected < 0.0
+
+    def test_log_predictive_gives_one_total_per_document(self):
+        corpus, _ = simulate_corpus(2, 30, 10, 15, seed=12)
+        config = LdaConfig(k=2)
+        model = Lda(config)
+        state, _ = fit_state(corpus, config, seed=0, max_iters=60)
+        docs = [
+            (corpus.ids[doc_rows(corpus, d)], corpus.cts[doc_rows(corpus, d)])
+            for d in (4, 0)
+        ]
+        empty = (np.array([], dtype=int), np.array([]))
+        held = corpus_of([docs[0], empty, docs[1]], corpus.v)
+        totals = model.log_predictive(state, held)
+        assert totals.shape == (3,)
+        assert totals[1] == 0.0  # the empty document
+        for d in range(3):
+            one = model.log_predictive(state, held.subset([d]))
+            assert one.shape == (1,)
+            assert totals[d] == pytest.approx(one[0], rel=1e-12, abs=0.0)
+        assert totals.sum() == pytest.approx(
+            model.heldout_log_predictive(state, held) * held.total_tokens, rel=1e-12
+        )
 
     def test_empty_heldout_rejected(self):
         config = LdaConfig(k=2)
@@ -503,8 +601,8 @@ class TestPredictive:
         corpus, _ = simulate_corpus(2, 5, 8, 10, seed=13)
         state, _ = fit_state(corpus, config, seed=0, max_iters=30)
         with pytest.raises(DomainError):
-            model.heldout_log_predictive(state, Corpus((), 8))
-        empty_doc = Corpus(((np.array([], dtype=int), np.array([])),), 8)
+            model.heldout_log_predictive(state, corpus_of((), 8))
+        empty_doc = corpus_of(((np.array([], dtype=int), np.array([])),), 8)
         with pytest.raises(DomainError):
             model.heldout_log_predictive(state, empty_doc)
 
@@ -533,7 +631,8 @@ class TestExportState:
         mf = model.export_state(state)
         assert mf.labels[:2] == ("beta[0]", "beta[1]")
         assert "theta[2]" in mf.labels
-        assert "z[0,1]" in mf.labels
+        z_labels = [label for label in mf.labels if label.startswith("z[")]
+        assert z_labels == [f"z[{i}]" for i in range(corpus.ids.size)]
         assert_allclose(mf["beta[0]"].params, state.lam[0])
         assert_allclose(mf["theta[1]"].params, state.gamma[1])
 
@@ -554,7 +653,7 @@ class TestSviFit:
         return StepSchedule(kappa=0.7, delay=0.0, scale=1.0)
 
     def test_single_doc_first_step_matches_cavi_sweep(self):
-        corpus = Corpus(((np.array([0, 2, 3]), np.array([2.0, 1.0, 4.0])),), 5)
+        corpus = corpus_of(((np.array([0, 2, 3]), np.array([2.0, 1.0, 4.0])),), 5)
         config = LdaConfig(k=2)
         fit_cfg = FitConfig(max_iters=1, tol=1e-12, seed=3)
         svi = lda_svi_fit(corpus, config, self.schedule(), fit_cfg, batch_size=1)
@@ -572,32 +671,29 @@ class TestSviFit:
         # per-document local factors at fixed topics, fresh gamma start
         phis = []
         gammas = np.empty((n, 2))
-        for d, (terms, counts) in enumerate(corpus.docs):
-            gamma = config.alpha + counts.sum() / config.k
-            phi = np.full((terms.size, 2), 0.5)
-            state = LdaState(lam, np.tile(gamma, (n, 1)), tuple(
-                np.full((t.size, 2), 0.5) for t, _ in corpus.docs
-            ))
+        for d in range(n):
+            rows = doc_rows(corpus, d)
+            gamma = config.alpha + corpus.cts[rows].sum() / config.k
+            state = LdaState(
+                lam, np.tile(gamma, (n, 1)), np.full((corpus.ids.size, 2), 0.5)
+            )
             for _ in range(300):
-                state = LdaState(
-                    lam,
-                    state.gamma,
-                    tuple(
-                        update_phi(state, j, corpus, config) if j == d else state.phi[j]
-                        for j in range(n)
-                    ),
-                )
+                phi = state.phi.copy()
+                phi[rows] = lda_update_phi(state, d, corpus)
+                state = LdaState(lam, state.gamma, phi)
                 g = state.gamma.copy()
-                g[d] = update_gamma(state, d, corpus, config)
+                g[d] = lda_update_gamma(state, d, corpus, config)
                 state = LdaState(lam, g, state.phi)
-            phis.append(state.phi[d])
+            phis.append(state.phi[rows])
             gammas[d] = state.gamma[d]
 
-        full_state = LdaState(lam, gammas, tuple(phis))
+        full_state = LdaState(lam, gammas, np.concatenate(phis))
         lam_full = update_lambda(full_state, corpus, config)
 
         targets = []
-        for d, (terms, counts) in enumerate(corpus.docs):
+        for d in range(n):
+            rows = doc_rows(corpus, d)
+            terms, counts = corpus.ids[rows], corpus.cts[rows]
             stats = np.zeros_like(lam)
             stats[:, terms] += (phis[d] * counts[:, None]).T
             targets.append(config.eta + n * stats)
@@ -605,16 +701,16 @@ class TestSviFit:
         assert_allclose(avg_gradient, lam_full - lam, rtol=1e-12, atol=1e-12)
 
     def test_cavi_fixed_point_has_zero_gradient(self):
-        corpus = Corpus(((np.array([0, 1, 3]), np.array([3.0, 2.0, 5.0])),), 4)
+        corpus = corpus_of(((np.array([0, 1, 3]), np.array([3.0, 2.0, 5.0])),), 4)
         config = LdaConfig(k=2)
         model = Lda(config)
         state, report = fit_state(corpus, config, seed=2, max_iters=500, tol=1e-13)
         assert report.converged
         again = model.sweep(state, corpus)
         assert_allclose(again.lam, state.lam, rtol=1e-8, atol=1e-8)
-        phi = update_phi(state, 0, corpus, config)
+        phi = lda_update_phi(state, 0, corpus)
         target = np.full_like(state.lam, config.eta)
-        terms, counts = corpus.docs[0]
+        terms, counts = corpus.ids, corpus.cts
         target[:, terms] += (phi * counts[:, None]).T
         assert_allclose(target, state.lam, rtol=1e-6, atol=1e-6)
 
@@ -657,7 +753,7 @@ class TestSviFit:
         with pytest.raises(ConfigError):
             lda_svi_fit(corpus, config, self.schedule(), cfg, batch_size=6)
         with pytest.raises(DomainError):
-            lda_svi_fit(Corpus((), 8), config, self.schedule(), cfg)
+            lda_svi_fit(corpus_of((), 8), config, self.schedule(), cfg)
 
     def test_heldout_fraction_rejected(self):
         corpus, _ = simulate_corpus(2, 5, 8, 10, seed=19)
@@ -670,22 +766,50 @@ class TestSviFit:
 class TestStateValidation:
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(DomainError):
-            LdaState(np.zeros((1, 2)), np.ones((0, 1)), ())
+            LdaState(np.zeros((1, 2)), np.ones((0, 1)), np.zeros((0, 1)))
         with pytest.raises(DomainError):
-            LdaState(np.ones((2, 3)), np.array([[1.0, -1.0]]), (np.zeros((0, 2)),))
+            LdaState(np.ones((2, 3)), np.array([[1.0, -1.0]]), np.zeros((0, 2)))
 
     def test_rejects_unnormalized_phi(self):
         with pytest.raises(DomainError):
             LdaState(
                 np.ones((2, 3)),
                 np.ones((1, 2)),
-                (np.array([[0.9, 0.3]]),),
+                np.array([[0.9, 0.3]]),
             )
 
+    def test_rejects_rows_with_the_wrong_topic_count(self):
+        with pytest.raises(DomainError):
+            LdaState(np.ones((2, 3)), np.ones((1, 3)), np.full((1, 2), 0.5))
+        with pytest.raises(DomainError):
+            LdaState(np.ones((2, 3)), np.ones((1, 2)), np.full((1, 3), 1.0 / 3))
+
+    def test_state_must_match_the_corpus(self):
+        # two documents of 2 and 1 terms: 3 CSR entries
+        docs = (
+            (np.array([0, 2]), np.array([1.0, 2.0])),
+            (np.array([1]), np.array([3.0])),
+        )
+        corpus = corpus_of(docs, 3)
+        config = LdaConfig(k=2)
+        lam = np.ones((2, 3))
+        short_phi = LdaState(lam, np.ones((2, 2)), np.full((2, 2), 0.5))
+        extra_doc = LdaState(lam, np.ones((3, 2)), np.full((3, 2), 0.5))
+        for state in (short_phi, extra_doc):
+            with pytest.raises(DomainError, match="does not match"):
+                lda_elbo(state, corpus, config)
+            with pytest.raises(DomainError, match="does not match"):
+                update_lambda(state, corpus, config)
+        matching = LdaState(lam, np.ones((2, 2)), np.full((3, 2), 0.5))
+        assert np.isfinite(lda_elbo(matching, corpus, config))
+        assert update_lambda(matching, corpus, config).shape == (2, 3)
+
     def test_arrays_read_only(self):
-        state = LdaState(np.ones((2, 3)), np.ones((1, 2)), (np.full((1, 2), 0.5),))
+        state = LdaState(np.ones((2, 3)), np.ones((1, 2)), np.full((1, 2), 0.5))
         with pytest.raises(ValueError):
             state.lam[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            state.phi[0, 0] = 1.0
 
 
 def random_corpus(seed, num_docs=12, vocab=30):
@@ -697,7 +821,7 @@ def random_corpus(seed, num_docs=12, vocab=30):
         terms = np.sort(rng.choice(vocab, size=rng.integers(1, 13), replace=False))
         docs.append((terms, rng.integers(1, 7, size=terms.size).astype(float)))
     docs.insert(num_docs // 2, (np.array([], dtype=int), np.array([])))
-    return Corpus(tuple(docs), vocab)
+    return corpus_of(docs, vocab)
 
 
 @pytest.fixture
@@ -761,10 +885,10 @@ class TestBatchedEStep:
         state = LdaState(
             config.eta + rng.uniform(0.0, 5.0, size=(k, corpus.v)),
             np.ones((0, k)),
-            (),
+            np.zeros((0, k)),
         )
         per_word = model.heldout_log_predictive(state, corpus)
-        single = model.log_predictive(state, corpus.docs[0])
+        single = model.log_predictive(state, corpus.subset([0]))[0]
         assert len(e_step_calls) == 2
         for call in e_step_calls:
             assert call[4][1] is None  # scoring needs no phi
@@ -780,9 +904,10 @@ class TestBatchedEStep:
             INNER_MAX_ITERS,
         )
         beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
+        rows = [doc_rows(corpus, d) for d in range(len(corpus))]
         totals = [
-            float(counts @ np.log(g / g.sum() @ beta_mean[:, terms]))
-            for g, (terms, counts) in zip(gamma, corpus.docs)
+            float(corpus.cts[r] @ np.log(g / g.sum() @ beta_mean[:, corpus.ids[r]]))
+            for g, r in zip(gamma, rows)
         ]
         assert per_word == pytest.approx(sum(totals) / corpus.total_tokens, rel=1e-12)
         assert single == pytest.approx(totals[0], rel=1e-12)
@@ -821,7 +946,7 @@ class TestExpSpaceUnderflow:
     def test_unseen_term_in_long_heldout_document(self, e_step_calls):
         train, _ = simulate_corpus(3, 30, 40, 40, seed=21)
         unseen = train.v  # a term id no training document uses
-        train = Corpus(train.docs, train.v + 1)
+        train = Corpus(train.indptr, train.ids, train.cts, train.v + 1)
         config = LdaConfig(k=3, eta=1e-6, alpha=0.1)
         state, _ = fit_state(train, config, seed=0, max_iters=5)
         elog_beta = _dirichlet_expected_log_rows(state.lam)
@@ -831,7 +956,7 @@ class TestExpSpaceUnderflow:
         rng = np.random.default_rng(3)
         counts = 1.0 + rng.multinomial(10_000 - 8, np.full(8, 1.0 / 8))
         terms = np.array([0, 5, 11, 17, 23, 30, 36, unseen])
-        held = Corpus(((terms, counts),), train.v)
+        held = corpus_of(((terms, counts),), train.v)
         assert held.total_tokens == 10_000
         e_step_calls.clear()
         value = Lda(config).heldout_log_predictive(state, held)
@@ -840,7 +965,7 @@ class TestExpSpaceUnderflow:
         assert_matches_per_document_loop(call, rtol=self.RTOL)
 
         # the same document through a sweep, phi included
-        stacked = LdaState(state.lam, call[4][0], (np.full((8, 3), 1.0 / 3),))
+        stacked = LdaState(state.lam, call[4][0], np.full((8, 3), 1.0 / 3))
         e_step_calls.clear()
         swept = Lda(config).sweep(stacked, held)
         assert np.all(np.isfinite(swept.lam))
@@ -851,7 +976,7 @@ class TestExpSpaceUnderflow:
         # gamma puts ~1e6 nats between the topics one way and lam the other
         # way at term 0, so even the shifted exp-space normalizer of that
         # entry underflows and it is formed in log space.
-        corpus = Corpus(((np.array([0, 1]), np.array([1.0, 1000.0])),), 2)
+        corpus = corpus_of(((np.array([0, 1]), np.array([1.0, 1000.0])),), 2)
         config = LdaConfig(k=2, eta=1e-6, alpha=1e-6)
         lam = np.array([[1e3, 1e-6], [1e-6, 1e3]])
         elog_beta = _dirichlet_expected_log_rows(lam)
@@ -860,12 +985,12 @@ class TestExpSpaceUnderflow:
         shifted_beta = elog_beta[:, 0] - elog_beta[:, 0].max()
         assert np.exp(log_theta) @ np.exp(shifted_beta) == 0.0
 
-        state = LdaState(lam, gamma, (np.full((2, 2), 0.5),))
+        state = LdaState(lam, gamma, np.full((2, 2), 0.5))
         swept = Lda(config).sweep(state, corpus)
         (call,) = e_step_calls
         assert_matches_per_document_loop(call, rtol=self.RTOL)
         assert swept.gamma.sum() == pytest.approx(config.alpha.sum() + 1001.0, abs=1e-9)
-        phi = update_phi(state, 0, corpus, config)
+        phi = lda_update_phi(state, 0, corpus)
         assert_allclose(phi, doc_phi(gamma[0], elog_beta), rtol=self.RTOL, atol=0)
         assert_allclose(phi.sum(axis=1), 1.0, atol=1e-12)
 
@@ -945,6 +1070,33 @@ class TestUciLimits:
             read_uci(path)
         assert err.value.line == 6
 
+    def test_declared_documents_cost_no_memory_each(self, tmp_path):
+        # a three-line file declaring a million empty documents; read in a
+        # fresh interpreter so that the peak RSS belongs to this read alone
+        path = self.write(tmp_path, "1000000\n5\n0\n")
+        script = (
+            "import json, resource, sys\n"
+            "from meanfield.lda import read_uci\n"
+            "unit = 1 if sys.platform == 'darwin' else 1024\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "corpus = read_uci(sys.argv[1])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "grown = (after - before) * unit / 2**20\n"
+            "print(json.dumps([len(corpus), corpus.total_tokens, grown]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        path_entries = [str(src), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+        res = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        docs, tokens, grown_mb = json.loads(res.stdout)
+        assert docs == 10**6
+        assert tokens == 0.0
+        assert grown_mb < 100.0
+
     def test_count_of_two_to_the_53_is_exact(self, tmp_path):
         c = read_uci(self.write(tmp_path, f"1\n3\n1\n1 3 {2**53}\n"))
-        assert c.docs[0][1][0] == 2.0**53
+        assert c.cts[0] == 2.0**53
