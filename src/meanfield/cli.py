@@ -100,6 +100,9 @@ def _json_text(value, indent=0):
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
             return "[]"
+        if all(type(v) is float for v in value):
+            floats = (",\n" + inner).join(["%.17g"] * len(value)) % tuple(value)
+            return "[\n" + inner + floats + "\n" + pad + "]"
         items = [f"{inner}{_json_text(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(value, bool) or isinstance(value, np.bool_):
@@ -121,9 +124,9 @@ def _write_json(path, value):
 
 def _write_matrix_csv(path, matrix):
     rows = np.atleast_2d(np.asarray(matrix, dtype=float))
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 def _read_matrix_csv(path):

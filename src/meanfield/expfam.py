@@ -6,8 +6,8 @@ and KL divergences that coordinate ascent updates are written in terms of:
 * numerically safe ``log_sum_exp`` for normalizing log-weights, and
   ``categorical_rows`` for turning a batch of logits into probabilities,
 * ``digamma`` (and ``log_gamma``) for Dirichlet and Gamma expectations,
-  vectorised numpy kernels: one broadcast recurrence step lifts arguments
-  below 10, then an asymptotic series finishes (no command loads scipy),
+  numpy kernels that lift every digamma argument (log_gamma's below 10) in
+  one broadcast, then finish with a series (no command loads scipy),
 * expected sufficient statistics of the Gaussian, Gamma, and Dirichlet
   families,
 * closed-form KL divergences between members of the same family.
@@ -51,23 +51,26 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# digamma and log_gamma lift arguments below this by the recurrence before
-# the asymptotic series; from it up, the first term the series leaves out
-# is below 1e-15.
+# digamma lifts every argument, and log_gamma those below this, by the
+# recurrence before the asymptotic series; from it up, the first term the
+# series leaves out is below 1e-15.
 _SHIFT = 10.0
 
 # The recurrence's ten factors x + j, j < 10, pair up as
 # (x + j)(x + 9 - j) = x (x + 9) + j (9 - j); these are j (9 - j), 1 <= j < 5.
 _PAIRS = np.array([[8.0], [14.0], [18.0], [20.0]])
+_OFFSETS = np.arange(_SHIFT + 1.0)[:, None]  # digamma's x + j; row 10 is y
 
 # Asymptotic series in z = 1/y^2, highest power first:
 #   psi(y) ~ log y - 1/(2y) - z P(z),  P through y^-12 (B_2n / 2n),
 #   lnG(y) ~ (y - 1/2) log y - y + log(2 pi)/2 + Q(z)/y,
 #            Q through y^-13 (B_2n / (2n (2n - 1))).
-_PSI_SERIES = (
+# digamma's constants are 0-d arrays: a float operand is converted per call.
+_PSI_SERIES = tuple(map(np.array, (
     -691.0 / 32760.0, 1.0 / 132.0, -1.0 / 240.0, 1.0 / 252.0, -1.0 / 120.0,
     1.0 / 12.0,
-)
+)))
+_HALF = np.array(0.5)
 _LOG_GAMMA_SERIES = (
     1.0 / 156.0, -691.0 / 360360.0, 1.0 / 1188.0, -1.0 / 1680.0,
     1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0,
@@ -84,22 +87,6 @@ def _horner(z, coefficients):
     return out
 
 
-def _lift(a):
-    """The recurrence step for ``a.reshape(-1)``, in one broadcast.
-
-    Returns ``(small, y, c, c9, quads)``.  ``small`` marks arguments below
-    10; there ``y = a + 10``, elsewhere ``y = a``.  ``c`` is ``a`` capped at
-    10, ``c9 = c + 9`` and ``quads`` the (4, n) array ``c c9 + j (9 - j)``,
-    ``1 <= j < 5``, so that ``prod_{j<10} (c + j) = c c9 prod(quads)``.  The
-    cap keeps them finite where they go unused.
-    """
-    flat = a.reshape(-1)
-    small = flat < _SHIFT
-    c = np.minimum(flat, _SHIFT)
-    c9 = c + 9.0
-    return small, np.where(small, flat + _SHIFT, flat), c, c9, c * c9 + _PAIRS
-
-
 def log_gamma(x):
     """log Gamma(x) for x > 0, elementwise; a float for scalar input.
 
@@ -108,7 +95,12 @@ def log_gamma(x):
     normalizers, with no structural role in the updates.
     """
     a = np.asarray(x, dtype=float)
-    small, y, c, c9, quads = _lift(a)
+    flat = a.reshape(-1)
+    small = flat < _SHIFT
+    c = np.minimum(flat, _SHIFT)  # capped, so the factors stay finite unused
+    c9 = c + 9.0
+    quads = c * c9 + _PAIRS  # prod_{j<10} (c + j) = c c9 prod(quads)
+    y = np.where(small, flat + _SHIFT, flat)
     r = 1.0 / y
     out = (y - 0.5) * np.log(y) - y + 0.5 * LOG_2PI
     out += r * _horner(r * r, _LOG_GAMMA_SERIES)
@@ -176,26 +168,24 @@ def digamma(x):
     """Digamma function psi(x) = d/dx log Gamma(x) for x > 0.
 
     Accepts scalars or arrays; nonpositive or non-finite input raises
-    :class:`DomainError`.  Below 10, ``psi(x) = psi(x + 10) - sum_{j<10}
-    1/(x + j)`` in one broadcast step, then the asymptotic series through
-    ``y**-12``; there is no data-dependent loop.  Agrees with
+    :class:`DomainError`.  Every argument is lifted by ``psi(x) = psi(x +
+    10) - sum_{j<10} 1/(x + j)``, true for all x > 0, in one broadcast with
+    no mask, then the asymptotic series through ``y**-12``.  Agrees with
     ``scipy.special.digamma`` to within 1e-10 or 4 ulp on [1e-6, 1e6].
     """
     a = np.asarray(x, dtype=float)
-    if not np.all((a > 0.0) & (a < np.inf)):
+    if not (a.min(initial=np.inf) > 0.0 and a.max(initial=0.0) < np.inf):
         raise DomainError("digamma requires finite x > 0")
-    small, y, c, c9, quads = _lift(a)
-    # sum_{j<10} 1/(c + j): the pairs j, 9 - j (1 <= j < 5) as
-    # (2c + 9) / quad, and 1/c, the largest term, added last
-    t = 1.0 / quads
-    steps = 1.0 / c9 + (c + c9) * ((t[0] + t[3]) + (t[1] + t[2]))
-    steps += 1.0 / c
-    r = 1.0 / y
-    z = r * r
-    out = np.log(y)
-    out -= 0.5 * r
+    t = a.reshape(-1) + _OFFSETS
+    out = np.log(t[10])
+    np.reciprocal(t, out=t)
+    z = t[10] * t[10]
+    out -= _HALF * t[10]
     out -= z * _horner(z, _PSI_SERIES)
-    out -= np.where(small, steps, 0.0)
+    # sum_{j<10} 1/(x + j) by adds that give a scalar the same bits; 1/x last
+    t[:5] += t[5:10]
+    t[1:3] += t[3:5]
+    out -= (t[1] + t[2]) + t[0]
     return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 

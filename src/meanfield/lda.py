@@ -15,14 +15,15 @@ equivalent to per-token factors because tokens are exchangeable.
 
 A :class:`Corpus` is one CSR layout (``indptr``, ``ids``, ``cts``) with an
 entry per such pair, and :class:`LdaState` keeps ``phi`` as one (entries, K)
-array in the same order.  The local step (:func:`e_step`) runs all
-documents of a corpus or minibatch at once over that layout, in the
-exp-space form of Hoffman, Blei & Bach (2010): with ``t_d = exp E[log theta_d]`` and ``b_w = exp E[log beta_w]``,
-``gamma_d = alpha + t_d * sum_w (c_dw / t_d . b_w) b_w``, and ``phi`` is
-formed only at the end, where a caller needs it.  One coordinate sweep runs
-that step at the current topics, then refreshes every ``lambda_k`` from the
-assignment statistics.  Stochastic fits replace the full statistics with a
-rescaled minibatch estimate blended in at a Robbins-Monro step size.
+array in the same order.  The local step (:func:`e_step`) runs all documents
+of a corpus or minibatch at once, on padded blocks of documents of similar
+length, in the exp-space form of Hoffman, Blei & Bach (2010): with ``t_d =
+exp E[log theta_d]`` and ``b_w = exp E[log beta_w]``, ``gamma_d = alpha +
+t_d * sum_w (c_dw / t_d . b_w) b_w``, and ``phi`` is formed only at the end.
+One coordinate sweep runs that step at the current topics, then refreshes
+every ``lambda_k`` from the assignment statistics.  Stochastic fits replace
+the full statistics with a rescaled minibatch estimate blended in at a
+Robbins-Monro step size.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class Corpus:
             raise DomainError("indptr must never decrease")
         if ids.size and (ids.min() < 0 or ids.max() >= self.v):
             raise DomainError("term ids must lie in [0, vocabulary size)")
-        if np.unique(_entry_docs(indptr) * self.v + ids).size != ids.size:
+        if np.unique(np.stack([_entry_docs(indptr), ids]), axis=1).shape[1] != ids.size:
             raise DomainError("term ids must be distinct within a document")
         if not np.all((cts >= 1.0) & (cts < np.inf)):
             raise DomainError("term counts must be finite and >= 1")
@@ -374,9 +375,9 @@ def _shifted(logits):
 def _phi_rows(log_theta_tok, beta_tok, elog_beta, ids):
     """Assignment rows (T, K) for CSR entries with term ids ``ids``, from
     each entry's shifted ``E[log theta_d]`` row and ``exp E[log beta]``
-    column; entries whose exp-space normalizer underflows use log space."""
+    row; entries whose exp-space normalizer underflows use log space."""
     phi = np.exp(log_theta_tok) * beta_tok
-    norm = phi.sum(axis=1)
+    norm = np.einsum("tk->t", phi)
     lost = norm < _NORM_FLOOR
     phi /= np.where(lost, 1.0, norm)[:, None]
     if lost.any():
@@ -391,43 +392,62 @@ def e_step(corpus, elog_beta, gamma, alpha, want_phi=True):
     From ``gamma`` (D, K), each document updates until the mean absolute
     change of ``gamma_d`` falls below :data:`INNER_TOL` (checked from the
     second update on) or after :data:`INNER_MAX_ITERS` updates, then leaves
-    the active rows.  ``E[log theta]`` per document and ``E[log beta]`` per
-    term are shifted to peak at 0 over topics before exponentiating.
-    Returns ``(gamma, phi, iterations)``: the (entries, K) assignment rows
-    behind ``gamma`` (``None`` unless ``want_phi``) and each document's
-    update count (0 when empty).
+    the active rows and is written back.  ``E[log theta]`` and ``E[log beta]``
+    are shifted to peak at 0 over topics.  A pass is one ``digamma`` call
+    and two batched products per padded block.  Returns ``(gamma, phi,
+    iterations)``: the (entries, K) rows of ``phi`` behind ``gamma`` (``None``
+    unless ``want_phi``) and each document's update count (0 when empty).
     """
     lens = np.diff(corpus.indptr)
     gamma = np.array(gamma, dtype=float)
     gamma[lens == 0] = alpha
     iterations = np.zeros(len(lens), dtype=int)
     log_theta = np.zeros_like(gamma)
-    beta_all = np.exp(_shifted(elog_beta[:, corpus.ids].T))
+    beta_all = np.exp(elog_beta - elog_beta.max(axis=0)).T[corpus.ids]
 
-    act = np.flatnonzero(lens)
-    ids, cts, beta, act_lens = corpus.ids, corpus.cts, beta_all, lens[act]
+    # Nonempty documents longest first, in buckets that stay at least half full;
+    # padding slots get beta rows of ones (normalizer >= 1) and count 0.
+    docs = np.argsort(-lens, kind="stable")[: np.count_nonzero(lens)]
+    sizes, blocks, first = lens[docs], [], 0
+    while first < docs.size:
+        stop = first + np.count_nonzero(np.cumsum(2 * sizes[first:] - sizes[first]) >= 0)
+        slot = np.arange(sizes[first])
+        pad = slot >= sizes[first:stop, None]
+        entries = np.where(pad, 0, corpus.indptr[docs[first:stop], None] + slot)
+        beta = beta_all[entries]
+        beta[pad] = 1.0
+        blocks.append((beta, np.where(pad, 0.0, corpus.cts[entries])[:, None], entries))
+        first = stop
+    act = gamma[docs, None, :]  # the active documents' rows, (n, 1, K)
     for it in range(1, INNER_MAX_ITERS + 1):
-        if act.size == 0:
+        if docs.size == 0:
             break
-        lt = _shifted(digamma(gamma[act]))
-        log_theta[act] = lt
-        theta = np.exp(lt)
-        norm = (np.repeat(theta, act_lens, axis=0) * beta).sum(axis=1)
-        lost = norm < _NORM_FLOOR
-        weights = cts / np.where(lost, np.inf, norm)
-        starts = np.cumsum(act_lens) - act_lens
-        new = alpha + theta * np.add.reduceat(beta * weights[:, None], starts, axis=0)
-        if lost.any():
-            rows = np.repeat(np.arange(act.size), act_lens)[lost]
-            phi = _phi_rows(lt[rows], beta[lost], elog_beta, ids[lost])
-            np.add.at(new, rows, cts[lost, None] * phi)
-        done = np.abs(new - gamma[act]).mean(axis=1) < INNER_TOL
-        gamma[act] = new
-        iterations[act] = it
-        if it > 1 and done.any():
-            keep = np.repeat(~done, act_lens)
-            act, act_lens = act[~done], act_lens[~done]
-            ids, cts, beta = ids[keep], cts[keep], beta[keep]
+        lt = digamma(act)
+        lt -= np.maximum.reduce(lt, axis=2, keepdims=True)
+        theta, new, spans, stop = np.exp(lt), np.empty_like(act), [], 0
+        for beta, cts, entries in blocks:
+            rows, stop = slice(stop, stop + len(cts)), stop + len(cts)
+            spans.append(rows)
+            norm = np.matmul(beta, theta[rows].transpose(0, 2, 1)).reshape(cts.shape)
+            lost = norm < _NORM_FLOOR
+            norm[lost] = np.inf
+            np.multiply(theta[rows], (cts / norm) @ beta, out=new[rows])
+            if np.count_nonzero(lost):
+                doc, _, slot = np.nonzero(lost)
+                e = entries[doc, slot]
+                phi = _phi_rows(lt[rows][doc, 0], beta_all[e], elog_beta, corpus.ids[e])
+                np.add.at(new[rows, 0], doc, corpus.cts[e, None] * phi)
+        new += alpha
+        done = np.add.reduce(np.abs(new - act), axis=2)[:, 0] / act.shape[2] < INNER_TOL
+        act = new
+        if it == INNER_MAX_ITERS:
+            done[:] = True
+        if it > 1 and np.count_nonzero(done):
+            out, keep = docs[done], ~done
+            gamma[out], log_theta[out], iterations[out] = act[done, 0], lt[done, 0], it
+            blocks = [tuple(a[keep[r]] for a in b)
+                      for b, r in zip(blocks, spans) if np.count_nonzero(keep[r])]
+            docs, act = docs[keep], act[keep]
 
     if want_phi:
         log_theta = np.repeat(log_theta, lens, axis=0)
@@ -493,9 +513,11 @@ class Lda(VariationalModel):
         Uniform(0,1) scaled by 0.01 * tokens / (K V) per entry; a fully
         symmetric start is a saddle point with all topics identical.  The
         perturbation scale is data-calibrated by construction, so both
-        init strategies coincide."""
+        init strategies coincide; a (K, V) array numpy cannot hold is refused."""
         del strategy
         k, v = self.config.k, data.v
+        if k * v > np.iinfo(np.intp).max // 8:
+            raise DomainError(f"vocabulary size {v} too large for a dense topic matrix")
         scale = 0.01 * data.total_tokens / (k * v)
         lam = self.config.eta + scale * rng.uniform(size=(k, v))
         phi = np.full((data.ids.size, k), 1.0 / k)

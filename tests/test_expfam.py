@@ -493,3 +493,25 @@ class TestLogSumExpAllMinusInf:
             out = log_sum_exp(a, axis=1)
         assert out[0] == -np.inf
         assert out[1:].tolist() == [math.log(2.0), 1.5]
+
+
+class TestDigammaLiftsEveryArgument:
+    """``digamma`` lifts every argument by ten, with no mask: large
+    arguments neither overflow nor warn, and a value gets the same bits
+    alone and inside arrays of any shape."""
+
+    def test_scalar_and_array_give_the_same_bits(self):
+        xs = np.geomspace(1e-6, 1e300, 4001)
+        alone = np.array([digamma(float(x)) for x in xs])
+        assert np.array_equal(digamma(xs), alone)
+        for shape in [(4001, 1), (1, 4001), (3, 1, 1)]:
+            values = xs[: int(np.prod(shape))].reshape(shape)
+            assert np.array_equal(digamma(values).ravel(), alone[: values.size])
+
+    def test_large_arguments(self):
+        xs = np.array([1e10, 1e100, 1e200, 8.9e307, 1.7976931348623157e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = digamma(xs)
+        ref = scipy.special.digamma(xs)
+        assert np.all(np.abs(ours - ref) <= 4.0 * np.spacing(np.abs(ref)))
