@@ -9,7 +9,6 @@ from .engine import (
     FitConfig,
     FitReport,
     InitStrategy,
-    MeanFieldState,
     VariationalModel,
     cavi_fit,
     compute_elbo,
@@ -24,7 +23,7 @@ from .errors import (
     MonotonicityError,
     NumericError,
 )
-from .expfam import ExpFamParam, Family
+from .expfam import ExpFamParam
 from .condconj import CondConjSpec, StepSchedule, svi_fit
 
 __version__ = "0.1.0"
@@ -33,7 +32,6 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "InitStrategy",
-    "MeanFieldState",
     "VariationalModel",
     "cavi_fit",
     "compute_elbo",
@@ -46,7 +44,6 @@ __all__ = [
     "MonotonicityError",
     "NumericError",
     "ExpFamParam",
-    "Family",
     "CondConjSpec",
     "StepSchedule",
     "svi_fit",

@@ -28,9 +28,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .engine import MeanFieldState, VariationalModel, predictive_rows
+from .condconj import _frozen
+from .engine import VariationalModel, predictive_rows
 from .errors import ConfigError, DomainError, NumericError
-from .expfam import LOG_2PI, ExpFamParam, gamma_kl, gamma_moments, gaussian_log_pdf
+from .expfam import LOG_2PI, gamma_kl, gamma_moments, gaussian_log_pdf
 
 __all__ = [
     "BlrArdConfig",
@@ -65,12 +66,6 @@ class BlrArdConfig:
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
                 raise ConfigError(name, "must be finite and > 0")
-
-
-def _frozen(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -270,30 +265,10 @@ class BlrArd(VariationalModel):
     def log_predictive(self, state, data):
         return blr_log_predictive(state, data)
 
-    def export_state(self, state):
-        """Per-coordinate view: factor ``beta_tau[d]`` is the exact
-        marginal of (beta_d, tau) under the joint block; the full V* lives
-        in the model state."""
-        exp = blr_expectations(state, self.config)
-        factors = []
-        labels = []
-        for j in range(state.beta.shape[0]):
-            factors.append(
-                ExpFamParam.normal_gamma(
-                    state.beta[j], 1.0 / exp["v_diag"][j], state.a, state.b
-                )
-            )
-            labels.append(f"beta_tau[{j}]")
-        if not self.config.fix_relevance:
-            for j in range(state.d.shape[0]):
-                factors.append(ExpFamParam.gamma(state.c, state.d[j]))
-                labels.append(f"alpha[{j}]")
-        return MeanFieldState(tuple(factors), tuple(labels))
-
     def metadata(self):
         return asdict(self.config)
 
-    def summary_dict(self, state):
+    def export_state(self, state):
         exp = blr_expectations(state, self.config)
         return {
             "coefficients": state.beta.tolist(),
@@ -305,50 +280,6 @@ class BlrArd(VariationalModel):
             "relevance_rates": state.d.tolist(),
             "expected_relevance": exp["e_alpha"].tolist(),
         }
-
-    def perturbed_states(self, state, eps):
-        dim = state.beta.shape[0]
-        for j in range(dim):
-            for sign in (eps, -eps):
-                beta = state.beta.copy()
-                beta[j] += sign
-                yield BlrArdState(beta, state.v_inv, state.a, state.b, state.c, state.d)
-        for i in range(dim):
-            for j in range(i, dim):
-                for sign in (eps, -eps):
-                    v_inv = state.v_inv.copy()
-                    if i == j:
-                        v_inv[i, i] *= 1.0 + sign
-                    else:
-                        v_inv[i, j] += sign
-                        v_inv[j, i] += sign
-                    try:
-                        np.linalg.cholesky(v_inv)
-                    except np.linalg.LinAlgError:
-                        continue  # left the feasible cone; not a valid factor
-                    yield BlrArdState(
-                        state.beta, v_inv, state.a, state.b, state.c, state.d
-                    )
-        for name in ("a", "b"):
-            for factor in (1.0 + eps, 1.0 - eps):
-                kw = {"a": state.a, "b": state.b}
-                kw[name] *= factor
-                yield BlrArdState(
-                    state.beta, state.v_inv, kw["a"], kw["b"], state.c, state.d
-                )
-        if not self.config.fix_relevance:
-            for factor in (1.0 + eps, 1.0 - eps):
-                yield BlrArdState(
-                    state.beta, state.v_inv, state.a, state.b, state.c * factor, state.d
-                )
-            for j in range(dim):
-                for factor in (1.0 + eps, 1.0 - eps):
-                    d = state.d.copy()
-                    d[j] *= factor
-                    yield BlrArdState(
-                        state.beta, state.v_inv, state.a, state.b, state.c, d
-                    )
-
 
 def blr_ard_fit(x, y, config, fit_config, strategy="prior", init=None):
     """Fit the model with coordinate ascent; returns a :class:`FitReport`."""

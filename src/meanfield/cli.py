@@ -327,11 +327,11 @@ def _fit_config(cfg, seed):
 
 
 def _build_fit(cfg):
-    """Load data and return ``(fit_one, summarize)``.
+    """Load data and return ``(fit_one, export)``.
 
-    ``fit_one(seed)`` runs a fit; ``summarize(report, seed, out)`` returns
-    the model-specific fields of ``fit_<seed>.json`` and may write side
-    files for large parameters.
+    ``fit_one(seed)`` runs a fit; ``export(report, seed, out)`` returns the
+    model-specific fields of ``fit_<seed>.json``, the model's
+    ``export_state``, and may write side files for large parameters.
     """
     # Stochastic fits by model: each takes (data, config, schedule,
     # fit_config, batch_size) and reports the model's own ELBO and state.
@@ -373,21 +373,21 @@ def _build_fit(cfg):
         def fit_one(seed):
             return cavi_fit(model, data, _fit_config(cfg, seed))
 
-    def summarize(report, seed, out):
+    def export(report, seed, out):
         state = report.model_state
-        summary = model.summary_dict(state)
+        exported = model.export_state(state)
         if cfg.model == "lda":
-            summary["lambda_csv"] = f"lambda_{seed}.csv"
-            summary["gamma_csv"] = f"gamma_{seed}.csv"
-            _write_matrix_csv(out / summary["lambda_csv"], state.lam)
-            _write_matrix_csv(out / summary["gamma_csv"], state.gamma)
-        return summary
+            exported["lambda_csv"] = f"lambda_{seed}.csv"
+            exported["gamma_csv"] = f"gamma_{seed}.csv"
+            _write_matrix_csv(out / exported["lambda_csv"], state.lam)
+            _write_matrix_csv(out / exported["gamma_csv"], state.gamma)
+        return exported
 
-    return fit_one, summarize
+    return fit_one, export
 
 
 def cmd_fit(cfg):
-    fit_one, summarize = _build_fit(cfg)
+    fit_one, export = _build_fit(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -409,7 +409,7 @@ def cmd_fit(cfg):
             "final_elbo": report.final_elbo,
             "metadata": report.metadata,
         }
-        doc.update(summarize(report, seed, out))
+        doc.update(export(report, seed, out))
         _write_json(out / f"fit_{seed}.json", doc)
         final_elbos.append(report.final_elbo)
         log.info(

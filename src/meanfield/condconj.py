@@ -48,7 +48,13 @@ import numpy as np
 
 from .engine import _fit_loop
 from .errors import ConfigError, DomainError, NumericError
-from .expfam import _SIMPLEX_TOL, ExpFamParam, categorical_entropy, categorical_rows
+from .expfam import (
+    _SIMPLEX_TOL,
+    ExpFamParam,
+    _check_prob_rows,
+    categorical_entropy,
+    categorical_rows,
+)
 
 __all__ = [
     "GlobalParam",
@@ -69,13 +75,14 @@ __all__ = [
 ]
 
 
-def _frozen(a):
-    """``a`` as a read-only float array, copied unless it already is a
-    read-only float64 array that owns its data (such as the rows
-    :func:`local_probs` returns), which no view can change."""
-    owned = isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.owndata
+def _frozen(a, dtype=float):
+    """``a`` as a read-only array of ``dtype``, copied unless it already is
+    a read-only array of that dtype that owns its data (such as the rows
+    :func:`local_probs` returns), which no view can change.  Every state
+    class of the package stores its arrays through this."""
+    owned = isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
     if not owned or a.flags.writeable:
-        a = np.array(a, dtype=float)
+        a = np.array(a, dtype=dtype)
         a.setflags(write=False)
     return a
 
@@ -161,39 +168,31 @@ def _rows(data):
     return x[:, None] if x.ndim == 1 else x
 
 
-def _check_probs(probs):
-    """Reject an ``(n, k)`` array unless every row is a categorical
-    distribution: finite, nonnegative, summing to 1 within 1e-12 (the
-    checks :meth:`ExpFamParam.categorical` applies to one row)."""
-    if not np.all(np.isfinite(probs)):
-        raise DomainError("categorical parameters must be finite")
-    if np.any(probs < 0.0):
-        raise DomainError("categorical requires nonnegative probabilities")
-    if probs.size and np.max(np.abs(probs.sum(axis=1) - 1.0)) > _SIMPLEX_TOL:
-        raise DomainError("categorical probabilities must sum to 1")
-    return probs
-
-
 def _as_probs(phis):
     """Local factors as a read-only, checked ``(n, k)`` array.
 
-    Accepts the array itself or a sequence of categorical
-    :class:`ExpFamParam` (one per observation), converted once.
+    Accepts the array itself or a sequence of rows, one per observation,
+    each a categorical :class:`ExpFamParam` or a sequence of probabilities,
+    converted once; rows of different lengths are a :class:`DomainError`.
     """
     if not isinstance(phis, np.ndarray):
-        rows = [p.params for p in phis]
-        phis = np.reshape(rows, (len(rows), -1 if rows else 0))
+        rows = [p.params if isinstance(p, ExpFamParam) else p for p in phis]
+        try:
+            phis = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
+        except ValueError:
+            raise DomainError("local factors must be numeric rows of equal length")
     if phis.ndim != 2:
         raise DomainError("local factors must be an (n, k) array")
-    return _check_probs(_frozen(phis))
+    return _check_prob_rows(_frozen(phis), _SIMPLEX_TOL)
 
 
 @dataclass(frozen=True)
 class GlobalLocalState:
     """Global natural parameter plus the ``(n, k)`` local factor array.
 
-    ``phis`` may be given as that array or as a sequence of categorical
-    :class:`ExpFamParam`; either way it is stored as a read-only array.
+    ``phis`` may be given as that array or as a sequence of rows (each a
+    categorical :class:`ExpFamParam` or a sequence of probabilities); either
+    way it is stored as a read-only array.
     """
 
     lam: GlobalParam
@@ -294,7 +293,7 @@ def local_probs(spec, lam, X):
     logw = np.asarray(spec.local_natural_param(lam, X), dtype=float)
     if logw.shape != (X.shape[0], spec.num_local_values):
         raise DomainError("local_natural_param must return (n, k) logits")
-    probs = _check_probs(categorical_rows(logw))
+    probs = _check_prob_rows(categorical_rows(logw), _SIMPLEX_TOL)
     probs.setflags(write=False)
     return probs
 

@@ -1,12 +1,13 @@
 """Model-agnostic coordinate ascent driver and fit reporting.
 
 A model plugs into the engine by subclassing :class:`VariationalModel` and
-supplying four things: a deterministic seeded initializer, one full
+supplying five things: a deterministic seeded initializer, one full
 coordinate sweep (local factors before global factors), the evidence lower
-bound, and a log predictive density scoring a whole batch of observations in
-one call.  :func:`cavi_fit` then owns iteration, convergence, timing,
-held-out evaluation, and the monotonicity check, through the package's one
-iteration loop, which the stochastic fits share.
+bound, a log predictive density scoring a whole batch of observations in one
+call, and the export of a state as the JSON-ready dict a fit document holds.
+:func:`cavi_fit` then owns iteration, convergence, timing, held-out
+evaluation, and the monotonicity check, through the package's one iteration
+loop, which the stochastic fits share.
 
 The ELBO is a true lower bound on the log evidence, and every coordinate
 sweep can only increase it.  A recorded decrease beyond floating-point slack
@@ -27,12 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, MonotonicityError, NumericError
-from .expfam import ExpFamParam
 
 __all__ = [
     "InitStrategy",
     "FitConfig",
-    "MeanFieldState",
     "TracePoint",
     "HeldoutPoint",
     "FitReport",
@@ -42,7 +41,6 @@ __all__ = [
     "compute_elbo",
     "heldout_log_predictive",
     "meanfield_gaussian_fixed_point",
-    "coordinate_optimality_gap",
     "write_trace_csv",
 ]
 
@@ -83,24 +81,6 @@ class FitConfig:
             raise ConfigError("heldout_fraction", "must lie in [0, 0.5]")
         if self.elbo_every < 1:
             raise ConfigError("elbo_every", "must be >= 1")
-
-
-@dataclass(frozen=True)
-class MeanFieldState:
-    """A labelled collection of variational factors, one per latent block."""
-
-    factors: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        if len(self.factors) != len(self.labels):
-            raise DomainError("factors and labels must have equal length")
-        for f in self.factors:
-            if not isinstance(f, ExpFamParam):
-                raise DomainError("factors must be ExpFamParam instances")
-
-    def __getitem__(self, label):
-        return self.factors[self.labels.index(label)]
 
 
 class TracePoint(NamedTuple):
@@ -163,7 +143,7 @@ class VariationalModel(abc.ABC):
 
     @abc.abstractmethod
     def export_state(self, state):
-        """Represent the state as a labelled :class:`MeanFieldState`."""
+        """The JSON-ready dict of ``state`` that the fit document holds."""
 
     def metadata(self):
         """Hyperparameters to record in the fit report."""
@@ -188,15 +168,6 @@ class VariationalModel(abc.ABC):
         for value in values.tolist():
             total += value
         return total / n
-
-    def perturbed_states(self, state, eps):
-        """Yield copies of ``state`` with one factor nudged by ``eps``.
-
-        Used by :func:`coordinate_optimality_gap`; location parameters are
-        shifted additively, positive parameters multiplicatively so the
-        perturbed state stays feasible.
-        """
-        raise NotImplementedError
 
 
 def predictive_rows(x, width):
@@ -383,20 +354,6 @@ def meanfield_gaussian_fixed_point(mean, cov):
     # diag(inv(cov)) for the 2x2 case, without forming the inverse
     prec_diag = np.array([c[1, 1] / det, c[0, 0] / det])
     return mu.copy(), 1.0 / prec_diag
-
-
-def coordinate_optimality_gap(model, state, data, eps=1e-3):
-    """Largest ELBO increase over single-factor perturbations of ``state``.
-
-    At a coordinate-ascent fixed point no single-factor perturbation can
-    increase the ELBO, so the gap is <= 0 up to rounding (1e-10 in the
-    fixed-point tests).
-    """
-    base = model.elbo(state, data)
-    gap = -np.inf
-    for perturbed in model.perturbed_states(state, eps):
-        gap = max(gap, model.elbo(perturbed, data) - base)
-    return float(gap)
 
 
 def write_trace_csv(report, path):

@@ -15,24 +15,25 @@ and KL divergences that coordinate ascent updates are written in terms of:
 The moment, KL and entropy helpers broadcast over arrays and return floats
 for scalar input; every model ELBO takes its KL and entropy terms from them.
 
-``ExpFamParam`` is the common currency for variational factors: a frozen
-value holding one density's canonical parameters together with accessors for
-its natural parameters, mean, and entropy.  Natural parameters are computed
-on demand; canonical parameters are the stored representation.
+Variational factors live in each model's state as plain arrays, one per
+parameter of a family; the state class checks them and the model's
+``export_state`` writes them out.  ``ExpFamParam`` holds one categorical
+factor, a frozen probability vector checked at construction: the local
+factor of a single observation in the conditionally conjugate steps.
+:func:`_check_prob_rows` is the one probability-row check; each caller
+passes its own tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "Family",
     "ExpFamParam",
     "log_sum_exp",
     "categorical_rows",
@@ -301,12 +302,34 @@ def normal_gamma_kl(q_params, p_params):
     return _scalar(normal_part + gamma_kl(qa, qr, pa, pr))
 
 
+# Sum of a categorical factor's probabilities may drift from 1 by at most
+# this much before the factor is rejected.
+_SIMPLEX_TOL = 1e-12
+
+
+def _check_prob_rows(p, tol, message=None):
+    """Raise :class:`DomainError` unless every row of ``p`` along its last
+    axis is a probability vector: nonnegative, summing to 1 within ``tol``
+    (so finite).  An empty batch of rows passes.  ``message`` replaces the
+    default one, which names the first fault: a non-finite entry, a
+    negative one, or the sum."""
+    if np.any(p < 0.0) or not np.all(np.abs(p.sum(axis=-1) - 1.0) <= tol):
+        if message is None:
+            if not np.all(np.isfinite(p)):
+                message = "categorical parameters must be finite"
+            elif np.any(p < 0.0):
+                message = "categorical requires nonnegative probabilities"
+            else:
+                message = "categorical probabilities must sum to 1"
+        raise DomainError(message)
+    return p
+
+
 def categorical_entropy(probs):
     """Entropy of a categorical distribution, with 0 * log 0 = 0; one per
     row of an ``(n, k)`` array, whose rows must each sum to 1 within 1e-9."""
     p = np.atleast_1d(np.asarray(probs, dtype=float))
-    if np.any(p < 0.0) or not np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9):
-        raise DomainError("categorical_entropy requires a probability vector")
+    _check_prob_rows(p, 1e-9, "categorical_entropy requires a probability vector")
     logs = np.log(p, out=np.zeros_like(p), where=p > 0.0)
     return _scalar(-np.einsum("...k,...k->...", p, logs))
 
@@ -320,147 +343,19 @@ def gaussian_log_pdf(x, mean, var):
     return -0.5 * (LOG_2PI + np.log(v) + d * d / v)
 
 
-class Family(Enum):
-    """Exponential families with built-in support."""
-
-    GAUSSIAN = "gaussian"
-    GAMMA = "gamma"
-    DIRICHLET = "dirichlet"
-    CATEGORICAL = "categorical"
-    NORMAL_GAMMA = "normal_gamma"
-
-
-# Sum of a categorical factor's probabilities may drift from 1 by at most
-# this much before the factor is rejected.
-_SIMPLEX_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ExpFamParam:
-    """Canonical parameters of one exponential-family density.
+    """One categorical factor: probabilities, nonnegative, finite and
+    summing to 1 within 1e-12, validated at construction and stored as a
+    tuple of floats, so any held instance is a distribution."""
 
-    Parameters are validated at construction, so any held instance
-    satisfies its family's constraints.  Canonical layouts:
-
-    * ``GAUSSIAN``: (mean, var), var > 0
-    * ``GAMMA``: (shape, rate), both > 0
-    * ``DIRICHLET``: concentrations, all > 0
-    * ``CATEGORICAL``: probabilities, nonnegative, summing to 1 within 1e-12
-    * ``NORMAL_GAMMA``: (m, b, shape, rate) for
-      ``Normal(mu | m, 1/(b tau)) Gamma(tau | shape, rate)``, b/shape/rate > 0
-    """
-
-    family: Family
     params: tuple
 
     def __post_init__(self):
         p = tuple(float(v) for v in self.params)
         object.__setattr__(self, "params", p)
-        if not all(math.isfinite(v) for v in p):
-            raise DomainError(f"{self.family.value} parameters must be finite")
-        if self.family is Family.GAUSSIAN:
-            if len(p) != 2 or p[1] <= 0.0:
-                raise DomainError("gaussian requires (mean, var) with var > 0")
-        elif self.family is Family.GAMMA:
-            if len(p) != 2 or p[0] <= 0.0 or p[1] <= 0.0:
-                raise DomainError("gamma requires (shape, rate), both > 0")
-        elif self.family is Family.DIRICHLET:
-            if len(p) < 1 or any(v <= 0.0 for v in p):
-                raise DomainError("dirichlet requires concentrations > 0")
-        elif self.family is Family.CATEGORICAL:
-            if len(p) < 1 or any(v < 0.0 for v in p):
-                raise DomainError("categorical requires nonnegative probabilities")
-            if abs(sum(p) - 1.0) > _SIMPLEX_TOL:
-                raise DomainError("categorical probabilities must sum to 1")
-        elif self.family is Family.NORMAL_GAMMA:
-            if len(p) != 4 or p[1] <= 0.0 or p[2] <= 0.0 or p[3] <= 0.0:
-                raise DomainError(
-                    "normal_gamma requires (m, b, shape, rate) with b, shape, rate > 0"
-                )
-        else:  # pragma: no cover - enum is closed
-            raise DomainError(f"unknown family {self.family!r}")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def gaussian(cls, mean, var):
-        return cls(Family.GAUSSIAN, (mean, var))
-
-    @classmethod
-    def gamma(cls, shape, rate):
-        return cls(Family.GAMMA, (shape, rate))
-
-    @classmethod
-    def dirichlet(cls, concentration):
-        return cls(Family.DIRICHLET, tuple(np.asarray(concentration, dtype=float)))
+        _check_prob_rows(np.array(p), _SIMPLEX_TOL)
 
     @classmethod
     def categorical(cls, probs):
-        return cls(Family.CATEGORICAL, tuple(np.asarray(probs, dtype=float)))
-
-    @classmethod
-    def normal_gamma(cls, m, b, shape, rate):
-        return cls(Family.NORMAL_GAMMA, (m, b, shape, rate))
-
-    # -- accessors ---------------------------------------------------------
-
-    def natural(self):
-        """Natural parameters as an ndarray (computed on demand).
-
-        Sufficient statistics per family: Gaussian (x, x^2); Gamma
-        (log x, x); Dirichlet (log pi_k); Categorical (indicator of each
-        category, natural parameters log p_k); Normal-Gamma
-        (tau mu, tau mu^2, log tau, tau).
-        """
-        p = np.array(self.params)
-        if self.family is Family.GAUSSIAN:
-            m, v = p
-            return np.array([m / v, -0.5 / v])
-        if self.family is Family.GAMMA:
-            a, b = p
-            return np.array([a - 1.0, -b])
-        if self.family is Family.DIRICHLET:
-            return p - 1.0
-        if self.family is Family.CATEGORICAL:
-            with np.errstate(divide="ignore"):
-                return np.log(p)
-        m, b, a, r = p
-        return np.array([b * m, -0.5 * b, a - 0.5, -(r + 0.5 * b * m * m)])
-
-    def mean(self):
-        """Mean of the density (for NORMAL_GAMMA, the pair (E[mu], E[tau]))."""
-        p = np.array(self.params)
-        if self.family is Family.GAUSSIAN:
-            return float(p[0])
-        if self.family is Family.GAMMA:
-            return float(p[0] / p[1])
-        if self.family is Family.DIRICHLET:
-            return p / p.sum()
-        if self.family is Family.CATEGORICAL:
-            return p
-        return float(p[0]), float(p[2] / p[3])
-
-    def entropy(self):
-        """Differential (or discrete) entropy of the density."""
-        p = self.params
-        if self.family is Family.GAUSSIAN:
-            return 0.5 * (LOG_2PI + 1.0 + math.log(p[1]))
-        if self.family is Family.GAMMA:
-            a, b = p
-            return float(a - math.log(b) + log_gamma(a) + (1.0 - a) * digamma(a))
-        if self.family is Family.DIRICHLET:
-            c = np.array(p)
-            c0 = c.sum()
-            log_b = log_gamma(c).sum() - log_gamma(c0)
-            return float(
-                log_b + (c0 - c.size) * digamma(c0) - np.dot(c - 1.0, digamma(c))
-            )
-        if self.family is Family.CATEGORICAL:
-            return categorical_entropy(p)
-        m, b, a, r = p
-        # H[mu, tau] = H[tau] + E_tau H[mu | tau]
-        gamma_h = a - math.log(r) + log_gamma(a) + (1.0 - a) * digamma(a)
-        cond_gauss_h = 0.5 * (LOG_2PI + 1.0 - math.log(b)) - 0.5 * (
-            digamma(a) - math.log(r)
-        )
-        return float(gamma_h + cond_gauss_h)
+        return cls(tuple(np.asarray(probs, dtype=float)))

@@ -36,17 +36,11 @@ from .condconj import (
     global_step,
     local_probs,
 )
-from .engine import (
-    InitStrategy,
-    MeanFieldState,
-    VariationalModel,
-    init_state,
-    predictive_rows,
-)
+from .engine import InitStrategy, VariationalModel, init_state, predictive_rows
 from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
     LOG_2PI,
-    ExpFamParam,
+    _check_prob_rows,
     categorical_entropy,
     categorical_rows,
     digamma,
@@ -104,13 +98,6 @@ def _initial_means(x, k, strategy, rng, prior_mean):
     raise ConfigError("strategy", f"unknown init strategy {strategy!r}")
 
 
-def _check_rows(r, name):
-    """Reject responsibilities with a negative entry or a row whose sum is
-    off 1 by more than 1e-9; an empty ``(0, k)`` array passes."""
-    if np.any(r < 0.0) or not np.all(np.abs(r.sum(axis=1) - 1.0) <= 1e-9):
-        raise DomainError(f"{name} rows must be probability vectors")
-
-
 # ---------------------------------------------------------------------------
 # unit-variance mixture
 # ---------------------------------------------------------------------------
@@ -148,7 +135,7 @@ class UniGmmState:
             raise DomainError("mean-factor variances must be > 0")
         if self.phi.ndim != 2 or self.phi.shape[1] != self.m.shape[0]:
             raise DomainError("phi must be (n, k)")
-        _check_rows(self.phi, "phi")
+        _check_prob_rows(self.phi, 1e-9, "phi rows must be probability vectors")
 
 
 def update_assignments(state, data):
@@ -278,48 +265,14 @@ class UnitVarianceGmm(VariationalModel):
     def log_predictive(self, state, data):
         return predictive_log_density(state, _as_matrix(data))
 
-    def export_state(self, state):
-        k, d = state.m.shape
-        factors = []
-        labels = []
-        for j in range(k):
-            for c in range(d):
-                factors.append(ExpFamParam.gaussian(state.m[j, c], state.s2[j, c]))
-                labels.append(f"mu[{j}]" if d == 1 else f"mu[{j},{c}]")
-        for i in range(state.phi.shape[0]):
-            factors.append(ExpFamParam.categorical(state.phi[i]))
-            labels.append(f"c[{i}]")
-        return MeanFieldState(tuple(factors), tuple(labels))
-
     def metadata(self):
         return {"k": self.config.k, "sigma2": self.config.sigma2}
 
-    def summary_dict(self, state):
+    def export_state(self, state):
         return {
             "means": state.m.tolist(),
             "variances": state.s2.tolist(),
         }
-
-    def perturbed_states(self, state, eps):
-        k, d = state.m.shape
-        for j in range(k):
-            for c in range(d):
-                for sign in (eps, -eps):
-                    m = state.m.copy()
-                    m[j, c] += sign
-                    yield UniGmmState(m, state.s2, state.phi)
-                for factor in (1.0 + eps, 1.0 - eps):
-                    s2 = state.s2.copy()
-                    s2[j, c] *= factor
-                    yield UniGmmState(state.m, s2, state.phi)
-        for i in range(state.phi.shape[0]):
-            for j in range(k):
-                for sign in (eps, -eps):
-                    logits = np.log(np.maximum(state.phi[i : i + 1], 1e-300))
-                    logits[0, j] += sign
-                    phi = state.phi.copy()
-                    phi[i] = categorical_rows(logits)[0]
-                    yield UniGmmState(state.m, state.s2, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +443,9 @@ class DiagGmmState:
             raise DomainError("state arrays have inconsistent dimensions")
         if self.r.shape[1:] != k:
             raise DomainError("responsibilities must be (n, k)")
-        _check_rows(self.r, "responsibility")
+        _check_prob_rows(
+            self.r, 1e-9, "responsibility rows must be probability vectors"
+        )
         if np.any(self.conc <= 0.0):
             raise DomainError("Dirichlet concentrations must be > 0")
         for name in ("b", "alpha", "beta"):
@@ -630,27 +585,10 @@ class DiagGmm(VariationalModel):
     def log_predictive(self, state, data):
         return diag_predictive_log_density(state, _as_matrix(data))
 
-    def export_state(self, state):
-        k, d = state.m.shape
-        factors = [ExpFamParam.dirichlet(state.conc)]
-        labels = ["pi"]
-        for j in range(k):
-            for c in range(d):
-                factors.append(
-                    ExpFamParam.normal_gamma(
-                        state.m[j, c], state.b[j, c], state.alpha[j, c], state.beta[j, c]
-                    )
-                )
-                labels.append(f"mu_tau[{j},{c}]")
-        for i in range(state.r.shape[0]):
-            factors.append(ExpFamParam.categorical(state.r[i]))
-            labels.append(f"c[{i}]")
-        return MeanFieldState(tuple(factors), tuple(labels))
-
     def metadata(self):
         return asdict(self.config)
 
-    def summary_dict(self, state):
+    def export_state(self, state):
         return {
             "weight_concentration": state.conc.tolist(),
             "locations": state.m.tolist(),
@@ -658,41 +596,6 @@ class DiagGmm(VariationalModel):
             "shapes": state.alpha.tolist(),
             "rates": state.beta.tolist(),
         }
-
-    def perturbed_states(self, state, eps):
-        k, d = state.m.shape
-        for j in range(k):
-            for sign in (eps, -eps):
-                conc = state.conc.copy()
-                conc[j] = max(conc[j] + sign, conc[j] * 0.5)
-                yield DiagGmmState(conc, state.m, state.b, state.alpha, state.beta, state.r)
-        for j in range(k):
-            for c in range(d):
-                m = state.m.copy()
-                m[j, c] += eps
-                yield DiagGmmState(state.conc, m, state.b, state.alpha, state.beta, state.r)
-                m = state.m.copy()
-                m[j, c] -= eps
-                yield DiagGmmState(state.conc, m, state.b, state.alpha, state.beta, state.r)
-                for name in ("b", "alpha", "beta"):
-                    for factor in (1.0 + eps, 1.0 - eps):
-                        arrays = {
-                            "b": state.b.copy(),
-                            "alpha": state.alpha.copy(),
-                            "beta": state.beta.copy(),
-                        }
-                        arrays[name][j, c] *= factor
-                        yield DiagGmmState(
-                            state.conc, state.m, arrays["b"], arrays["alpha"], arrays["beta"], state.r
-                        )
-        for i in range(state.r.shape[0]):
-            for j in range(k):
-                for sign in (eps, -eps):
-                    logits = np.log(np.maximum(state.r[i : i + 1], 1e-300))
-                    logits[0, j] += sign
-                    r = state.r.copy()
-                    r[i] = categorical_rows(logits)[0]
-                    yield DiagGmmState(state.conc, state.m, state.b, state.alpha, state.beta, r)
 
 
 # ---------------------------------------------------------------------------

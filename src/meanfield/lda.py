@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condconj import _stochastic_fit
-from .engine import MeanFieldState, VariationalModel, cavi_fit
+from .condconj import _frozen, _stochastic_fit
+from .engine import VariationalModel, cavi_fit
 from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
-    ExpFamParam,
+    _check_prob_rows,
     _dirichlet_expected_log_rows,
     _dirichlet_kl,
     categorical_entropy,
@@ -71,12 +71,6 @@ INNER_MAX_ITERS = 100
 # only when its document and its term favour different topics by hundreds of
 # nats; such tokens are normalized in log space, keeping count/phinorm finite.
 _NORM_FLOOR = 1e-100
-
-
-def _frozen(a, dtype=float):
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -346,10 +340,7 @@ class LdaState:
             raise DomainError("Dirichlet parameters must be > 0")
         if self.phi.ndim != 2 or self.phi.shape[1] != k:
             raise DomainError("phi rows must have one column per topic")
-        if np.any(self.phi < 0.0) or not np.allclose(
-            self.phi.sum(axis=1), 1.0, rtol=0.0, atol=1e-9
-        ):
-            raise DomainError("phi rows must be probability vectors")
+        _check_prob_rows(self.phi, 1e-9, "phi rows must be probability vectors")
 
 
 def _check_matches(state, corpus):
@@ -560,20 +551,6 @@ class Lda(VariationalModel):
             raise DomainError("held-out documents contain no tokens")
         return float(heldout.cts @ self._entry_log_probs(state, heldout)) / tokens
 
-    def export_state(self, state):
-        factors = []
-        labels = []
-        for j in range(state.lam.shape[0]):
-            factors.append(ExpFamParam.dirichlet(state.lam[j]))
-            labels.append(f"beta[{j}]")
-        for d in range(state.gamma.shape[0]):
-            factors.append(ExpFamParam.dirichlet(state.gamma[d]))
-            labels.append(f"theta[{d}]")
-        for i in range(state.phi.shape[0]):
-            factors.append(ExpFamParam.categorical(state.phi[i]))
-            labels.append(f"z[{i}]")
-        return MeanFieldState(tuple(factors), tuple(labels))
-
     def metadata(self):
         return {
             "k": self.config.k,
@@ -581,7 +558,7 @@ class Lda(VariationalModel):
             "alpha": self.config.alpha.tolist(),
         }
 
-    def summary_dict(self, state, top=20):
+    def export_state(self, state, top=20):
         beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
         top_terms = []
         top_probs = []

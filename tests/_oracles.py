@@ -11,10 +11,13 @@ one-observation-at-a-time global-local (conditionally conjugate) mixture
 steps, the mixture's dedicated component update and per-coordinate
 responsibilities, and model ELBOs with their prior, KL and entropy terms written out
 by hand -- so agreement with the package is evidence of correctness rather
-than of shared code.  The exceptions are ``corpus_of``, a constructor, and
-the LDA single-document updates, which the tests compose by hand.
+than of shared code.  The exceptions are ``corpus_of``, a constructor,
+the LDA single-document updates, which the tests compose by hand, and
+``coordinate_optimality_gap``, a fixed-point check that scores
+single-factor perturbations of a fitted state with the model's own ELBO.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -23,8 +26,10 @@ import scipy.linalg
 import scipy.stats
 from scipy.special import digamma, gammaln, logsumexp
 
+from meanfield.blr_ard import BlrArdState
 from meanfield.expfam import _dirichlet_expected_log_rows
 from meanfield.expfam import digamma as np_digamma
+from meanfield.gmm import DiagGmmState, UniGmmState
 from meanfield.lda import Corpus, _phi_rows, _shifted
 
 
@@ -740,3 +745,101 @@ def heldout_mean_loop(point_fn, state, heldout):
     for row in rows:
         total += point_fn(state, row)
     return total / rows.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# coordinate optimality: single-factor perturbations of a fitted state
+# ---------------------------------------------------------------------------
+
+
+def _copy_with(state, name, index, value):
+    """``state`` with entry ``index`` of its array ``name`` set to ``value``;
+    the state class validates the result."""
+    a = np.array(getattr(state, name))
+    a[index] = value
+    return dataclasses.replace(state, **{name: a})
+
+
+def _shifts(state, name, eps):
+    """Each entry of ``name`` moved by +-eps (a location parameter)."""
+    a = np.asarray(getattr(state, name))
+    for index in np.ndindex(a.shape):
+        for step in (eps, -eps):
+            yield _copy_with(state, name, index, a[index] + step)
+
+
+def _scalings(state, name, eps):
+    """Each entry of ``name`` scaled by 1 +- eps (a positive parameter)."""
+    a = np.asarray(getattr(state, name))
+    for index in np.ndindex(a.shape):
+        for factor in (1.0 + eps, 1.0 - eps):
+            yield _copy_with(state, name, index, a[index] * factor)
+
+
+def _row_nudges(state, name, eps):
+    """Each categorical row of ``name`` with one logit moved by +-eps."""
+    rows = getattr(state, name)
+    for i, j in np.ndindex(rows.shape):
+        for step in (eps, -eps):
+            logits = np.log(np.maximum(rows[i], 1e-300))
+            logits[j] += step
+            p = np.exp(logits - logsumexp(logits))
+            yield _copy_with(state, name, i, p / p.sum())
+
+
+def _uni_gmm_perturbations(model, state, eps):
+    yield from _shifts(state, "m", eps)
+    yield from _scalings(state, "s2", eps)
+    yield from _row_nudges(state, "phi", eps)
+
+
+def _diag_gmm_perturbations(model, state, eps):
+    for j, c in enumerate(state.conc):
+        for step in (eps, -eps):
+            yield _copy_with(state, "conc", j, max(c + step, 0.5 * c))
+    yield from _shifts(state, "m", eps)
+    for name in ("b", "alpha", "beta"):
+        yield from _scalings(state, name, eps)
+    yield from _row_nudges(state, "r", eps)
+
+
+def _blr_perturbations(model, state, eps):
+    yield from _shifts(state, "beta", eps)
+    dim = state.beta.shape[0]
+    for i in range(dim):
+        for j in range(i, dim):
+            for step in (eps, -eps):
+                v_inv = np.array(state.v_inv)
+                if i == j:
+                    v_inv[i, i] *= 1.0 + step
+                else:
+                    v_inv[i, j] += step
+                    v_inv[j, i] += step
+                try:
+                    np.linalg.cholesky(v_inv)
+                except np.linalg.LinAlgError:
+                    continue  # left the feasible cone; not a valid factor
+                yield dataclasses.replace(state, v_inv=v_inv)
+    for name in ("a", "b") if model.config.fix_relevance else ("a", "b", "c", "d"):
+        yield from _scalings(state, name, eps)
+
+
+def coordinate_optimality_gap(model, state, data, eps=1e-3):
+    """Largest ELBO increase over single-factor perturbations of a mixture
+    or regression ``state``.
+
+    Location parameters move additively, positive ones multiplicatively, and
+    each categorical row by one logit, so every perturbed state is feasible.
+    At a coordinate-ascent fixed point no such perturbation can increase
+    the ELBO, so the gap is <= 0 up to rounding.
+    """
+    perturbations = {
+        UniGmmState: _uni_gmm_perturbations,
+        DiagGmmState: _diag_gmm_perturbations,
+        BlrArdState: _blr_perturbations,
+    }[type(state)]
+    base = model.elbo(state, data)
+    gap = -np.inf
+    for perturbed in perturbations(model, state, eps):
+        gap = max(gap, model.elbo(perturbed, data) - base)
+    return float(gap)

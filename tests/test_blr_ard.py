@@ -25,18 +25,14 @@ from meanfield.blr_ard import (
     update_coeff_precision,
     update_relevance,
 )
-from meanfield.engine import (
-    FitConfig,
-    cavi_fit,
-    coordinate_optimality_gap,
-    init_state,
-)
+from meanfield.engine import FitConfig, cavi_fit, init_state
 from meanfield.errors import ConfigError, DomainError
 
 from _oracles import (
     bayes_linreg_log_marginal,
     bayes_linreg_posterior,
     blr_cholesky_solves,
+    coordinate_optimality_gap,
 )
 
 
@@ -361,26 +357,6 @@ class TestEngineIntegration:
         assert report.heldout_trace
         assert all(np.isfinite(p.log_predictive) for p in report.heldout_trace)
         assert report.metadata["n_heldout"] == 30
-
-    def test_export_state_layout(self):
-        x, y, _ = make_regression(n=20, d=2, seed=11)
-        config = BlrArdConfig()
-        data = stack(x, y)
-        model = BlrArd(config)
-        state = model.sweep(model.init_state(data, "prior", None), data)
-        mf = model.export_state(state)
-        assert mf.labels == ("beta_tau[0]", "beta_tau[1]", "alpha[0]", "alpha[1]")
-        ng = mf["beta_tau[0]"]
-        assert ng.params[0] == pytest.approx(state.beta[0])
-        assert mf["alpha[1]"].params == (state.c, state.d[1])
-
-    def test_export_state_fixed_relevance_omits_alpha(self):
-        config = BlrArdConfig(fix_relevance=True)
-        s = BlrArdState(np.zeros(2), np.eye(2), 1.0, 1.0, 1.0, np.ones(2))
-        assert BlrArd(config).export_state(s).labels == (
-            "beta_tau[0]",
-            "beta_tau[1]",
-        )
 
     def test_init_state_via_engine_helper(self):
         x, y, _ = make_regression(n=10, d=3, seed=12)

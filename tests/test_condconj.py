@@ -21,6 +21,7 @@ from meanfield.condconj import (
     GlobalLocalState,
     GlobalParam,
     StepSchedule,
+    _frozen,
     cond_conj_elbo,
     coordinate_ascent,
     global_step,
@@ -34,6 +35,7 @@ from meanfield.condconj import (
 )
 from meanfield.engine import FitConfig, InitStrategy, cavi_fit, init_state
 from meanfield.errors import ConfigError, DomainError
+from meanfield.expfam import ExpFamParam
 from meanfield.gmm import (
     UniGmmConfig,
     UniGmmState,
@@ -113,6 +115,34 @@ class TestLocalGlobalSteps:
         spec = conjugate_spec(k=2, sigma2=1.0)
         with pytest.raises(DomainError):
             global_step(spec, (), [1.0])
+
+    def test_global_step_accepts_rows_of_any_kind(self):
+        spec = conjugate_spec(k=2, sigma2=1.0)
+        rows = np.array([[0.25, 0.75], [0.5, 0.5]])
+        want = global_step(spec, rows, [0.0, 1.0]).stat
+        plain = global_step(spec, [[0.25, 0.75], (0.5, 0.5)], [0.0, 1.0]).stat
+        mixed = [ExpFamParam.categorical([0.25, 0.75]), [0.5, 0.5]]
+        assert_array_equal(plain, want)
+        assert_array_equal(global_step(spec, mixed, [0.0, 1.0]).stat, want)
+        assert_array_equal(
+            global_step(spec, [[0.5, 0.5]], [0.0]).stat,
+            global_step(spec, rows[1:], [0.0]).stat,
+        )
+
+    @pytest.mark.parametrize("phis", [
+        [ExpFamParam.categorical([1.0]), ExpFamParam.categorical([0.5, 0.5])],
+        [[1.0], [0.5, 0.5]],
+        [[0.5, 0.5], ["a", "b"]],
+    ])
+    def test_ragged_or_non_numeric_rows_are_a_domain_error(self, phis):
+        spec = conjugate_spec(k=2, sigma2=1.0)
+        with pytest.raises(DomainError, match="numeric rows of equal length"):
+            global_step(spec, phis, [0.0, 1.0])
+
+    def test_a_flat_list_is_not_rows(self):
+        spec = conjugate_spec(k=2, sigma2=1.0)
+        with pytest.raises(DomainError, match=r"\(n, k\) array"):
+            global_step(spec, [0.5, 0.5], [0.0, 1.0])
 
     def test_equivalence_with_dedicated_updates(self):
         # alternating local/global steps reproduces the dedicated
@@ -579,3 +609,30 @@ class TestLocalProbsChecks:
         assert UniGmmState(m, s2, view).phi is not view
         with pytest.raises(DomainError):
             UniGmmState(m, s2, np.full((3, 2), 0.7))
+
+    def test_each_call_site_keeps_its_tolerance(self):
+        # 5e-10 off: inside the mixture states' 1e-9, outside the 1e-12
+        # of the conditionally conjugate local factors
+        rows = np.array([[0.5, 0.5 + 5e-10]])
+        UniGmmState(np.zeros((2, 1)), np.ones((2, 1)), rows)
+        with pytest.raises(DomainError, match="sum to 1"):
+            GlobalLocalState(GlobalParam(np.zeros(3), 0.0), rows)
+        with pytest.raises(DomainError, match="phi rows must be probability vectors"):
+            UniGmmState(np.zeros((2, 1)), np.ones((2, 1)), rows + 1e-9)
+
+
+class TestFrozen:
+    def test_keeps_its_dtype_and_an_owned_read_only_array(self):
+        ids = np.array([3, 1])
+        frozen = _frozen(ids, int)
+        assert frozen.dtype == np.int64 and not frozen.flags.writeable
+        assert frozen is not ids and _frozen(frozen, int) is frozen
+        converted = _frozen(frozen)
+        assert converted.dtype == np.float64 and not converted.flags.writeable
+
+    def test_every_state_module_uses_the_one_copy(self):
+        from meanfield import blr_ard, condconj, lda
+
+        assert blr_ard._frozen is condconj._frozen
+        assert gmm._frozen is condconj._frozen
+        assert lda._frozen is condconj._frozen

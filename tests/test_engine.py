@@ -5,15 +5,17 @@ import csv
 import numpy as np
 import pytest
 
-from _oracles import gmm_log_evidence, k1_gaussian_posterior
+from _oracles import (
+    coordinate_optimality_gap,
+    gmm_log_evidence,
+    k1_gaussian_posterior,
+)
 from meanfield.engine import (
     FitConfig,
     InitStrategy,
-    MeanFieldState,
     VariationalModel,
     cavi_fit,
     compute_elbo,
-    coordinate_optimality_gap,
     heldout_log_predictive,
     init_state,
     meanfield_gaussian_fixed_point,
@@ -25,7 +27,6 @@ from meanfield.errors import (
     MonotonicityError,
     NumericError,
 )
-from meanfield.expfam import ExpFamParam
 from meanfield.gmm import UniGmmConfig, UniGmmState, UnitVarianceGmm
 
 
@@ -48,22 +49,6 @@ class TestFitConfig:
         with pytest.raises(ConfigError) as err:
             FitConfig(**kwargs)
         assert err.value.field == field
-
-
-class TestMeanFieldState:
-    def test_label_lookup(self):
-        state = MeanFieldState(
-            (ExpFamParam.gaussian(0.0, 1.0),), ("mu[0]",)
-        )
-        assert state["mu[0]"].params == (0.0, 1.0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            MeanFieldState((ExpFamParam.gaussian(0.0, 1.0),), ("a", "b"))
-
-    def test_non_factor_rejected(self):
-        with pytest.raises(DomainError):
-            MeanFieldState((1.0,), ("a",))
 
 
 class TestInitState:
@@ -331,7 +316,7 @@ class _StubModel(VariationalModel):
         return 0.0
 
     def export_state(self, state):
-        return MeanFieldState((), ())
+        return {}
 
 
 def _dataset(seed, n=80, k=3):

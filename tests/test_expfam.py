@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from meanfield.errors import DomainError
 from meanfield.expfam import (
     ExpFamParam,
+    _check_prob_rows,
     categorical_entropy,
     digamma,
     dirichlet_expected_log,
@@ -311,13 +312,6 @@ class TestSmallHelpers:
 
 
 class TestExpFamParam:
-    def test_gaussian_validation(self):
-        ExpFamParam.gaussian(0.0, 1.0)
-        with pytest.raises(DomainError):
-            ExpFamParam.gaussian(0.0, 0.0)
-        with pytest.raises(DomainError):
-            ExpFamParam.gaussian(float("inf"), 1.0)
-
     def test_categorical_validation(self):
         ExpFamParam.categorical([0.5, 0.5])
         with pytest.raises(DomainError):
@@ -325,58 +319,37 @@ class TestExpFamParam:
         with pytest.raises(DomainError):
             ExpFamParam.categorical([-0.1, 1.1])
 
-    def test_gamma_validation(self):
-        with pytest.raises(DomainError):
-            ExpFamParam.gamma(1.0, -1.0)
-
-    def test_normal_gamma_validation(self):
-        with pytest.raises(DomainError):
-            ExpFamParam.normal_gamma(0.0, 0.0, 1.0, 1.0)
-
-    def test_gaussian_natural_roundtrip(self):
-        f = ExpFamParam.gaussian(2.0, 4.0)
-        eta = f.natural()
-        # eta = (m/v, -1/(2v))
-        assert np.allclose(eta, [0.5, -0.125])
-        v = -0.5 / eta[1]
-        m = eta[0] * v
-        assert (m, v) == (2.0, 4.0)
-
-    def test_dirichlet_natural(self):
-        f = ExpFamParam.dirichlet([1.0, 2.0, 3.0])
-        assert np.allclose(f.natural(), [0.0, 1.0, 2.0])
-
-    def test_entropy_matches_scipy(self):
-        assert ExpFamParam.gaussian(0.0, 2.0).entropy() == pytest.approx(
-            scipy.stats.norm(0.0, math.sqrt(2.0)).entropy(), abs=1e-12
-        )
-        assert ExpFamParam.gamma(3.0, 2.0).entropy() == pytest.approx(
-            scipy.stats.gamma(3.0, scale=0.5).entropy(), abs=1e-10
-        )
-        assert ExpFamParam.dirichlet([2.0, 3.0, 4.0]).entropy() == pytest.approx(
-            scipy.stats.dirichlet([2.0, 3.0, 4.0]).entropy(), abs=1e-10
-        )
-
-    def test_normal_gamma_entropy_monte_carlo(self):
-        f = ExpFamParam.normal_gamma(0.5, 2.0, 3.0, 1.5)
-        rng = np.random.default_rng(7)
-        tau = rng.gamma(3.0, 1.0 / 1.5, size=200_000)
-        mu = rng.normal(0.5, np.sqrt(1.0 / (2.0 * tau)))
-        logq = scipy.stats.norm(0.5, np.sqrt(1.0 / (2.0 * tau))).logpdf(
-            mu
-        ) + scipy.stats.gamma(3.0, scale=1.0 / 1.5).logpdf(tau)
-        assert f.entropy() == pytest.approx(-logq.mean(), abs=0.02)
-
-    def test_means(self):
-        assert ExpFamParam.gamma(3.0, 2.0).mean() == 1.5
-        assert np.allclose(ExpFamParam.dirichlet([1.0, 3.0]).mean(), [0.25, 0.75])
-        emu, etau = ExpFamParam.normal_gamma(1.0, 1.0, 4.0, 2.0).mean()
-        assert (emu, etau) == (1.0, 2.0)
-
     def test_immutability(self):
-        f = ExpFamParam.gaussian(0.0, 1.0)
+        f = ExpFamParam.categorical([0.5, 0.5])
         with pytest.raises(AttributeError):
             f.params = (1.0, 1.0)
+
+
+class TestProbRows:
+    @pytest.mark.parametrize("rows,fault", [
+        ([[np.nan, 1.0]], "must be finite"),
+        ([[np.inf, 0.0]], "must be finite"),
+        ([[-0.5, 1.5]], "nonnegative"),
+        ([[0.5, 0.5], [0.6, 0.6]], "sum to 1"),
+    ])
+    def test_default_message_names_the_fault(self, rows, fault):
+        with pytest.raises(DomainError, match=fault):
+            _check_prob_rows(np.array(rows), 1e-12)
+        with pytest.raises(DomainError, match="^given$"):
+            _check_prob_rows(np.array(rows), 1e-12, "given")
+
+    def test_the_tolerance_is_the_callers(self):
+        rows = np.array([[0.5, 0.5 + 5e-10], [1.0, 0.0]])
+        assert _check_prob_rows(rows, 1e-9) is rows
+        with pytest.raises(DomainError):
+            _check_prob_rows(rows, 1e-12)
+        with pytest.raises(DomainError, match="probability vector"):
+            categorical_entropy(rows + 1e-9)
+
+    def test_an_empty_batch_passes_and_an_empty_row_does_not(self):
+        _check_prob_rows(np.zeros((0, 3)), 1e-12)
+        with pytest.raises(DomainError):
+            _check_prob_rows(np.zeros(0), 1e-12)
 
 
 class TestBroadcast:

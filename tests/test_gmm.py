@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from _oracles import (
     align_accuracy,
+    coordinate_optimality_gap,
     gmm_elbo_direct,
     gmm_predictive_point,
     gmm_kl_to_posterior,
@@ -20,7 +21,7 @@ from _oracles import (
     normal_gamma_posterior,
 )
 from meanfield.condconj import GlobalParam, local_probs
-from meanfield.engine import FitConfig, cavi_fit, coordinate_optimality_gap, init_state
+from meanfield.engine import FitConfig, cavi_fit, init_state
 from meanfield.errors import ConfigError, DataFormatError, DomainError
 from meanfield.gmm import (
     DiagGmm,
@@ -238,13 +239,6 @@ class TestUnitVarianceModel:
         report = cavi_fit(model, data, FitConfig(seed=1, max_iters=800, tol=1e-14))
         gap = coordinate_optimality_gap(model, report.model_state, data)
         assert gap <= 1e-10
-
-    def test_export_state_labels(self):
-        model = UnitVarianceGmm(UniGmmConfig(k=2))
-        state = _state([0.0, 1.0], [1.0, 1.0], [[0.4, 0.6]])
-        exported = model.export_state(state)
-        assert exported["mu[1]"].params == (1.0, 1.0)
-        assert exported["c[0]"].params == (0.4, 0.6)
 
     def test_states_are_immutable(self):
         state = _state([0.0], [1.0], [[1.0]])

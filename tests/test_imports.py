@@ -1,13 +1,17 @@
-"""No command loads scipy, checked in fresh processes.
+"""What importing the package gives: no scipy, and exports that resolve.
 
 The package's special functions and linear algebra are numpy only, so
 importing the CLI and running any model's ``fit`` or ``eval`` leaves scipy
-unloaded.  Each case starts its own interpreter because pytest itself has
-imported scipy by the time a test runs.
+unloaded.  Each of those cases starts its own interpreter because pytest
+itself has imported scipy by the time a test runs.  Every name in the
+package's and each module's ``__all__`` resolves and is listed once, so an
+export left behind by a deletion fails here.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -99,3 +103,18 @@ def test_digamma_models_leave_scipy_unloaded(inputs, model, data):
     codes, scipy_loaded = run_commands(*commands)
     assert codes == [0] * len(commands)
     assert not scipy_loaded
+
+
+def _modules():
+    import meanfield
+
+    names = [f"meanfield.{m.name}" for m in pkgutil.iter_modules(meanfield.__path__)]
+    return ["meanfield", *sorted(names)]
+
+
+@pytest.mark.parametrize("name", _modules())
+def test_every_exported_name_resolves_once(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert sorted(n for n in set(exported) if exported.count(n) > 1) == []
+    assert [n for n in exported if not hasattr(module, n)] == []

@@ -623,25 +623,12 @@ class TestPredictive:
 
 
 class TestExportState:
-    def test_labels_and_factors(self):
-        corpus = tiny_corpus()
-        config = LdaConfig(k=2)
-        model = Lda(config)
-        state, _ = fit_state(corpus, config, seed=0, max_iters=20)
-        mf = model.export_state(state)
-        assert mf.labels[:2] == ("beta[0]", "beta[1]")
-        assert "theta[2]" in mf.labels
-        z_labels = [label for label in mf.labels if label.startswith("z[")]
-        assert z_labels == [f"z[{i}]" for i in range(corpus.ids.size)]
-        assert_allclose(mf["beta[0]"].params, state.lam[0])
-        assert_allclose(mf["theta[1]"].params, state.gamma[1])
-
     def test_summary_dict_top_terms(self):
         corpus, _ = simulate_corpus(2, 30, 12, 20, seed=15, disjoint=True)
         config = LdaConfig(k=2)
         model = Lda(config)
         state, _ = fit_state(corpus, config, seed=1, max_iters=60)
-        summary = model.summary_dict(state, top=5)
+        summary = model.export_state(state, top=5)
         assert len(summary["top_terms"]) == 2
         assert len(summary["top_terms"][0]) == 5
         probs = summary["top_term_probs"][0]
