@@ -11,15 +11,13 @@ error (message carries the offending line when known), 4 numeric failure
 logging verbosity on stderr.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +63,13 @@ __all__ = ["main", "RunConfig"]
 
 log = logging.getLogger("meanfield.cli")
 
-# Engine adapter, config type and the optional config fields a run may set,
-# by model; every config but blr-ard's also takes a required k.
+# Engine adapter, config type and the config fields a run may set, by model.
+# Each field is a RunConfig field; k, where listed, is required.
 MODEL_TYPES = {
-    "gmm": (UnitVarianceGmm, UniGmmConfig, ("sigma2",)),
-    "gmm-diag": (DiagGmm, DiagGmmConfig, ("a0", "m0", "b0", "alpha0", "beta0")),
+    "gmm": (UnitVarianceGmm, UniGmmConfig, ("k", "sigma2")),
+    "gmm-diag": (DiagGmm, DiagGmmConfig, ("k", "a0", "m0", "b0", "alpha0", "beta0")),
     "blr-ard": (BlrArd, BlrArdConfig, ("a0", "b0", "c0", "d0")),
-    "lda": (Lda, LdaConfig, ("eta", "alpha")),
+    "lda": (Lda, LdaConfig, ("k", "eta", "alpha")),
 }
 MODELS = tuple(MODEL_TYPES)
 ALGORITHMS = ("cavi", "svi")
@@ -165,38 +163,6 @@ def _parse_seeds(text):
     return [_check_seed(p) for p in parts]
 
 
-# (field, converter) pairs a fit config file may set; flags override.  Each
-# numeric field is also a flag (``max_iters`` as ``--max-iters``).
-_FIT_FILE_FIELDS = {
-    "model": str,
-    "algorithm": str,
-    "data": str,
-    "out": str,
-    "seed": int,
-    "seeds": str,
-    "max_iters": int,
-    "tol": float,
-    "elbo_every": int,
-    "heldout_fraction": float,
-    "k": int,
-    "sigma2": float,
-    "a0": float,
-    "m0": float,
-    "b0": float,
-    "alpha0": float,
-    "beta0": float,
-    "c0": float,
-    "d0": float,
-    "eta": float,
-    "alpha": float,
-    "kappa": float,
-    "delay": float,
-    "scale": float,
-    "batch": int,
-    "parallel": int,
-}
-
-
 def _read_config_file(path):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -225,7 +191,11 @@ def _read_config_file(path):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a fit run needs, after merging flags and config file."""
+    """Everything a fit run needs, after merging flags and config file.
+
+    Each field's annotation converts its config-file value; ``seeds`` is
+    parsed from text.
+    """
 
     model: str
     data: str
@@ -236,18 +206,18 @@ class RunConfig:
     tol: float = 1e-8
     elbo_every: int = 1
     heldout_fraction: float = 0.0
-    k: object = None
-    sigma2: object = None
-    a0: object = None
-    m0: object = None
-    b0: object = None
-    alpha0: object = None
-    beta0: object = None
-    c0: object = None
-    d0: object = None
-    eta: object = None
-    alpha: object = None
-    kappa: object = None
+    k: int = None
+    sigma2: float = None
+    a0: float = None
+    m0: float = None
+    b0: float = None
+    alpha0: float = None
+    beta0: float = None
+    c0: float = None
+    d0: float = None
+    eta: float = None
+    alpha: float = None
+    kappa: float = None
     delay: float = 0.0
     scale: float = 1.0
     batch: int = 1
@@ -264,61 +234,40 @@ class RunConfig:
             raise ConfigError("parallel", "must be >= 1")
 
 
+# Keys a fit config file may set, with their converters: the RunConfig
+# fields, seeds as text, and seed.  Each key that is not text is also a flag
+# (``max_iters`` as ``--max-iters``).
+_FIT_FILE_FIELDS = {"seed": int, **{f.name: f.type for f in fields(RunConfig)}}
+_FIT_FILE_FIELDS["seeds"] = str
+
+
 def _build_run_config(args):
+    """Merge flags, config file and defaults: a flag wins over the file, and
+    the file wins over the default.  Seeds come from the first of ``--seeds``,
+    ``--seed``, file ``seeds`` and file ``seed`` that is given, else 0."""
+    flags = vars(args)
     file_cfg = _read_config_file(args.config) if args.config else {}
-
-    def pick(name, default=None):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        if name in file_cfg:
-            return file_cfg[name]
-        return default
-
     if args.seed is not None and args.seeds is not None:
         raise ConfigError("seeds", "give either --seed or --seeds, not both")
-    seeds_text = pick("seeds")
-    seed_single = pick("seed")
-    if seeds_text is not None and getattr(args, "seeds", None) is None:
-        # value came from the file; a flag --seed still overrides it
-        if getattr(args, "seed", None) is not None:
-            seeds_text = None
-    if seeds_text is not None:
-        seeds = _parse_seeds(seeds_text)
-    elif seed_single is not None:
-        seeds = [_check_seed(seed_single)]
-    else:
-        seeds = [0]
-
-    data = pick("data")
-    if data is None:
+    given = (flags["seeds"], flags["seed"], file_cfg.get("seeds"), file_cfg.get("seed"))
+    seeds = _parse_seeds(next((s for s in given if s is not None), 0))
+    merged = {}
+    for f in fields(RunConfig):
+        value = flags.get(f.name)
+        merged[f.name] = value if value is not None else file_cfg.get(f.name, f.default)
+    merged["seeds"] = tuple(seeds)
+    if merged["data"] is MISSING:
         raise ConfigError("data", "an input data path is required")
-    model = pick("model")
-    if model is None:
+    if merged["model"] is MISSING:
         raise ConfigError("model", "a model name is required")
-
-    return RunConfig(
-        model=model,
-        data=data,
-        seeds=tuple(seeds),
-        **{f.name: pick(f.name, f.default) for f in fields(RunConfig)[3:]},
-    )
-
-
-def _require_k(cfg):
-    if cfg.k is None:
-        raise ConfigError("k", f"required for model {cfg.model}")
-    return int(cfg.k)
+    return RunConfig(**merged)
 
 
 def _fit_config(cfg, seed):
-    return FitConfig(
-        max_iters=int(cfg.max_iters),
-        tol=float(cfg.tol),
-        seed=int(seed),
-        heldout_fraction=float(cfg.heldout_fraction),
-        elbo_every=int(cfg.elbo_every),
-    )
+    """The engine settings for one seed; every other FitConfig field is a
+    RunConfig field."""
+    names = [f.name for f in fields(FitConfig) if f.name != "seed"]
+    return FitConfig(seed=seed, **{n: getattr(cfg, n) for n in names})
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +296,22 @@ def _build_fit(cfg):
             )
         if cfg.kappa is None:
             raise ConfigError("kappa", "required when algorithm is svi")
-        schedule = StepSchedule(
-            kappa=float(cfg.kappa), delay=float(cfg.delay), scale=float(cfg.scale)
-        )
+        schedule = StepSchedule(cfg.kappa, cfg.delay, cfg.scale)
 
     data = _read_corpus(cfg.data) if cfg.model == "lda" else _read_matrix_csv(cfg.data)
     adapter, config_type, names = MODEL_TYPES[cfg.model]
-    kwargs = {n: getattr(cfg, n) for n in names if getattr(cfg, n) is not None}
-    if cfg.model != "blr-ard":
-        kwargs["k"] = _require_k(cfg)
-    config = config_type(**kwargs)
+    if "k" in names and cfg.k is None:
+        raise ConfigError("k", f"required for model {cfg.model}")
+    config = config_type(
+        **{n: getattr(cfg, n) for n in names if getattr(cfg, n) is not None}
+    )
     model = adapter(config)
 
     if cfg.algorithm == "svi":
         svi_fit = svi_fits[cfg.model]
 
         def fit_one(seed):
-            return svi_fit(
-                data, config, schedule, _fit_config(cfg, seed), int(cfg.batch)
-            )
+            return svi_fit(data, config, schedule, _fit_config(cfg, seed), cfg.batch)
     elif cfg.model == "lda":
         def fit_one(seed):
             return lda_cavi_fit(data, config, _fit_config(cfg, seed))
@@ -392,7 +338,7 @@ def cmd_fit(cfg):
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg.parallel > 1 and len(cfg.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=int(cfg.parallel)) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
             reports = list(pool.map(fit_one, cfg.seeds))
     else:
         reports = [fit_one(seed) for seed in cfg.seeds]
@@ -521,13 +467,13 @@ def _load_fit_document(path):
     return doc
 
 
-def _numeric(doc, name, ndim=None, default=None):
-    """Field ``name`` of a fit document as a float array (of ``ndim`` axes,
-    when given); a field without a ``default`` is required."""
-    if name not in doc and default is None:
+def _numeric(doc, name, ndim=None):
+    """Required field ``name`` of a fit document as a float array (of
+    ``ndim`` axes, when given)."""
+    if name not in doc:
         raise DataFormatError(f"fit document lacks field {name!r}")
     try:
-        value = np.asarray(doc.get(name, default), dtype=float)
+        value = np.asarray(doc[name], dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise DataFormatError(f"fit document field {name!r} is not numeric")
     if ndim is not None and value.ndim != ndim:
@@ -535,46 +481,32 @@ def _numeric(doc, name, ndim=None, default=None):
     return value
 
 
-def _meta_scalars(meta, *names):
-    """The named hyperparameters a fit document records, as floats."""
-    return {
-        name: float(_numeric(meta, name, 0))
-        for name in names
-        if meta.get(name) is not None
-    }
-
-
 def _rebuild(doc, fit_dir):
-    """Model handle and state from a fit document."""
+    """Model handle and state from a fit document.
+
+    The config takes each field of the model's ``MODEL_TYPES`` row that the
+    document's ``metadata`` records; an absent or ``null`` one takes the
+    config default, and ``k`` comes from the state's arrays.
+    """
     meta = doc.get("metadata", {})
     model_name = doc.get("model")
     if model_name == "gmm":
         m = _numeric(doc, "means", 2)
-        s2 = _numeric(doc, "variances", 2)
-        sigma2 = float(_numeric(meta, "sigma2", 0, default=1.0))
-        config = UniGmmConfig(k=m.shape[0], sigma2=sigma2)
-        state = UniGmmState(m, s2, np.zeros((0, m.shape[0])))
-        return UnitVarianceGmm(config), state
-    if model_name == "gmm-diag":
+        kwargs = {"k": m.shape[0]}
+        state = UniGmmState(m, _numeric(doc, "variances", 2), np.zeros((0, m.shape[0])))
+    elif model_name == "gmm-diag":
         m = _numeric(doc, "locations", 2)
-        k = m.shape[0]
-        config = DiagGmmConfig(
-            k=k, **_meta_scalars(meta, "a0", "m0", "b0", "alpha0", "beta0")
-        )
+        kwargs = {"k": m.shape[0]}
         state = DiagGmmState(
             _numeric(doc, "weight_concentration", 1),
             m,
             _numeric(doc, "scales", 2),
             _numeric(doc, "shapes", 2),
             _numeric(doc, "rates", 2),
-            np.zeros((0, k)),
+            np.zeros((0, m.shape[0])),
         )
-        return DiagGmm(config), state
-    if model_name == "blr-ard":
-        config = BlrArdConfig(
-            **_meta_scalars(meta, "a0", "b0", "c0", "d0"),
-            fix_relevance=bool(meta.get("fix_relevance", False)),
-        )
+    elif model_name == "blr-ard":
+        kwargs = {"fix_relevance": bool(meta.get("fix_relevance", False))}
         state = BlrArdState(
             _numeric(doc, "coefficients", 1),
             _numeric(doc, "coefficient_precision", 2),
@@ -583,20 +515,22 @@ def _rebuild(doc, fit_dir):
             float(_numeric(doc, "relevance_shape", 0)),
             _numeric(doc, "relevance_rates", 1),
         )
-        return BlrArd(config), state
-    if model_name == "lda":
+    elif model_name == "lda":
         name = doc.get("lambda_csv")
         if not isinstance(name, str) or "\x00" in name:
             raise DataFormatError("fit document field 'lambda_csv' must name a file")
         lam = _read_matrix_csv(Path(fit_dir) / name)
-        config = LdaConfig(
-            k=lam.shape[0],
-            eta=float(_numeric(meta, "eta", 0, default=0.1)),
-            alpha=_numeric(meta, "alpha", default=0.1),
-        )
+        kwargs = {"k": lam.shape[0]}
         state = LdaState(lam, np.zeros((0, lam.shape[0])), np.zeros((0, lam.shape[0])))
-        return Lda(config), state
-    raise DataFormatError(f"fit document has unknown model {model_name!r}")
+    else:
+        raise DataFormatError(f"fit document has unknown model {model_name!r}")
+    adapter, config_type, names = MODEL_TYPES[model_name]
+    for name in names:
+        if name != "k" and meta.get(name) is not None:
+            # lda's alpha may be a length-k vector; every other field is a scalar
+            value = _numeric(meta, name, None if name == "alpha" else 0)
+            kwargs[name] = value if value.ndim else float(value)
+    return adapter(config_type(**kwargs)), state
 
 
 def cmd_eval(args):

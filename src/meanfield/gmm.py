@@ -344,8 +344,12 @@ def global_param_from_state(state):
     """Natural global parameter matching a unit-variance mixture state.
 
     The count coordinate is set to the number of responsibility rows, which
-    is its value at any coordinate-ascent fixed point.
+    is its value at any coordinate-ascent fixed point.  A component's
+    variance is shared by its coordinates, so each row of ``s2`` must be
+    constant.
     """
+    if np.any(state.s2 != state.s2[:, :1]):
+        raise DomainError("mean-factor variances must be equal across coordinates")
     b = 1.0 / state.s2[:, 0]
     return GlobalParam(
         np.concatenate([(state.m * b[:, None]).ravel(), b]),

@@ -29,6 +29,7 @@ Robbins-Monro step size.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -446,6 +447,15 @@ def e_step(corpus, elog_beta, gamma, alpha, want_phi=True):
     return gamma, None, iterations
 
 
+def _physical_memory():
+    """Bytes of physical memory, or the intp maximum where the host cannot say."""
+    try:
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        total = -1
+    return total if total > 0 else np.iinfo(np.intp).max
+
+
 def _fresh_gamma(corpus, config):
     """Cold-start proportions ``alpha + N_d / K`` for every document."""
     return config.alpha[None, :] + (corpus.doc_lengths() / config.k)[:, None]
@@ -504,13 +514,21 @@ class Lda(VariationalModel):
         Uniform(0,1) scaled by 0.01 * tokens / (K V) per entry; a fully
         symmetric start is a saddle point with all topics identical.  The
         perturbation scale is data-calibrated by construction, so both
-        init strategies coincide; a (K, V) array numpy cannot hold is refused."""
+        init strategies coincide.  A (K, V) array that numpy cannot index or
+        that exceeds the host's physical memory is refused before it is
+        allocated, and so is one whose allocation fails."""
         del strategy
         k, v = self.config.k, data.v
-        if k * v > np.iinfo(np.intp).max // 8:
-            raise DomainError(f"vocabulary size {v} too large for a dense topic matrix")
+        too_large = DomainError(
+            f"vocabulary size {v} too large for a dense topic matrix"
+        )
+        if k * v > min(np.iinfo(np.intp).max, _physical_memory()) // 8:
+            raise too_large
         scale = 0.01 * data.total_tokens / (k * v)
-        lam = self.config.eta + scale * rng.uniform(size=(k, v))
+        try:
+            lam = self.config.eta + scale * rng.uniform(size=(k, v))
+        except MemoryError:
+            raise too_large from None
         phi = np.full((data.ids.size, k), 1.0 / k)
         return LdaState(lam, _fresh_gamma(data, self.config), phi)
 

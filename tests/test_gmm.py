@@ -81,6 +81,22 @@ class TestAssignments:
         phi = update_assignments(state, [0.0, 1.0, 2.0])
         assert np.array_equal(phi, np.ones((3, 1)))
 
+    def test_per_coordinate_variances_are_refused(self):
+        # a component's variance is shared by its coordinates; a state whose
+        # s2 row varies would be scored on one coordinate's variance alone
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(6, 3))
+        state = UniGmmState(
+            rng.normal(size=(2, 3)),
+            np.array([[1.0, 5.0, 9.0], [1.0, 1.0, 1.0]]),
+            np.full((6, 2), 0.5),
+        )
+        model = UnitVarianceGmm(UniGmmConfig(k=2))
+        with pytest.raises(DomainError, match="equal across coordinates"):
+            update_assignments(state, x)
+        with pytest.raises(DomainError, match="equal across coordinates"):
+            model.sweep(state, x)
+
 
 def update_components(state, data, sigma2):
     """The mean factors of one sweep, which are the spec's global step,
