@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -114,6 +113,16 @@ def _json_text(value, indent=0):
     if value is None:
         return "null"
     return json.dumps(str(value))
+
+
+def _out_dir(path):
+    """The output directory ``path``, created with its parents if absent."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError("out", f"cannot create directory {path}: {err.strerror}")
+    return out
 
 
 def _write_json(path, value):
@@ -219,9 +228,7 @@ class RunConfig:
     alpha: float = None
     kappa: float = None
     delay: float = 0.0
-    scale: float = 1.0
     batch: int = 1
-    parallel: int = 1
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -230,8 +237,6 @@ class RunConfig:
             raise ConfigError("algorithm", "must be cavi or svi")
         if not self.seeds:
             raise ConfigError("seeds", "at least one seed is required")
-        if self.parallel < 1:
-            raise ConfigError("parallel", "must be >= 1")
 
 
 # Keys a fit config file may set, with their converters: the RunConfig
@@ -296,7 +301,7 @@ def _build_fit(cfg):
             )
         if cfg.kappa is None:
             raise ConfigError("kappa", "required when algorithm is svi")
-        schedule = StepSchedule(cfg.kappa, cfg.delay, cfg.scale)
+        schedule = StepSchedule(cfg.kappa, cfg.delay)
 
     data = _read_corpus(cfg.data) if cfg.model == "lda" else _read_matrix_csv(cfg.data)
     adapter, config_type, names = MODEL_TYPES[cfg.model]
@@ -334,14 +339,8 @@ def _build_fit(cfg):
 
 def cmd_fit(cfg):
     fit_one, export = _build_fit(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if cfg.parallel > 1 and len(cfg.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            reports = list(pool.map(fit_one, cfg.seeds))
-    else:
-        reports = [fit_one(seed) for seed in cfg.seeds]
+    out = _out_dir(cfg.out)
+    reports = [fit_one(seed) for seed in cfg.seeds]
 
     final_elbos = []
     for seed, report in zip(cfg.seeds, reports):
@@ -388,8 +387,7 @@ def cmd_fit(cfg):
 
 
 def cmd_simulate(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     seed = _check_seed(args.seed if args.seed is not None else 0)
 
     if args.model in ("gmm", "gmm-diag"):
@@ -563,9 +561,8 @@ def cmd_eval(args):
         unit = "point"
 
     value = model.heldout_log_predictive(state, heldout)
+    out = _out_dir(args.out)
     print(_fmt(value))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "eval.json",
         {
@@ -594,8 +591,7 @@ def cmd_diagnose_meanfield(args):
     target = means[:, None] + 2.0 * (np.linalg.cholesky(cov) @ circle)
     approx = means[:, None] + 2.0 * (np.sqrt(variances)[:, None] * circle)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     with open(out / "diagnose.csv", "w", encoding="utf-8") as handle:
         handle.write("curve,x,y\n")
         for name, pts in (("target", target), ("meanfield", approx)):

@@ -204,30 +204,27 @@ class GlobalLocalState:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Robbins-Monro step sizes ``scale * (t + delay) ** -kappa``.
+    """Robbins-Monro step sizes ``(t + delay) ** -kappa``, each in (0, 1].
 
     ``kappa`` must lie in (0.5, 1] so the steps are square-summable but not
-    summable; ``delay >= 0`` down-weights early iterations.
+    summable; a finite ``delay >= 0`` down-weights early iterations.
     """
 
     kappa: float
     delay: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self):
         if not (0.5 < self.kappa <= 1.0):
             raise ConfigError("kappa", "must lie in (0.5, 1]")
-        if self.delay < 0.0:
-            raise ConfigError("delay", "must be >= 0")
-        if not (self.scale > 0.0):
-            raise ConfigError("scale", "must be > 0")
+        if not (0.0 <= self.delay < np.inf):
+            raise ConfigError("delay", "must be finite and >= 0")
 
 
 def step_size(schedule, t):
     """Step size at iteration ``t`` (1-based)."""
     if t < 1:
         raise DomainError("iteration index must be >= 1")
-    return schedule.scale * (t + schedule.delay) ** (-schedule.kappa)
+    return (t + schedule.delay) ** (-schedule.kappa)
 
 
 def _stochastic_fit(n, batch_size, schedule, config, start, target, score):
@@ -270,7 +267,6 @@ def _stochastic_fit(n, batch_size, schedule, config, start, target, score):
         "batch_size": batch_size,
         "kappa": schedule.kappa,
         "delay": schedule.delay,
-        "scale": schedule.scale,
         "n_train": n,
     }
     return _fit_loop(config, lam, step, score, metadata)

@@ -493,7 +493,7 @@ def condconj_svi_loop(spec, data, schedule, seed, max_iters, batch_size, init, k
         target = np.append(
             spec.prior_stat + (n / batch_size) * total, spec.prior_count + n
         )
-        eps = schedule.scale * (t + schedule.delay) ** (-schedule.kappa)
+        eps = (t + schedule.delay) ** (-schedule.kappa)
         mixed = (1.0 - eps) * lam.natural() + eps * target
         lam = type(lam)(mixed[:-1], mixed[-1])
         probs = condconj_local_loop(spec, lam, x, k, dim)

@@ -29,13 +29,13 @@ FILE_KEYS = {
     "heldout_fraction": float, "k": int, "sigma2": float, "a0": float,
     "m0": float, "b0": float, "alpha0": float, "beta0": float, "c0": float,
     "d0": float, "eta": float, "alpha": float, "kappa": float, "delay": float,
-    "scale": float, "batch": int, "parallel": int,
+    "batch": int,
 }
 
 
 class TestTables:
     def test_file_keys_are_fixed(self):
-        assert len(FILE_KEYS) == 26
+        assert len(FILE_KEYS) == 24
         assert _FIT_FILE_FIELDS == FILE_KEYS
 
     def test_model_fields_are_run_and_model_config_fields(self):

@@ -69,7 +69,7 @@ class TestStepSchedule:
         assert step_size(b, 1) < step_size(a, 1)
 
     def test_decreasing_in_t(self):
-        sched = StepSchedule(kappa=0.6, delay=1.0, scale=0.5)
+        sched = StepSchedule(kappa=0.6, delay=1.0)
         sizes = [step_size(sched, t) for t in range(1, 50)]
         assert all(b < a for a, b in zip(sizes, sizes[1:]))
 
@@ -85,8 +85,12 @@ class TestStepSchedule:
     def test_other_bounds(self):
         with pytest.raises(ConfigError):
             StepSchedule(kappa=0.7, delay=-1.0)
-        with pytest.raises(ConfigError):
-            StepSchedule(kappa=0.7, scale=0.0)
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_delay_must_be_finite(self, delay):
+        with pytest.raises(ConfigError) as err:
+            StepSchedule(kappa=0.7, delay=delay)
+        assert err.value.field == "delay"
 
     def test_iteration_index_positive(self):
         with pytest.raises(DomainError):

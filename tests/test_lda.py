@@ -637,7 +637,7 @@ class TestExportState:
 
 class TestSviFit:
     def schedule(self):
-        return StepSchedule(kappa=0.7, delay=0.0, scale=1.0)
+        return StepSchedule(kappa=0.7, delay=0.0)
 
     def test_single_doc_first_step_matches_cavi_sweep(self):
         corpus = corpus_of(((np.array([0, 2, 3]), np.array([2.0, 1.0, 4.0])),), 5)
@@ -721,7 +721,7 @@ class TestSviFit:
         svi = lda_svi_fit(
             train,
             config,
-            StepSchedule(kappa=0.7, delay=1.0, scale=1.0),
+            StepSchedule(kappa=0.7, delay=1.0),
             FitConfig(max_iters=1500, tol=1e-12, seed=0, elbo_every=500),
             batch_size=10,
         )
@@ -906,7 +906,7 @@ class TestBatchedEStep:
         report = lda_svi_fit(
             corpus,
             config,
-            StepSchedule(kappa=0.7, delay=1.0, scale=1.0),
+            StepSchedule(kappa=0.7, delay=1.0),
             FitConfig(max_iters=4, tol=1e-12, seed=k, elbo_every=2),
             batch_size=4,
         )
