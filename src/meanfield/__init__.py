@@ -11,8 +11,6 @@ from .engine import (
     InitStrategy,
     VariationalModel,
     cavi_fit,
-    compute_elbo,
-    heldout_log_predictive,
     init_state,
     meanfield_gaussian_fixed_point,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "InitStrategy",
     "VariationalModel",
     "cavi_fit",
-    "compute_elbo",
-    "heldout_log_predictive",
     "init_state",
     "meanfield_gaussian_fixed_point",
     "ConfigError",

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .condconj import _frozen
-from .engine import VariationalModel, predictive_rows
+from .engine import VariationalModel, cavi_fit, predictive_rows
 from .errors import ConfigError, DomainError, NumericError
 from .expfam import LOG_2PI, gamma_kl, gamma_moments, gaussian_log_pdf
 
@@ -281,16 +281,16 @@ class BlrArd(VariationalModel):
             "expected_relevance": exp["e_alpha"].tolist(),
         }
 
-def blr_ard_fit(x, y, config, fit_config, strategy="prior", init=None):
-    """Fit the model with coordinate ascent; returns a :class:`FitReport`."""
-    from .engine import cavi_fit, init_state
+def blr_ard_fit(x, y, config, fit_config):
+    """Fit the model with coordinate ascent from the prior state; returns a
+    :class:`FitReport`.
 
+    ``x`` is the ``(n, D)`` design matrix, ``y`` the ``n`` responses,
+    ``config`` a :class:`BlrArdConfig` and ``fit_config`` a
+    :class:`FitConfig`.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DomainError("x must be (n, D) with one response per row")
-    data = np.column_stack([x, y])
-    model = BlrArd(config)
-    if init is None:
-        init = init_state(model, data, strategy, fit_config.seed)
-    return cavi_fit(model, data, fit_config, init=init)
+    return cavi_fit(BlrArd(config), np.column_stack([x, y]), fit_config)

@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -125,14 +126,24 @@ def _out_dir(path):
     return out
 
 
+@contextmanager
+def _writing(path):
+    """Yield ``path``; an OSError raised while writing it is a ConfigError."""
+    try:
+        yield path
+    except OSError as err:
+        raise ConfigError("out", f"cannot write {path}: {err.strerror}") from None
+
+
 def _write_json(path, value):
-    Path(path).write_text(_json_text(value) + "\n", encoding="utf-8")
+    with _writing(path):
+        Path(path).write_text(_json_text(value) + "\n", encoding="utf-8")
 
 
 def _write_matrix_csv(path, matrix):
     rows = np.atleast_2d(np.asarray(matrix, dtype=float))
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
+    with _writing(path), open(path, "w", encoding="utf-8") as handle:
         handle.writelines(line % tuple(row.tolist()) for row in rows)
 
 
@@ -344,7 +355,8 @@ def cmd_fit(cfg):
 
     final_elbos = []
     for seed, report in zip(cfg.seeds, reports):
-        write_trace_csv(report, out / f"trace_{seed}.csv")
+        with _writing(out / f"trace_{seed}.csv") as path:
+            write_trace_csv(report, path)
         doc = {
             "model": cfg.model,
             "algorithm": cfg.algorithm,
@@ -433,7 +445,8 @@ def cmd_simulate(args):
             alpha=float(args.alpha),
             eta=float(args.eta),
         )
-        write_uci(corpus, out / "corpus.txt")
+        with _writing(out / "corpus.txt") as path:
+            write_uci(corpus, path)
         _write_json(
             out / "truth.json",
             {
@@ -592,7 +605,8 @@ def cmd_diagnose_meanfield(args):
     approx = means[:, None] + 2.0 * (np.sqrt(variances)[:, None] * circle)
 
     out = _out_dir(args.out)
-    with open(out / "diagnose.csv", "w", encoding="utf-8") as handle:
+    path = out / "diagnose.csv"
+    with _writing(path), open(path, "w", encoding="utf-8") as handle:
         handle.write("curve,x,y\n")
         for name, pts in (("target", target), ("meanfield", approx)):
             for x, y in pts.T:

@@ -269,7 +269,9 @@ def _stochastic_fit(n, batch_size, schedule, config, start, target, score):
         "delay": schedule.delay,
         "n_train": n,
     }
-    return _fit_loop(config, lam, step, score, metadata)
+    return _fit_loop(
+        config.max_iters, config.tol, config.elbo_every, lam, step, score, metadata
+    )
 
 
 def prior_param(spec):
@@ -364,19 +366,21 @@ def cond_conj_elbo(spec, state, data):
 
 
 def coordinate_ascent(spec, data, lam, max_sweeps=200, tol=1e-10):
-    """Full-batch coordinate ascent; returns the state and its ELBO path."""
+    """Full-batch coordinate ascent on the engine's one fit loop, which checks
+    the ELBO finite and nondecreasing; returns the state and its ELBO path."""
+    if max_sweeps < 1:
+        raise ConfigError("max_sweeps", "must be >= 1")
     X = _rows(data)
-    elbos = []
-    state = None
-    for _ in range(max_sweeps):
-        probs = local_probs(spec, lam, X)
-        lam = global_step(spec, probs, X)
-        state = GlobalLocalState(lam, probs)
-        elbos.append(cond_conj_elbo(spec, state, X))
-        if len(elbos) > 1:
-            if abs(elbos[-1] - elbos[-2]) / (1.0 + abs(elbos[-1])) < tol:
-                break
-    return state, elbos
+
+    def sweep(s, t):  # the first sweep starts from the bare ``lam``
+        probs = local_probs(spec, s if t == 1 else s.lam, X)
+        return GlobalLocalState(global_step(spec, probs, X), probs)
+
+    def score(s):
+        return cond_conj_elbo(spec, s, X), s
+
+    report = _fit_loop(max_sweeps, tol, 1, lam, sweep, score, {}, monotone=True)
+    return report.model_state, [p.elbo for p in report.elbo_trace]
 
 
 def svi_fit(spec, data, schedule, config, init=None, batch_size=1):

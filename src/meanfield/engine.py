@@ -7,7 +7,7 @@ bound, a log predictive density scoring a whole batch of observations in one
 call, and the export of a state as the JSON-ready dict a fit document holds.
 :func:`cavi_fit` then owns iteration, convergence, timing, held-out
 evaluation, and the monotonicity check, through the package's one iteration
-loop, which the stochastic fits share.
+loop, which the stochastic fits and ``condconj.coordinate_ascent`` share.
 
 The ELBO is a true lower bound on the log evidence, and every coordinate
 sweep can only increase it.  A recorded decrease beyond floating-point slack
@@ -38,8 +38,6 @@ __all__ = [
     "VariationalModel",
     "init_state",
     "cavi_fit",
-    "compute_elbo",
-    "heldout_log_predictive",
     "meanfield_gaussian_fixed_point",
     "write_trace_csv",
 ]
@@ -203,18 +201,19 @@ def _split_heldout(model, data, config):
     return model.take(data, train_idx), model.take(data, held_idx)
 
 
-def _fit_loop(config, state, step, score, metadata, heldout=None, monotone=False):
+def _fit_loop(max_iters, tol, every, state, step, score, metadata, heldout=None,
+              monotone=False):
     """The one iteration loop behind every fit.
 
     ``step(state, t)`` returns the state after iteration ``t``; a
-    :class:`NumericError` it raises is tagged with ``t``.  Every
-    ``config.elbo_every`` iterations, and at ``config.max_iters``,
-    ``score(state)`` returns ``(elbo, snapshot)``: the ELBO is checked
-    finite and traced, ``heldout(snapshot)`` (when given) is traced, and
-    the fit stops once the relative change between consecutive recorded
-    ELBOs falls below ``config.tol``.  ``monotone`` is for coordinate
-    sweeps, whose recorded ELBO can never decrease.  The fit always ends
-    on a recorded iteration, so the last snapshot is the final state.
+    :class:`NumericError` it raises is tagged with ``t``.  Every ``every``
+    iterations, and at ``max_iters``, ``score(state)`` returns ``(elbo,
+    snapshot)``: the ELBO is checked finite and traced, ``heldout(snapshot)``
+    (when given) is traced, and the fit stops once the relative change
+    between consecutive recorded ELBOs falls below ``tol``.  ``monotone``
+    is for coordinate sweeps, whose recorded ELBO can never decrease.  The
+    fit always ends on a recorded iteration, so the last snapshot is the
+    final state.
     """
     elbo_trace = []
     heldout_trace = []
@@ -222,14 +221,14 @@ def _fit_loop(config, state, step, score, metadata, heldout=None, monotone=False
     converged = False
     start = time.perf_counter()
 
-    for t in range(1, config.max_iters + 1):
+    for t in range(1, max_iters + 1):
         try:
             state = step(state, t)
         except NumericError as err:
             if err.iteration is None:
                 raise NumericError(str(err), iteration=t) from err
             raise
-        if t % config.elbo_every != 0 and t != config.max_iters:
+        if t % every != 0 and t != max_iters:
             continue
         elbo, snapshot = score(state)
         if not np.isfinite(elbo):
@@ -243,7 +242,7 @@ def _fit_loop(config, state, step, score, metadata, heldout=None, monotone=False
                 raise MonotonicityError(
                     f"ELBO decreased from {prev!r} to {elbo!r}", iteration=t
                 )
-            if abs(elbo - prev) / (1.0 + abs(elbo)) < config.tol:
+            if abs(elbo - prev) / (1.0 + abs(elbo)) < tol:
                 converged = True
                 break
         prev = elbo
@@ -305,22 +304,9 @@ def cavi_fit(model, data, config, init=None):
         return model.heldout_log_predictive(s, heldout)
 
     return _fit_loop(
-        config, state, sweep, score, meta,
-        heldout=None if heldout is None else held, monotone=True,
+        config.max_iters, config.tol, config.elbo_every, state, sweep, score,
+        meta, heldout=None if heldout is None else held, monotone=True,
     )
-
-
-def compute_elbo(model, state, data):
-    """ELBO of an explicit state; raises NumericError if non-finite."""
-    value = model.elbo(state, data)
-    if not np.isfinite(value):
-        raise NumericError("ELBO is not finite")
-    return float(value)
-
-
-def heldout_log_predictive(model, state, heldout):
-    """Mean log predictive density of a nonempty held-out set."""
-    return model.heldout_log_predictive(state, heldout)
 
 
 def meanfield_gaussian_fixed_point(mean, cov):

@@ -39,9 +39,7 @@ __all__ = [
     "categorical_rows",
     "digamma",
     "log_gamma",
-    "gaussian_moments",
     "gamma_moments",
-    "dirichlet_expected_log",
     "gaussian_kl",
     "gamma_kl",
     "dirichlet_kl",
@@ -190,13 +188,6 @@ def digamma(x):
     return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 
-def gaussian_moments(mean, var):
-    """Return (E[x], E[x**2]) for x ~ Normal(mean, var)."""
-    if not (var > 0.0) or not np.isfinite(var) or not np.isfinite(mean):
-        raise DomainError("gaussian_moments requires finite mean and var > 0")
-    return float(mean), float(mean * mean + var)
-
-
 def gamma_moments(shape, rate):
     """Return (E[x], E[log x]) for x ~ Gamma(shape, rate), elementwise.
 
@@ -208,26 +199,9 @@ def gamma_moments(shape, rate):
     return _scalar(a / r), _scalar(digamma(a) - np.log(r))
 
 
-def dirichlet_expected_log(concentration):
-    """E[log pi_k] under Dirichlet(concentration).
-
-    Equals ``psi(c_k) - psi(sum(c))`` componentwise.  Every entry is
-    strictly negative because each pi_k < 1 almost surely.
-    """
-    c = np.asarray(concentration, dtype=float)
-    if c.ndim != 1 or c.size < 2:
-        raise DomainError("dirichlet_expected_log requires a vector of length >= 2")
-    if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
-        raise DomainError("dirichlet concentrations must be finite and > 0")
-    return digamma(c) - digamma(c.sum())
-
-
 def _dirichlet_expected_log_rows(c):
-    """E[log pi] for each Dirichlet along the last axis of ``c``.
-
-    Internal helper: no length-2 floor, so degenerate one-column rows (a
-    single-topic model) give the correct value 0.
-    """
+    """E[log pi] for each Dirichlet along the last axis of ``c``:
+    ``psi(c_k) - psi(sum(c))``, which is 0 for a one-column row (one topic)."""
     c = np.asarray(c, dtype=float)
     return digamma(c) - digamma(c.sum(axis=-1, keepdims=True))
 

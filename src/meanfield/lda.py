@@ -56,7 +56,6 @@ __all__ = [
     "read_uci",
     "write_uci",
     "simulate_corpus",
-    "update_lambda",
     "e_step",
     "lda_cavi_fit",
     "lda_svi_fit",
@@ -467,13 +466,6 @@ def _fold_in(corpus, lam, config, want_phi=True):
     return e_step(
         corpus, elog_beta, _fresh_gamma(corpus, config), config.alpha, want_phi
     )
-
-
-def update_lambda(state, corpus, config):
-    """Topic parameters from all assignment rows:
-    ``lam_kv = eta + sum_d count_{dv} phi_{dv}^k``."""
-    _check_matches(state, corpus)
-    return config.eta + _term_stats(corpus, state.phi)
 
 
 def lda_elbo(state, corpus, config):

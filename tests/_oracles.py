@@ -5,7 +5,8 @@ never takes -- exhaustive enumeration over assignment configurations,
 direct covariance-matrix marginal likelihoods through scipy, textbook
 conjugate posterior formulas, the digamma asymptotic series, scipy's
 triangular and Cholesky solves for the regression model, the
-one-document-at-a-time log-space LDA local step, a bag-of-words file's
+one-document-at-a-time log-space LDA local step, the LDA topic update
+one CSR entry at a time, a bag-of-words file's
 CSR arrays assembled through one dict per document, the
 one-observation-at-a-time global-local (conditionally conjugate) mixture
 steps, the mixture's dedicated component update and per-coordinate
@@ -30,7 +31,7 @@ from meanfield.blr_ard import BlrArdState
 from meanfield.expfam import _dirichlet_expected_log_rows
 from meanfield.expfam import digamma as np_digamma
 from meanfield.gmm import DiagGmmState, UniGmmState
-from meanfield.lda import Corpus, _phi_rows, _shifted
+from meanfield.lda import Corpus, _check_matches, _phi_rows, _shifted
 
 
 def k1_gaussian_posterior(data, sigma2):
@@ -348,6 +349,17 @@ def lda_update_gamma(state, d, corpus, config):
     ``gamma_d = alpha + sum over distinct terms of count * phi row``."""
     a, b = corpus.indptr[d], corpus.indptr[d + 1]
     return config.alpha + state.phi[a:b].T @ corpus.cts[a:b]
+
+
+def lda_update_lambda(state, corpus, config):
+    """Topic parameters from all assignment rows, one CSR entry at a time:
+    ``lam_kv = eta + sum_d count_dv phi_dv^k``.  A state that does not match
+    the corpus raises the package's ``DomainError``."""
+    _check_matches(state, corpus)
+    lam = np.full(state.lam.shape, float(config.eta))
+    for term, count, row in zip(corpus.ids, corpus.cts, state.phi):
+        lam[:, term] += count * row
+    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,35 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("fit", "fit_0.json"), ("fit", "trace_0.csv"),
+            ("simulate", "data.csv"), ("simulate-lda", "corpus.txt"),
+            ("eval", "eval.json"), ("diagnose", "diagnose.csv"),
+        ],
+    )
+    def test_output_file_that_is_a_directory(self, two_ones, tmp_path, command, name):
+        fit = tmp_path / "fit_0.json"
+        fit.write_text(json.dumps({
+            "model": "gmm", "metadata": {"k": 1}, "means": [[0.0]],
+            "variances": [[0.5]],
+        }))
+        argv = {
+            "fit": ["fit", "--model", "gmm", "--k", "1", "--data", two_ones],
+            "simulate": ["simulate", "--model", "gmm", "--k", "1", "--n", "5"],
+            "simulate-lda": ["simulate", "--model", "lda", "--k", "2", "--docs", "3"],
+            "eval": ["eval", "--fit", fit, "--data", two_ones],
+            "diagnose": ["diagnose-meanfield", "--cov", "1", "0", "0", "1"],
+        }[command]
+        out = tmp_path / "od"
+        (out / name).mkdir(parents=True)
+        res = run_cli(*argv, "--out", out)
+        assert res.returncode == 2
+        assert "'out'" in res.stderr
+        assert f"cannot write {out / name}" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_non_spd_diagnose_covariance(self, tmp_path):
         res = run_cli(
             "diagnose-meanfield", "--cov", "1", "2", "2", "1",

