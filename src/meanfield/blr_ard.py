@@ -17,14 +17,15 @@ A large fitted ``E[alpha_d]`` marks coefficient ``d`` as irrelevant: its
 prior precision grows and the posterior mean is shrunk toward zero.
 
 All linear algebra goes through a Cholesky factor ``L`` of the coefficient
-precision ``V*^-1`` and its inverse, so that ``V* = L^-T L^-1``; only the
-diagonal of ``V*`` is ever formed.
+precision ``V*^-1`` and its inverse, so that ``V* = L^-T L^-1``; the
+refresh that builds a state keeps the pair in it.  The data enter through
+:class:`RegressionData`, whose ``X^T X`` is formed once per fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
 
 import numpy as np
 
@@ -70,7 +71,10 @@ class BlrArdConfig:
 
 @dataclass(frozen=True)
 class BlrArdState:
-    """Normal-Gamma coefficient/noise block plus relevance Gamma factors."""
+    """Normal-Gamma coefficient/noise block plus relevance Gamma factors;
+    ``factor`` is ``(L, L^-1)`` for the Cholesky factor ``L`` of ``v_inv``
+    if the refresh that built the state passed it as ``kept``, else None
+    (also on a ``dataclasses.replace`` copy)."""
 
     beta: np.ndarray  # (D,) coefficient location beta*
     v_inv: np.ndarray  # (D, D) coefficient precision scale, SPD
@@ -78,14 +82,16 @@ class BlrArdState:
     b: float  # noise Gamma rate b*
     c: float  # shared relevance Gamma shape c*
     d: np.ndarray  # (D,) relevance Gamma rates d*
+    kept: InitVar[tuple] = None
 
-    def __post_init__(self):
+    def __post_init__(self, factor):
         object.__setattr__(self, "beta", _frozen(self.beta))
         object.__setattr__(self, "v_inv", _frozen(self.v_inv))
         object.__setattr__(self, "d", _frozen(self.d))
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "factor", factor)
         dd = self.beta.shape[0]
         if self.v_inv.shape != (dd, dd) or self.d.shape != (dd,):
             raise DomainError("state arrays have inconsistent dimensions")
@@ -100,6 +106,27 @@ def _split(data):
     return xy[:, :-1], xy[:, -1]
 
 
+class RegressionData:
+    """Rows ``(x_1 .. x_D, y)`` split once, with the data constants the
+    updates and the ELBO read: ``xtx = X^T X``, ``xty = X^T y`` and
+    ``yty = y . y``; ``np.asarray`` gives the rows."""
+
+    def __init__(self, data):
+        self.rows = np.asarray(data, dtype=float)
+        x, y = self.x, self.y = _split(self.rows)
+        self.xtx, self.xty, self.yty = x.T @ x, x.T @ y, float(y @ y)
+
+    @classmethod
+    def of(cls, data):
+        return data if isinstance(data, cls) else cls(data)
+
+    def __len__(self):
+        return self.rows.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return self.rows
+
+
 def _chol(v_inv):
     if not np.all(np.isfinite(v_inv)):
         raise NumericError("coefficient precision overflowed")
@@ -110,6 +137,14 @@ def _chol(v_inv):
     return lower
 
 
+def _factor(state):
+    """``(L, L^-1)`` of ``state.v_inv``: kept by the state, else computed."""
+    if state.factor is None:
+        lower = _chol(state.v_inv)
+        return lower, np.linalg.inv(lower)
+    return state.factor
+
+
 def blr_expectations(state, config):
     """Moments the updates and ELBO consume.
 
@@ -118,8 +153,7 @@ def blr_expectations(state, config):
     ``e_tau_beta_sq[d] = E[tau beta_d^2] = beta*_d^2 a*/b* + V*_dd``, and
     ``chol_inv``, the inverse ``L^-1`` of the Cholesky factor of ``V*^-1``.
     """
-    lower = _chol(state.v_inv)
-    inv = np.linalg.inv(lower)
+    lower, inv = _factor(state)
     v_diag = (inv * inv).sum(axis=0)
     log_det_v = -2.0 * float(np.log(np.diag(lower)).sum())
     e_tau, e_log_tau = gamma_moments(state.a, state.b)
@@ -148,19 +182,18 @@ def update_coeff_precision(state, data, config):
     quadratic form reuses ``V*^-1 beta* = X^T y``, so ``b*`` needs only a
     dot product and stays positive by construction.
     """
-    x, y = _split(data)
-    n = x.shape[0]
+    data = RegressionData.of(data)
     if config.fix_relevance:
         e_alpha = np.ones_like(state.d)
     else:
         e_alpha = state.c / state.d
-    v_inv = np.diag(e_alpha) + x.T @ x
-    inv = np.linalg.inv(_chol(v_inv))
-    xty = x.T @ y
-    beta = inv.T @ (inv @ xty)
-    a = config.a0 + 0.5 * n
-    b = config.b0 + 0.5 * (y @ y - beta @ xty)
-    return BlrArdState(beta, v_inv, a, b, state.c, state.d)
+    v_inv = np.diag(e_alpha) + data.xtx
+    lower = _chol(v_inv)
+    inv = np.linalg.inv(lower)
+    beta = inv.T @ (inv @ data.xty)
+    a = config.a0 + 0.5 * len(data)
+    b = config.b0 + 0.5 * (data.yty - beta @ data.xty)
+    return BlrArdState(beta, v_inv, a, b, state.c, state.d, (lower, inv))
 
 
 def update_relevance(state, config):
@@ -174,7 +207,7 @@ def update_relevance(state, config):
     exp = blr_expectations(state, config)
     c = config.c0 + 0.5
     d = config.d0 + 0.5 * exp["e_tau_beta_sq"]
-    return BlrArdState(state.beta, state.v_inv, state.a, state.b, c, d)
+    return BlrArdState(state.beta, state.v_inv, state.a, state.b, c, d, state.factor)
 
 
 def blr_elbo(state, data, config):
@@ -184,17 +217,16 @@ def blr_elbo(state, data, config):
     enter through their Gamma KL divergences to the prior.  With
     ``fix_relevance`` the bound is tight at the exact conjugate posterior.
     """
-    x, y = _split(data)
-    n, dim = x.shape
+    data = RegressionData.of(data)
+    n, dim = data.x.shape
     exp = blr_expectations(state, config)
     e_tau, e_log_tau = exp["e_tau"], exp["e_log_tau"]
 
-    resid = y - x @ state.beta
-    # sum_i x_i^T V* x_i, via the Cholesky factor of V*^-1.  Cannot be
-    # simplified through V*^-1 = E[diag alpha] + X^T X: between block
-    # updates v_inv is stale relative to the current relevance factor.
-    half = exp["chol_inv"] @ x.T
-    trace_term = float((half * half).sum())
+    # The residual is formed directly, so a noiseless y cannot cancel to a
+    # negative sum of squares; sum_i x_i^T V* x_i is <V*, X^T X>.
+    resid = data.y - data.x @ state.beta
+    inv = exp["chol_inv"]
+    trace_term = float(np.einsum("ij,ij->", inv.T @ inv, data.xtx))
     e_loglik = (
         -0.5 * n * LOG_2PI
         + 0.5 * n * e_log_tau
@@ -224,7 +256,7 @@ def blr_log_predictive(state, point):
     """
     rows, one = predictive_rows(point, state.beta.shape[0] + 1)
     x, y = rows[:, :-1], rows[:, -1]
-    u = np.linalg.inv(_chol(state.v_inv)) @ x.T
+    u = _factor(state)[1] @ x.T
     var = (state.b / state.a) * (1.0 + (u * u).sum(axis=0))
     out = gaussian_log_pdf(y, x @ state.beta, var)
     return float(out[0]) if one else out
@@ -243,8 +275,7 @@ class BlrArd(VariationalModel):
         refresh is exact given the relevance factors, so random inits add
         nothing here (the objective has no assignment symmetry to break)."""
         del strategy, rng
-        x, _ = _split(np.asarray(data, dtype=float))
-        dim = x.shape[1]
+        dim = _split(data)[0].shape[1]
         c = self.config
         return BlrArdState(
             beta=np.zeros(dim),
@@ -254,6 +285,9 @@ class BlrArd(VariationalModel):
             c=c.c0,
             d=np.full(dim, c.d0),
         )
+
+    def prepare(self, data):
+        return RegressionData.of(data)
 
     def sweep(self, state, data):
         state = update_coeff_precision(state, data, self.config)

@@ -288,12 +288,19 @@ def local_probs(spec, lam, X):
     is read-only, so the global step and the states built from it keep it
     without a copy.
     """
+    return _local_rows(spec, lam, X)[0]
+
+
+def _local_rows(spec, lam, X):
+    """:func:`local_probs` and the log of each probability, which the
+    normalization gives for one ``log`` per row."""
     logw = np.asarray(spec.local_natural_param(lam, X), dtype=float)
     if logw.shape != (X.shape[0], spec.num_local_values):
         raise DomainError("local_natural_param must return (n, k) logits")
-    probs = _check_prob_rows(categorical_rows(logw), _SIMPLEX_TOL)
+    probs, log_probs = categorical_rows(logw, log=True)
+    _check_prob_rows(probs, _SIMPLEX_TOL)
     probs.setflags(write=False)
-    return probs
+    return probs, log_probs
 
 
 def local_step(spec, lam, x):

@@ -4,7 +4,8 @@ A model plugs into the engine by subclassing :class:`VariationalModel` and
 supplying five things: a deterministic seeded initializer, one full
 coordinate sweep (local factors before global factors), the evidence lower
 bound, a log predictive density scoring a whole batch of observations in one
-call, and the export of a state as the JSON-ready dict a fit document holds.
+call, and the export of a state as the JSON-ready dict a fit document holds;
+``prepare`` may compute once per fit the constants those read of the data.
 :func:`cavi_fit` then owns iteration, convergence, timing, held-out
 evaluation, and the monotonicity check, through the package's one iteration
 loop, which the stochastic fits and ``condconj.coordinate_ascent`` share.
@@ -147,6 +148,12 @@ class VariationalModel(abc.ABC):
         """Hyperparameters to record in the fit report."""
         return {}
 
+    def prepare(self, data):
+        """``data`` with the constants a fit reads of it computed once;
+        :func:`cavi_fit` calls it on the training and the held-out data and
+        passes the result on.  Every method also takes unprepared data."""
+        return data
+
     # Data containers are indexable arrays by default; models with richer
     # containers (a corpus of documents, say) override these two.
     def n_obs(self, data):
@@ -283,9 +290,6 @@ def cavi_fit(model, data, config, init=None):
         If a recorded ELBO decreases beyond ``1e-8 * (1 + |elbo|)``.
     """
     train, heldout = _split_heldout(model, data, config)
-    state = init
-    if state is None:
-        state = init_state(model, train, InitStrategy.DATA_CALIBRATED, config.seed)
     meta = {
         "model": model.name,
         "seed": config.seed,
@@ -293,6 +297,11 @@ def cavi_fit(model, data, config, init=None):
         "n_heldout": 0 if heldout is None else model.n_obs(heldout),
     }
     meta.update(model.metadata())
+    train = model.prepare(train)
+    heldout = None if heldout is None else model.prepare(heldout)
+    state = init
+    if state is None:
+        state = init_state(model, train, InitStrategy.DATA_CALIBRATED, config.seed)
 
     def sweep(s, t):
         return model.sweep(s, train)

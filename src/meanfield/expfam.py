@@ -4,16 +4,19 @@ This module collects the small set of special functions, moment identities,
 and KL divergences that coordinate ascent updates are written in terms of:
 
 * numerically safe ``log_sum_exp`` for normalizing log-weights, and
-  ``categorical_rows`` for turning a batch of logits into probabilities,
+  ``categorical_rows`` for turning a batch of logits into probabilities
+  and, on request, their logs, from one shifted ``exp``,
 * ``digamma`` (and ``log_gamma``) for Dirichlet and Gamma expectations,
   numpy kernels that lift every digamma argument (log_gamma's below 10) in
   one broadcast, then finish with a series (no command loads scipy),
-* expected sufficient statistics of the Gaussian, Gamma, and Dirichlet
-  families,
-* closed-form KL divergences between members of the same family.
+* Gamma and Dirichlet expectations and closed-form KL divergences within a
+  family.
 
-The moment, KL and entropy helpers broadcast over arrays and return floats
-for scalar input; every model ELBO takes its KL and entropy terms from them.
+Reductions along the short rows of an ``(n, k)`` array skip numpy's
+per-row reduce loop: a row maximum is taken a column at a time
+(:func:`_row_max`) and a row sum by ``einsum``.  The moment, KL and
+entropy helpers broadcast over arrays and return floats for scalar input;
+every model ELBO takes its KL and entropy terms from them.
 
 Variational factors live in each model's state as plain arrays, one per
 parameter of a family; the state class checks them and the model's
@@ -113,54 +116,67 @@ def _scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _row_max(a):
+    """Maxima of the rows of a 2-D array, NaN where a row holds one; rows of
+    up to 16 entries a column at a time."""
+    if a.shape[1] > 16:
+        return a.max(axis=1)
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
+def _shifted(a):
+    """``a - shift`` and ``shift``, the ``(n, 1)`` row maxima of ``a``, or 0
+    where infinite, so an all ``-inf`` row stays defined; NaN anywhere in
+    ``a`` is a :class:`DomainError`."""
+    m = _row_max(a)[:, None]
+    if np.isnan(m).any():  # the maximum of a row holding NaN is NaN
+        raise DomainError("log_sum_exp received NaN")
+    shift = np.where(np.isfinite(m), m, 0.0)
+    return a - shift, shift
+
+
 def log_sum_exp(values, axis=None):
-    """Compute ``log(sum(exp(values)))`` without overflow.
+    """``log(sum(exp(values)))`` along ``axis``, without overflow; ``None``
+    reduces over all entries and returns a float.
 
-    The maximum is subtracted before exponentiation, so the largest
-    exponentiated term is exactly 1 and the result never overflows for
-    finite inputs.
-
-    Parameters
-    ----------
-    values : array_like
-        Nonempty array of log-weights.  NaN entries are rejected.
-    axis : int, optional
-        Axis along which to reduce.  ``None`` reduces over all entries and
-        returns a float.
-
-    Returns
-    -------
-    float or ndarray
-        ``log(sum(exp(values)))`` reduced over `axis`.
+    The maximum is subtracted before exponentiation, so the largest term is
+    exactly 1 and the result never overflows for finite input.  An empty
+    array or a NaN entry is a :class:`DomainError`.
     """
     a = np.asarray(values, dtype=float)
     if a.size == 0:
         raise DomainError("log_sum_exp of an empty array")
-    if np.isnan(a).any():
-        raise DomainError("log_sum_exp received NaN")
-    m = np.max(a, axis=axis, keepdims=True)
-    # A slice of all -inf has m = -inf; shift by 0 there so exp(-inf - 0)
-    # stays defined and the result is -inf rather than NaN.
-    shift = np.where(np.isfinite(m), m, 0.0)
+    rows = a.reshape(1, -1) if axis is None else np.moveaxis(a, axis, -1)
+    shifted, shift = _shifted(rows.reshape(-1, rows.shape[-1]))
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+        out = np.log(np.einsum("nk->n", np.exp(shifted))) + shift[:, 0]
+    return float(out[0]) if axis is None else out.reshape(rows.shape[:-1])
 
 
-def categorical_rows(logits):
+def categorical_rows(logits, log=False):
     """Normalize each row of an ``(n, k)`` logit array into probabilities.
 
-    Rows are normalized in log space, ``exp(l - log_sum_exp(l))``, then
-    divided by their sum so they add to 1 to rounding.  An empty batch
-    returns an empty ``(0, k)`` array.
+    One shifted ``exp`` of the logits and one ``log`` of the ``n`` row
+    sums: the rows are ``exp(l - shift) / s``, which add to 1 to rounding,
+    and with ``log`` their logs ``l - shift - log s`` come back too.  An
+    empty batch returns an empty ``(0, k)`` array.
     """
     a = np.asarray(logits, dtype=float)
     if a.shape[0] == 0:
-        return np.zeros(a.shape)
-    probs = np.exp(a - log_sum_exp(a, axis=1)[:, None])
-    return probs / probs.sum(axis=1, keepdims=True)
+        return (np.zeros(a.shape), np.zeros(a.shape)) if log else np.zeros(a.shape)
+    if a.size == 0:
+        raise DomainError("log_sum_exp of an empty array")
+    shifted, _ = _shifted(a)
+    e = np.exp(shifted)
+    total = np.einsum("nk->n", e)[:, None]
+    e /= total
+    if not log:
+        return e
+    shifted -= np.log(total)
+    return e, shifted
 
 
 def digamma(x):
@@ -287,7 +303,7 @@ def _check_prob_rows(p, tol, message=None):
     (so finite).  An empty batch of rows passes.  ``message`` replaces the
     default one, which names the first fault: a non-finite entry, a
     negative one, or the sum."""
-    if np.any(p < 0.0) or not np.all(np.abs(p.sum(axis=-1) - 1.0) <= tol):
+    if np.any(p < 0.0) or not np.all(np.abs(np.einsum("...k->...", p) - 1.0) <= tol):
         if message is None:
             if not np.all(np.isfinite(p)):
                 message = "categorical parameters must be finite"

@@ -15,6 +15,15 @@ Two variants live here:
   Normal-Gamma factors on (mean, precision), i.e. diagonal covariances
   learned from data.
 
+A fit prepares its rows once (:class:`MixtureData`): centred on their mean
+and augmented, so one product with a ``(k, .)`` weight matrix gives every
+point's expected log density under every component, and one product
+``phi^T aug`` the responsibilities' sufficient statistics.  A sweep keeps
+those statistics and the responsibilities' entropy in the state it builds
+(:class:`SweepStats`), so the ELBO is an ``O(k d)`` sum of statistics
+against weights; a state without them, or scored on other rows, has them
+computed from ``phi`` by the same code.
+
 States hold plain arrays and are treated as immutable: every update
 returns fresh arrays, so a recorded state is never changed by later sweeps.
 """
@@ -23,7 +32,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +42,8 @@ from .condconj import (
     GlobalParam,
     GlobalStats,
     _frozen,
+    _local_rows,
     _spec_stochastic_fit,
-    global_step,
     local_probs,
 )
 from .engine import InitStrategy, VariationalModel, init_state, predictive_rows
@@ -75,6 +85,8 @@ __all__ = [
 
 def _as_matrix(data):
     """Data as an (n, d) float matrix; 1-D input is a single column."""
+    if isinstance(data, MixtureData):
+        return data.x
     x = np.asarray(data, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -83,6 +95,66 @@ def _as_matrix(data):
     if x.size and not np.all(np.isfinite(x)):
         raise DomainError("data must be finite")
     return x
+
+
+class MixtureData:
+    """Finite ``(n, d)`` rows ``x``, their column means ``centre`` and
+    ``aug``, the rows ``[x~, 1, x~^2]`` (``per_coordinate``) or ``[x~, 1,
+    |x~|^2]`` of ``x~ = x - centre``.  Indexing takes rows and keeps the
+    centre, as a minibatch does."""
+
+    def __init__(self, x, per_coordinate, centre=None, aug=None):
+        if centre is None:
+            centre = x.mean(axis=0) if len(x) else np.zeros(x.shape[1])
+        if aug is None:
+            xc = x - centre
+            sq = xc * xc if per_coordinate else np.einsum("nd,nd->n", xc, xc)[:, None]
+            aug = np.hstack([xc, np.ones((len(x), 1)), sq])
+        self.x, self.shape, self.centre, self.aug = x, x.shape, centre, aug
+        self.per_coordinate = per_coordinate
+
+    @classmethod
+    def of(cls, data, per_coordinate):
+        """``data`` in this layout: itself when it already is, else prepared."""
+        if isinstance(data, cls) and data.per_coordinate == per_coordinate:
+            return data
+        return cls(_as_matrix(data), per_coordinate)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, rows):
+        return MixtureData(self.x[rows], self.per_coordinate, self.centre, self.aug[rows])
+
+
+class SweepStats(NamedTuple):
+    """Statistics ``phi^T data.aug`` of responsibilities ``phi`` on the
+    prepared rows ``data``, and their total entropy."""
+
+    data: MixtureData
+    sums: np.ndarray
+    entropy: float
+
+
+def _local_stats(phi, data, log_phi=None):
+    """The :class:`SweepStats` of ``phi`` on ``data``, the entropy from the
+    local step's ``log_phi`` when given."""
+    if phi.shape[0] != len(data):
+        raise DomainError("need one responsibility row per observation")
+    if log_phi is None:
+        entropy = float(categorical_entropy(phi).sum())
+    else:
+        entropy = -float(np.einsum("nk,nk->", phi, log_phi))
+    return SweepStats(data, phi.T @ data.aug, entropy)
+
+
+def _lik_and_entropy(phi, kept, data, w):
+    """``<sums, w>``, the expected log likelihood at weights ``w``, plus the
+    entropy of ``phi``, from the :class:`SweepStats` a sweep ``kept`` if it
+    took them on the same rows, else from ones computed here."""
+    if kept is None or not (kept.data is data or np.array_equal(kept.data.x, data.x)):
+        kept = _local_stats(phi, data)
+    return float(np.einsum("kj,kj->", kept.sums, w)) + kept.entropy
 
 
 def _initial_means(x, k, strategy, rng, prior_mean):
@@ -119,23 +191,35 @@ class UniGmmConfig:
 
 @dataclass(frozen=True)
 class UniGmmState:
-    """Gaussian mean factors (m, s2), each (k, d), and responsibilities (n, k)."""
+    """Gaussian mean factors (m, s2), each (k, d), and responsibilities (n, k).
+
+    A sweep passes ``kept = (lam, stats)``: the natural parameter ``(m, s2)``
+    came from, for the next local step, and the :class:`SweepStats`; it
+    checked ``phi`` where it made it.  Other states have ``lam`` and
+    ``stats`` None; ``dataclasses.replace`` reads the unset ``kept``, so a
+    copy has them None too.
+    """
 
     m: np.ndarray
     s2: np.ndarray
     phi: np.ndarray
+    kept: InitVar[tuple] = None
 
-    def __post_init__(self):
+    def __post_init__(self, kept):
         object.__setattr__(self, "m", _frozen(self.m))
         object.__setattr__(self, "s2", _frozen(self.s2))
         object.__setattr__(self, "phi", _frozen(self.phi))
+        lam, stats = kept or (None, None)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "stats", stats)
         if self.m.shape != self.s2.shape or self.m.ndim != 2:
             raise DomainError("m and s2 must both be (k, d)")
         if np.any(self.s2 <= 0.0):
             raise DomainError("mean-factor variances must be > 0")
         if self.phi.ndim != 2 or self.phi.shape[1] != self.m.shape[0]:
             raise DomainError("phi must be (n, k)")
-        _check_prob_rows(self.phi, 1e-9, "phi rows must be probability vectors")
+        if stats is None:
+            _check_prob_rows(self.phi, 1e-9, "phi rows must be probability vectors")
 
 
 def update_assignments(state, data):
@@ -147,25 +231,18 @@ def update_assignments(state, data):
     :func:`conjugate_spec` at :func:`global_param_from_state` (the prior
     variance does not enter it).
     """
-    x = _as_matrix(data)
+    x = MixtureData.of(data, per_coordinate=False)
     spec = conjugate_spec(state.m.shape[0], 1.0, x.shape[1])
     return local_probs(spec, global_param_from_state(state), x)
 
 
-def _centred_logits(x, m, var):
-    """(n, k) ``x_i . m_k - (|m_k|^2 + var_k) / 2`` up to a per-row constant,
-    formed on ``x`` and ``m`` shifted by the mean ``m`` row, so nothing
-    cancels far from the origin; also returns the shifted ``x``."""
-    c = m.mean(axis=0)
-    x, m = x - c, m - c
-    return x @ m.T - 0.5 * ((m**2).sum(axis=1) + var)[None, :], x
-
-
-def _unit_loglik(x, m, var=0.0):
-    """(n, k) ``-(|x_i - m_k|^2 + var_k + d log(2 pi)) / 2`` in matmul form."""
-    logits, x = _centred_logits(x, m, var)
-    xx = 0.5 * (x**2).sum(axis=1)[:, None]
-    return logits - xx - 0.5 * m.shape[1] * LOG_2PI
+def _unit_weights(m, var, centre):
+    """``(k, d + 2)`` weights of the ``[x~, 1, |x~|^2]`` rows giving the
+    expected log density ``-(|x - m_k|^2 + var_k + d log(2 pi)) / 2``,
+    formed on the centred ``m_k - centre``."""
+    mc = m - centre
+    const = -0.5 * (np.einsum("kd,kd->k", mc, mc) + var + m.shape[1] * LOG_2PI)
+    return np.column_stack([mc, const, np.full(m.shape[0], -0.5)])
 
 
 def gmm_elbo(state, data, sigma2):
@@ -177,15 +254,11 @@ def gmm_elbo(state, data, sigma2):
     the log evidence: with one component the converged value equals
     log p(x) exactly, and with no data the value is 0 at the prior.
     """
-    x = _as_matrix(data)
-    k = state.m.shape[0]
-    n = x.shape[0]
-
-    assign_prior = -n * math.log(k)
-    lik = float((state.phi * _unit_loglik(x, state.m, state.s2.sum(axis=1))).sum())
-    assign_entropy = float(categorical_entropy(state.phi).sum())
+    data = MixtureData.of(data, per_coordinate=False)
+    w = _unit_weights(state.m, state.s2.sum(axis=1), data.centre)
+    assign_prior = -len(data) * math.log(state.m.shape[0])
     mean_kl = float(gaussian_kl(state.m, state.s2, 0.0, sigma2).sum())
-    return assign_prior + lik + assign_entropy - mean_kl
+    return assign_prior + _lik_and_entropy(state.phi, state.stats, data, w) - mean_kl
 
 
 def predictive_log_density(state, x_new):
@@ -194,9 +267,12 @@ def predictive_log_density(state, x_new):
     Plugs the posterior-mean locations into equal-weight unit-variance
     components: ``log (1/K) sum_k Normal(x; m_k, I)``.  One point (a scalar
     or ``(d,)`` row) gives a float, an ``(n, d)`` batch an ``(n,)`` array.
+    The rows are centred on the mean location, so a point near a component
+    keeps its digits.
     """
     x, point = predictive_rows(x_new, state.m.shape[1])
-    comp = _unit_loglik(x, state.m)
+    centre = state.m.mean(axis=0)
+    comp = MixtureData(x, False, centre).aug @ _unit_weights(state.m, 0.0, centre).T
     out = log_sum_exp(comp, axis=1) - math.log(state.m.shape[0])
     return float(out[0]) if point else out
 
@@ -245,6 +321,9 @@ class UnitVarianceGmm(VariationalModel):
     def __init__(self, config):
         self.config = config
 
+    def prepare(self, data):
+        return MixtureData.of(data, per_coordinate=False)
+
     def init_state(self, data, strategy, rng):
         x = _as_matrix(data)
         k = self.config.k
@@ -254,10 +333,11 @@ class UnitVarianceGmm(VariationalModel):
         return UniGmmState(m, s2, phi)
 
     def sweep(self, state, data):
-        x = _as_matrix(data)
-        spec = conjugate_spec(self.config.k, self.config.sigma2, x.shape[1])
-        phi = local_probs(spec, global_param_from_state(state), x)
-        return _state_from_param(global_step(spec, phi, x), phi)
+        data = self.prepare(data)
+        spec = conjugate_spec(self.config.k, self.config.sigma2, data.shape[1])
+        phi, stats = _local_pass(spec, global_param_from_state(state), data)
+        stat = spec.prior_stat + _unit_suff_stat(stats.sums, data.centre)
+        return _state_from_param(GlobalParam(stat, spec.prior_count + len(data)), phi, stats)
 
     def elbo(self, state, data):
         return gmm_elbo(state, data, self.config.sigma2)
@@ -290,12 +370,11 @@ def conjugate_spec(k, sigma2, dim=1):
     ``m_k = sum_i phi_ik x_i / (1/sigma2 + sum_i phi_ik)`` with variance
     ``1 / (1/sigma2 + sum_i phi_ik)``, shared across coordinates.
 
-    The local callables take a batch ``X`` of shape ``(n, dim)``:
-    ``local_natural_param`` returns the ``(n, k)`` logits
-    ``X E[mu]^T - E[|mu_k|^2] / 2`` up to a per-row constant, formed on
-    data and means centred on the mean component location, and
-    ``expected_suff_stat(probs, X)`` the statistics summed over rows,
-    ``[vec(probs^T X), probs.sum(axis=0)]``.
+    The local callables take a batch ``X`` of shape ``(n, dim)`` or its
+    :class:`MixtureData`: ``local_natural_param`` returns the ``(n, k)``
+    expected log densities, up to a per-row constant ``X E[mu]^T -
+    E[|mu_k|^2] / 2``, and ``expected_suff_stat(probs, X)`` the statistics
+    summed over rows, ``[vec(probs^T X), probs.sum(axis=0)]``.
     """
     UniGmmConfig(k, sigma2)  # validates
     if dim < 1:
@@ -313,11 +392,13 @@ def conjugate_spec(k, sigma2, dim=1):
         )
 
     def expected_suff_stat(probs, X):
-        return np.concatenate([(probs.T @ X).ravel(), probs.sum(axis=0)])
+        rows = MixtureData.of(X, per_coordinate=False)
+        return _unit_suff_stat(probs.T @ rows.aug, rows.centre)
 
     def local_natural_param(lam, X):
+        rows = MixtureData.of(X, per_coordinate=False)
         m, s2 = _moments(lam, k, dim)
-        return _centred_logits(X, m, dim * s2)[0]
+        return rows.aug @ _unit_weights(m, dim * s2, rows.centre).T
 
     prior_stat = np.concatenate([np.zeros(kd), np.full(k, 1.0 / sigma2)])
     return CondConjSpec(
@@ -329,6 +410,21 @@ def conjugate_spec(k, sigma2, dim=1):
         expected_global_stats=expected_global_stats,
         expected_suff_stat=expected_suff_stat,
     )
+
+
+def _unit_suff_stat(sums, centre):
+    """The spec's statistics ``[vec(sum_i phi_i x_i^T), sum_i phi_i]`` from
+    the centred sums ``phi^T [x~, 1, |x~|^2]``."""
+    d = centre.shape[0]
+    nk = sums[:, d]
+    return np.concatenate([(sums[:, :d] + nk[:, None] * centre).ravel(), nk])
+
+
+def _local_pass(spec, lam, data):
+    """The spec's local step at ``lam`` on prepared rows: responsibilities
+    and their :class:`SweepStats`."""
+    phi, log_phi = _local_rows(spec, lam, data)
+    return phi, _local_stats(phi, data, log_phi)
 
 
 def _moments(lam, k, dim):
@@ -343,11 +439,14 @@ def _moments(lam, k, dim):
 def global_param_from_state(state):
     """Natural global parameter matching a unit-variance mixture state.
 
-    The count coordinate is set to the number of responsibility rows, which
-    is its value at any coordinate-ascent fixed point.  A component's
-    variance is shared by its coordinates, so each row of ``s2`` must be
-    constant.
+    A state a sweep built returns the parameter it was read from.  For any
+    other, the count coordinate is set to the number of responsibility
+    rows, which is its value at any coordinate-ascent fixed point.  A
+    component's variance is shared by its coordinates, so each row of
+    ``s2`` must be constant.
     """
+    if state.lam is not None:
+        return state.lam
     if np.any(state.s2 != state.s2[:, :1]):
         raise DomainError("mean-factor variances must be equal across coordinates")
     b = 1.0 / state.s2[:, 0]
@@ -357,12 +456,12 @@ def global_param_from_state(state):
     )
 
 
-def _state_from_param(lam, phi):
+def _state_from_param(lam, phi, stats):
     """The :class:`UniGmmState` of natural global parameter ``lam`` and
-    ``(n, k)`` responsibilities ``phi``."""
+    ``(n, k)`` responsibilities ``phi`` with their :class:`SweepStats`."""
     k = phi.shape[1]
     m, s2 = _moments(lam, k, lam.stat.size // k - 1)
-    return UniGmmState(m, np.broadcast_to(s2[:, None], m.shape), phi)
+    return UniGmmState(m, np.broadcast_to(s2[:, None], m.shape), phi, (lam, stats))
 
 
 def gmm_svi_fit(data, config, schedule, fit_config, batch_size=1):
@@ -375,13 +474,13 @@ def gmm_svi_fit(data, config, schedule, fit_config, batch_size=1):
     resulting :class:`UniGmmState` with :func:`gmm_elbo`, which keeps every
     constant; that state is the report's ``model_state``.
     """
-    x = _as_matrix(data)
     model = UnitVarianceGmm(config)
+    x = model.prepare(data)
     spec = conjugate_spec(config.k, config.sigma2, x.shape[1])
     start = init_state(model, x, InitStrategy.DATA_CALIBRATED, fit_config.seed)
 
     def score(lam):
-        state = _state_from_param(lam, local_probs(spec, lam, x))
+        state = _state_from_param(lam, *_local_pass(spec, lam, x))
         return model.elbo(state, x), state
 
     report = _spec_stochastic_fit(
@@ -429,7 +528,9 @@ class DiagGmmConfig:
 @dataclass(frozen=True)
 class DiagGmmState:
     """Dirichlet weights factor, per-(k, d) Normal-Gamma factors, and
-    responsibilities."""
+    responsibilities; a sweep passes ``kept``, its :class:`SweepStats`, which
+    becomes ``stats`` (None on other states and copies), as on
+    :class:`UniGmmState`."""
 
     conc: np.ndarray  # (k,) Dirichlet concentrations
     m: np.ndarray  # (k, d) Normal-Gamma locations
@@ -437,19 +538,20 @@ class DiagGmmState:
     alpha: np.ndarray  # (k, d) Gamma shapes
     beta: np.ndarray  # (k, d) Gamma rates
     r: np.ndarray  # (n, k) responsibilities
+    kept: InitVar[SweepStats] = None
 
-    def __post_init__(self):
+    def __post_init__(self, kept):
         for name in ("conc", "m", "b", "alpha", "beta", "r"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "stats", kept)
         k = self.m.shape[:1]
         shapes = {getattr(self, n).shape for n in ("m", "b", "alpha", "beta")}
         if self.m.ndim != 2 or len(shapes) != 1 or self.conc.shape != k:
             raise DomainError("state arrays have inconsistent dimensions")
         if self.r.shape[1:] != k:
             raise DomainError("responsibilities must be (n, k)")
-        _check_prob_rows(
-            self.r, 1e-9, "responsibility rows must be probability vectors"
-        )
+        if kept is None:
+            _check_prob_rows(self.r, 1e-9, "responsibility rows must be probability vectors")
         if np.any(self.conc <= 0.0):
             raise DomainError("Dirichlet concentrations must be > 0")
         for name in ("b", "alpha", "beta"):
@@ -457,22 +559,17 @@ class DiagGmmState:
                 raise DomainError(f"Normal-Gamma {name} must be > 0")
 
 
-def _diag_expected_stats(state):
+def _diag_weights(state, centre):
+    """``(k, 2d + 1)`` weights of the ``[x~, 1, x~^2]`` rows giving each
+    point's expected log joint with each component, ``E[log pi_k] +
+    E[log Normal(x; mu_k, 1/tau_k)]``, formed on the centred ``m_k -
+    centre``."""
     e_log_pi = digamma(state.conc) - digamma(state.conc.sum())
     e_tau, e_log_tau = gamma_moments(state.alpha, state.beta)
-    return e_log_pi, e_log_tau, e_tau
-
-
-def _diag_loglik_matrix(state, x):
-    """(n, k) expected log density of each point under each component."""
-    _, e_log_tau, e_tau = _diag_expected_stats(state)
-    d = x.shape[1]
-    quad = (
-        (x**2) @ e_tau.T
-        - 2.0 * x @ (e_tau * state.m).T
-        + (e_tau * state.m**2 + 1.0 / state.b).sum(axis=1)[None, :]
-    )
-    return 0.5 * (e_log_tau.sum(axis=1)[None, :] - d * LOG_2PI - quad)
+    mc = state.m - centre
+    per_coord = e_log_tau - e_tau * mc**2 - 1.0 / state.b
+    const = e_log_pi + 0.5 * (per_coord.sum(axis=1) - state.m.shape[1] * LOG_2PI)
+    return np.column_stack([e_tau * mc, const, -0.5 * e_tau])
 
 
 def diag_gmm_sweep(state, data, config):
@@ -480,23 +577,24 @@ def diag_gmm_sweep(state, data, config):
     component factors.
 
     The Normal-Gamma updates are the conjugate posterior formulas with
-    responsibility-weighted counts; a component with no effective weight
-    falls back to its prior.
+    responsibility-weighted counts, means and scatters, read from the
+    :class:`SweepStats`; a component with no effective weight falls back to
+    its prior.
     """
-    x = _as_matrix(data)
+    data = MixtureData.of(data, per_coordinate=True)
+    r, log_r = categorical_rows(data.aug @ _diag_weights(state, data.centre).T, log=True)
+    _check_prob_rows(r, 1e-9, "responsibility rows must be probability vectors")
+    r.setflags(write=False)
+    stats = _local_stats(r, data, log_r)
 
-    log_rho = _diag_loglik_matrix(state, x) + (
-        digamma(state.conc) - digamma(state.conc.sum())
-    )[None, :]
-    r = categorical_rows(log_rho)
-
-    nk = r.sum(axis=0)
+    d = data.shape[1]
+    nk = stats.sums[:, d]
     conc = config.a0 + nk
 
     tiny = np.finfo(float).tiny
-    denom = np.maximum(nk, tiny)[:, None]
-    xbar = np.where(nk[:, None] > tiny, (r.T @ x) / denom, config.m0)
-    scatter = np.maximum(r.T @ (x**2) - nk[:, None] * xbar**2, 0.0)
+    mean = stats.sums[:, :d] / np.maximum(nk, tiny)[:, None]  # centred
+    xbar = np.where(nk[:, None] > tiny, mean + data.centre, config.m0)
+    scatter = np.maximum(stats.sums[:, d + 1 :] - nk[:, None] * mean**2, 0.0)
 
     b = config.b0 + nk[:, None]
     m = (config.b0 * config.m0 + nk[:, None] * xbar) / b
@@ -508,7 +606,7 @@ def diag_gmm_sweep(state, data, config):
     )
     b = np.broadcast_to(b, m.shape).copy()
     alpha = np.broadcast_to(alpha, m.shape).copy()
-    return DiagGmmState(conc, m, b, alpha, beta, r)
+    return DiagGmmState(conc, m, b, alpha, beta, r, stats)
 
 
 def diag_gmm_elbo(state, data, config):
@@ -518,14 +616,9 @@ def diag_gmm_elbo(state, data, config):
     their KL divergences to the prior, the responsibilities through their
     entropy.
     """
-    x = _as_matrix(data)
+    data = MixtureData.of(data, per_coordinate=True)
     k = state.m.shape[0]
-    e_log_pi, _, _ = _diag_expected_stats(state)
-
-    lik = float((state.r * _diag_loglik_matrix(state, x)).sum())
-    assign = float(state.r.sum(axis=0) @ e_log_pi)
-    assign_entropy = float(categorical_entropy(state.r).sum())
-
+    lik = _lik_and_entropy(state.r, state.stats, data, _diag_weights(state, data.centre))
     weight_kl = dirichlet_kl(state.conc, np.full(k, config.a0))
     component_kl = float(
         normal_gamma_kl(
@@ -533,7 +626,7 @@ def diag_gmm_elbo(state, data, config):
             (config.m0, config.b0, config.alpha0, config.beta0),
         ).sum()
     )
-    return lik + assign + assign_entropy - weight_kl - component_kl
+    return lik - weight_kl - component_kl
 
 
 def diag_predictive_log_density(state, x_new):
@@ -566,6 +659,9 @@ class DiagGmm(VariationalModel):
 
     def __init__(self, config):
         self.config = config
+
+    def prepare(self, data):
+        return MixtureData.of(data, per_coordinate=True)
 
     def init_state(self, data, strategy, rng):
         x = _as_matrix(data)

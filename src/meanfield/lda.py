@@ -541,10 +541,10 @@ class Lda(VariationalModel):
         gamma, _, _ = _fold_in(corpus, state.lam, self.config, want_phi=False)
         theta = gamma / gamma.sum(axis=1, keepdims=True)
         beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
-        token_probs = (
-            np.repeat(theta, np.diff(corpus.indptr), axis=0)
-            * beta_mean[:, corpus.ids].T
-        ).sum(axis=1)
+        token_probs = np.einsum(
+            "tk->t",
+            np.repeat(theta, np.diff(corpus.indptr), axis=0) * beta_mean[:, corpus.ids].T,
+        )
         return np.log(token_probs)
 
     def log_predictive(self, state, data):

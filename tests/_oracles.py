@@ -10,12 +10,16 @@ one CSR entry at a time, a bag-of-words file's
 CSR arrays assembled through one dict per document, the
 one-observation-at-a-time global-local (conditionally conjugate) mixture
 steps, the mixture's dedicated component update and per-coordinate
-responsibilities, and model ELBOs with their prior, KL and entropy terms written out
-by hand -- so agreement with the package is evidence of correctness rather
-than of shared code.  The exceptions are ``corpus_of``, a constructor,
-the LDA single-document updates, which the tests compose by hand, and
+responsibilities, model ELBOs with their prior, KL and entropy terms written out
+by hand, and model ELBOs summed point by point in long double -- so
+agreement with the package is evidence of correctness rather than of
+shared code.  The exceptions are ``corpus_of``, a constructor, the LDA
+single-document updates, which the tests compose by hand,
 ``coordinate_optimality_gap``, a fixed-point check that scores
-single-factor perturbations of a fitted state with the model's own ELBO.
+single-factor perturbations of a fitted state with the model's own ELBO,
+and the ``*_elbo_rows`` forms: the package's own ELBOs as they were before
+they read a sweep's sufficient statistics, through an ``(n, k)`` expected
+log likelihood or a per-row trace term, with its KL and entropy helpers.
 """
 
 import dataclasses
@@ -27,8 +31,16 @@ import scipy.linalg
 import scipy.stats
 from scipy.special import digamma, gammaln, logsumexp
 
-from meanfield.blr_ard import BlrArdState
-from meanfield.expfam import _dirichlet_expected_log_rows
+from meanfield.blr_ard import BlrArdState, blr_expectations
+from meanfield.expfam import (
+    _dirichlet_expected_log_rows,
+    categorical_entropy,
+    dirichlet_kl,
+    gamma_kl,
+    gamma_moments,
+    gaussian_kl,
+    normal_gamma_kl,
+)
 from meanfield.expfam import digamma as np_digamma
 from meanfield.gmm import DiagGmmState, UniGmmState
 from meanfield.lda import Corpus, _check_matches, _phi_rows, _shifted
@@ -757,6 +769,148 @@ def heldout_mean_loop(point_fn, state, heldout):
     for row in rows:
         total += point_fn(state, row)
     return total / rows.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# model ELBOs through the (n, k) expected log likelihood, and in long double
+# ---------------------------------------------------------------------------
+
+
+def gmm_elbo_rows(state, data, sigma2):
+    """Unit-variance mixture ELBO through the ``(n, k)`` expected log
+    likelihood, formed on data and means centred on the mean location."""
+    x = _obs_rows(data)
+    k, d = state.m.shape
+    c = state.m.mean(axis=0)
+    xc, mc = x - c, state.m - c
+    lik = (
+        xc @ mc.T
+        - 0.5 * ((mc**2).sum(axis=1) + state.s2.sum(axis=1))[None, :]
+        - 0.5 * (xc**2).sum(axis=1)[:, None]
+        - 0.5 * d * _LOG_2PI
+    )
+    return (
+        -x.shape[0] * math.log(k)
+        + float((state.phi * lik).sum())
+        + float(categorical_entropy(state.phi).sum())
+        - float(gaussian_kl(state.m, state.s2, 0.0, sigma2).sum())
+    )
+
+
+def _diag_kl(state, config):
+    """Weight and component KL terms of the diagonal mixture, from the
+    package's helpers."""
+    k = state.m.shape[0]
+    component = normal_gamma_kl(
+        (state.m, state.b, state.alpha, state.beta),
+        (config.m0, config.b0, config.alpha0, config.beta0),
+    )
+    return dirichlet_kl(state.conc, np.full(k, config.a0)) + float(component.sum())
+
+
+def diag_gmm_elbo_rows(state, data, config):
+    """Diagonal mixture ELBO through the ``(n, k)`` expected log likelihood
+    of the uncentred data."""
+    x = _obs_rows(data)
+    d = state.m.shape[1]
+    e_log_pi = np_digamma(state.conc) - np_digamma(state.conc.sum())
+    e_tau, e_log_tau = gamma_moments(state.alpha, state.beta)
+    quad = (
+        (x**2) @ e_tau.T
+        - 2.0 * x @ (e_tau * state.m).T
+        + (e_tau * state.m**2 + 1.0 / state.b).sum(axis=1)[None, :]
+    )
+    lik = 0.5 * (e_log_tau.sum(axis=1)[None, :] - d * _LOG_2PI - quad)
+    return (
+        float((state.r * lik).sum())
+        + float(state.r.sum(axis=0) @ e_log_pi)
+        + float(categorical_entropy(state.r).sum())
+        - _diag_kl(state, config)
+    )
+
+
+def _blr_terms(state, config):
+    """The regression ELBO's terms that do not read the data, and the
+    moments the data terms need."""
+    exp = blr_expectations(state, config)
+    dim = state.beta.shape[0]
+    coeff = 0.5 * (
+        float(exp["e_log_alpha"].sum())
+        - float(exp["e_alpha"] @ exp["e_tau_beta_sq"])
+        + exp["log_det_v"]
+        + dim
+    )
+    value = coeff - gamma_kl(state.a, state.b, config.a0, config.b0)
+    if not config.fix_relevance:
+        value -= float(gamma_kl(state.c, state.d, config.c0, config.d0).sum())
+    return value, exp
+
+
+def blr_elbo_rows(state, data, config):
+    """Regression ELBO with ``sum_i x_i^T V* x_i`` taken row by row, as
+    ``|L^-1 x_i|^2``."""
+    xy = np.asarray(data, dtype=float)
+    x, y = xy[:, :-1], xy[:, -1]
+    n = x.shape[0]
+    value, exp = _blr_terms(state, config)
+    resid = y - x @ state.beta
+    half = exp["chol_inv"] @ x.T
+    return value + (
+        -0.5 * n * _LOG_2PI
+        + 0.5 * n * exp["e_log_tau"]
+        - 0.5 * (exp["e_tau"] * float(resid @ resid) + float((half * half).sum()))
+    )
+
+
+_LD = np.longdouble
+_LD_LOG_2PI = np.log(2 * np.arccos(_LD(-1)))
+
+
+def gmm_elbo_longdouble(state, data, sigma2):
+    """Unit-variance mixture ELBO in long double, point by point and
+    coordinate by coordinate."""
+    x, m, s2, phi = (np.asarray(a, dtype=_LD) for a in (_obs_rows(data), state.m, state.s2, state.phi))
+    k, d = m.shape
+    sq = ((x[:, None, :] - m[None, :, :]) ** 2 + s2[None, :, :]).sum(axis=2)
+    nz = phi[phi > 0]
+    kl = 0.5 * (s2 / sigma2 + m * m / sigma2 - 1 - np.log(s2 / _LD(sigma2)))
+    return (
+        -x.shape[0] * np.log(_LD(k))
+        + (phi * (-0.5 * sq - 0.5 * d * _LD_LOG_2PI)).sum()
+        - (nz * np.log(nz)).sum()
+        - kl.sum()
+    )
+
+
+def diag_gmm_elbo_longdouble(state, data, config):
+    """Diagonal mixture ELBO with its data terms in long double, point by
+    point; the digamma values and KL terms come from the package in double."""
+    x, m, b, r = (np.asarray(a, dtype=_LD) for a in (_obs_rows(data), state.m, state.b, state.r))
+    d = m.shape[1]
+    e_log_pi = np.asarray(np_digamma(state.conc) - np_digamma(state.conc.sum()), dtype=_LD)
+    e_tau, e_log_tau = (np.asarray(a, dtype=_LD) for a in gamma_moments(state.alpha, state.beta))
+    quad = (e_tau[None] * (x[:, None, :] - m[None]) ** 2 + 1 / b[None]).sum(axis=2)
+    lik = 0.5 * (e_log_tau.sum(axis=1)[None, :] - d * _LD_LOG_2PI - quad) + e_log_pi[None, :]
+    nz = r[r > 0]
+    return (r * lik).sum() - (nz * np.log(nz)).sum() - _LD(_diag_kl(state, config))
+
+
+def blr_elbo_longdouble(state, data, config):
+    """Regression ELBO with its data terms in long double, row by row: the
+    residuals, and ``x_i^T V* x_i`` as ``|L^-1 x_i|^2`` with the package's
+    ``L^-1`` (the reference ``V*``)."""
+    value, exp = _blr_terms(state, config)
+    xy = np.asarray(data, dtype=_LD)
+    x, y = xy[:, :-1], xy[:, -1]
+    n = x.shape[0]
+    resid = y - (x * np.asarray(state.beta, dtype=_LD)).sum(axis=1)
+    inv = np.asarray(exp["chol_inv"], dtype=_LD)
+    half = (inv[None, :, :] * x[:, None, :]).sum(axis=2)
+    return _LD(value) + (
+        -0.5 * n * _LD_LOG_2PI
+        + 0.5 * n * _LD(exp["e_log_tau"])
+        - 0.5 * (_LD(exp["e_tau"]) * (resid * resid).sum() + (half * half).sum())
+    )
 
 
 # ---------------------------------------------------------------------------
