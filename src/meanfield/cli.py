@@ -147,16 +147,10 @@ def _write_matrix_csv(path, matrix):
         handle.writelines(line % tuple(row.tolist()) for row in rows)
 
 
-def _read_matrix_csv(path):
+def _read(reader, path):
+    """``reader(path)``; an OSError raised while reading is a DataFormatError."""
     try:
-        return read_data_csv(path)
-    except OSError as err:
-        raise DataFormatError(f"cannot read {path}: {err.strerror}")
-
-
-def _read_corpus(path):
-    try:
-        return read_uci(path)
+        return reader(path)
     except OSError as err:
         raise DataFormatError(f"cannot read {path}: {err.strerror}")
 
@@ -314,7 +308,7 @@ def _build_fit(cfg):
             raise ConfigError("kappa", "required when algorithm is svi")
         schedule = StepSchedule(cfg.kappa, cfg.delay)
 
-    data = _read_corpus(cfg.data) if cfg.model == "lda" else _read_matrix_csv(cfg.data)
+    data = _read(read_uci if cfg.model == "lda" else read_data_csv, cfg.data)
     adapter, config_type, names = MODEL_TYPES[cfg.model]
     if "k" in names and cfg.k is None:
         raise ConfigError("k", f"required for model {cfg.model}")
@@ -530,7 +524,7 @@ def _rebuild(doc, fit_dir):
         name = doc.get("lambda_csv")
         if not isinstance(name, str) or "\x00" in name:
             raise DataFormatError("fit document field 'lambda_csv' must name a file")
-        lam = _read_matrix_csv(Path(fit_dir) / name)
+        lam = _read(read_data_csv, Path(fit_dir) / name)
         kwargs = {"k": lam.shape[0]}
         state = LdaState(lam, np.zeros((0, lam.shape[0])), np.zeros((0, lam.shape[0])))
     else:
@@ -550,7 +544,7 @@ def cmd_eval(args):
     model, state = _rebuild(doc, fit_path.parent)
 
     if doc["model"] == "lda":
-        heldout = _read_corpus(args.data)
+        heldout = _read(read_uci, args.data)
         if heldout.v != state.lam.shape[1]:
             raise DataFormatError(
                 f"held-out vocabulary size {heldout.v} does not match "
@@ -561,7 +555,7 @@ def cmd_eval(args):
         count = heldout.total_tokens
         unit = "word"
     else:
-        heldout = _read_matrix_csv(args.data)
+        heldout = _read(read_data_csv, args.data)
         if doc["model"] == "blr-ard":
             expected = state.beta.shape[0] + 1
         else:
@@ -695,6 +689,10 @@ def _configure_logging():
     )
 
 
+# The exit code of each error the package raises; see the module docstring.
+_EXIT_CODES = {ConfigError: 2, DataFormatError: 3, DomainError: 2, NumericError: 4}
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -707,18 +705,9 @@ def main(argv=None):
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_diagnose_meanfield(args)
-    except ConfigError as err:
+    except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except DataFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except NumericError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
 if __name__ == "__main__":

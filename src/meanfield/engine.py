@@ -5,8 +5,8 @@ supplying five things: a deterministic seeded initializer, one full
 coordinate sweep (local factors before global factors), the evidence lower
 bound, a log predictive density scoring a whole batch of observations in one
 call, and the export of a state as the JSON-ready dict a fit document holds;
-``prepare`` may compute once per fit the constants those read of the data.
-:func:`cavi_fit` then owns iteration, convergence, timing, held-out
+``prepare`` may compute once, on the training data, the constants those
+read.  :func:`cavi_fit` then owns iteration, convergence, timing, held-out
 evaluation, and the monotonicity check, through the package's one iteration
 loop, which the stochastic fits and ``condconj.coordinate_ascent`` share.
 
@@ -150,20 +150,17 @@ class VariationalModel(abc.ABC):
 
     def prepare(self, data):
         """``data`` with the constants a fit reads of it computed once;
-        :func:`cavi_fit` calls it on the training and the held-out data and
-        passes the result on.  Every method also takes unprepared data."""
+        :func:`cavi_fit` calls it once, on the training data, and passes
+        the result on.  Every method also takes unprepared data."""
         return data
 
     # Data containers are indexable arrays by default; models with richer
-    # containers (a corpus of documents, say) override these two.
-    def n_obs(self, data):
-        return len(data)
-
+    # containers (a corpus of documents, say) override this.
     def take(self, data, indices):
         return np.asarray(data)[np.asarray(indices, dtype=int)]
 
     def heldout_log_predictive(self, state, heldout):
-        n = self.n_obs(heldout)
+        n = len(heldout)
         if n == 0:
             raise DomainError("held-out set is empty")
         values = np.asarray(self.log_predictive(state, heldout), dtype=float)
@@ -197,7 +194,7 @@ def init_state(model, data, strategy, seed):
 
 
 def _split_heldout(model, data, config):
-    n = model.n_obs(data)
+    n = len(data)
     n_held = int(config.heldout_fraction * n)
     if n_held == 0:
         return data, None
@@ -264,17 +261,17 @@ def _fit_loop(max_iters, tol, every, state, step, score, metadata, heldout=None,
     )
 
 
-def cavi_fit(model, data, config, init=None):
+def cavi_fit(model, data, config):
     """Run coordinate ascent to convergence and report the trajectory.
+
+    It starts from the data-calibrated state seeded by ``config.seed``;
+    every sweep and ELBO reads the one prepared training object.
 
     Parameters
     ----------
     model : VariationalModel
     data : model-specific container
     config : FitConfig
-    init : model state, optional
-        Starting state.  Defaults to a data-calibrated initialization
-        seeded from ``config.seed``.
 
     Returns
     -------
@@ -293,15 +290,12 @@ def cavi_fit(model, data, config, init=None):
     meta = {
         "model": model.name,
         "seed": config.seed,
-        "n_train": model.n_obs(train),
-        "n_heldout": 0 if heldout is None else model.n_obs(heldout),
+        "n_train": len(train),
+        "n_heldout": 0 if heldout is None else len(heldout),
     }
     meta.update(model.metadata())
     train = model.prepare(train)
-    heldout = None if heldout is None else model.prepare(heldout)
-    state = init
-    if state is None:
-        state = init_state(model, train, InitStrategy.DATA_CALIBRATED, config.seed)
+    state = init_state(model, train, InitStrategy.DATA_CALIBRATED, config.seed)
 
     def sweep(s, t):
         return model.sweep(s, train)

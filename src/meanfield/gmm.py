@@ -21,8 +21,8 @@ point's expected log density under every component, and one product
 ``phi^T aug`` the responsibilities' sufficient statistics.  A sweep keeps
 those statistics and the responsibilities' entropy in the state it builds
 (:class:`SweepStats`), so the ELBO is an ``O(k d)`` sum of statistics
-against weights; a state without them, or scored on other rows, has them
-computed from ``phi`` by the same code.
+against weights; a state without them, or scored on any but the prepared
+rows object they came from, has them computed from ``phi`` by that code.
 
 States hold plain arrays and are treated as immutable: every update
 returns fresh arrays, so a recorded state is never changed by later sweeps.
@@ -151,8 +151,8 @@ def _local_stats(phi, data, log_phi=None):
 def _lik_and_entropy(phi, kept, data, w):
     """``<sums, w>``, the expected log likelihood at weights ``w``, plus the
     entropy of ``phi``, from the :class:`SweepStats` a sweep ``kept`` if it
-    took them on the same rows, else from ones computed here."""
-    if kept is None or not (kept.data is data or np.array_equal(kept.data.x, data.x)):
+    took them on this prepared ``data`` object, else from ones computed here."""
+    if kept is None or kept.data is not data:
         kept = _local_stats(phi, data)
     return float(np.einsum("kj,kj->", kept.sums, w)) + kept.entropy
 

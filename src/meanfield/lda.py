@@ -42,6 +42,7 @@ from .expfam import (
     _dirichlet_expected_log_rows,
     _dirichlet_kl,
     categorical_entropy,
+    categorical_rows,
     digamma,
 )
 
@@ -358,11 +359,6 @@ def _term_stats(corpus, phi):
     return flat.reshape(corpus.v, k).T
 
 
-def _shifted(logits):
-    """Logits shifted so that every row peaks at 0."""
-    return logits - logits.max(axis=1, keepdims=True)
-
-
 def _phi_rows(log_theta_tok, beta_tok, elog_beta, ids):
     """Assignment rows (T, K) for CSR entries with term ids ``ids``, from
     each entry's shifted ``E[log theta_d]`` row and ``exp E[log beta]``
@@ -372,8 +368,7 @@ def _phi_rows(log_theta_tok, beta_tok, elog_beta, ids):
     lost = norm < _NORM_FLOOR
     phi /= np.where(lost, 1.0, norm)[:, None]
     if lost.any():
-        p = np.exp(_shifted(log_theta_tok[lost] + elog_beta[:, ids[lost]].T))
-        phi[lost] = p / p.sum(axis=1, keepdims=True)
+        phi[lost] = categorical_rows(log_theta_tok[lost] + elog_beta[:, ids[lost]].T)
     return phi
 
 

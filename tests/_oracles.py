@@ -43,7 +43,7 @@ from meanfield.expfam import (
 )
 from meanfield.expfam import digamma as np_digamma
 from meanfield.gmm import DiagGmmState, UniGmmState
-from meanfield.lda import Corpus, _check_matches, _phi_rows, _shifted
+from meanfield.lda import Corpus, _check_matches, _phi_rows
 
 
 def k1_gaussian_posterior(data, sigma2):
@@ -336,6 +336,11 @@ def uci_csr(num_docs, triples):
         np.array([t for ts in terms for t in ts], dtype=int),
         np.array(counts, dtype=float),
     )
+
+
+def _shifted(logits):
+    """Logits shifted so that every row peaks at 0."""
+    return logits - logits.max(axis=1, keepdims=True)
 
 
 # The two single-document updates below are the package's own, kept for

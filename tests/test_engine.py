@@ -110,8 +110,7 @@ class TestCaviFit:
     def test_single_component_recovers_exact_posterior(self):
         data = np.array([1.0, 1.0])
         model = UnitVarianceGmm(UniGmmConfig(k=1, sigma2=1.0))
-        init = init_state(model, data, "prior", seed=0)
-        report = cavi_fit(model, data, FitConfig(tol=1e-12), init=init)
+        report = cavi_fit(model, data, FitConfig(tol=1e-12))
         state = report.model_state
         assert state.m[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert state.s2[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -124,8 +123,7 @@ class TestCaviFit:
     def test_empty_data_returns_prior_with_zero_elbo(self):
         model = UnitVarianceGmm(UniGmmConfig(k=2, sigma2=1.0))
         data = np.zeros((0, 1))
-        init = init_state(model, data, "prior", seed=0)
-        report = cavi_fit(model, data, FitConfig(), init=init)
+        report = cavi_fit(model, data, FitConfig())
         state = report.model_state
         assert np.array_equal(state.m, np.zeros((2, 1)))
         assert np.array_equal(state.s2, np.ones((2, 1)))
