@@ -25,7 +25,7 @@ refresh that builds a state keeps the pair in it.  The data enter through
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -267,9 +267,6 @@ class BlrArd(VariationalModel):
 
     name = "blr-ard"
 
-    def __init__(self, config):
-        self.config = config
-
     def init_state(self, data, strategy, rng):
         """Both strategies start at the prior: the first coefficient
         refresh is exact given the relevance factors, so random inits add
@@ -298,9 +295,6 @@ class BlrArd(VariationalModel):
 
     def log_predictive(self, state, data):
         return blr_log_predictive(state, data)
-
-    def metadata(self):
-        return asdict(self.config)
 
     def export_state(self, state):
         exp = blr_expectations(state, self.config)

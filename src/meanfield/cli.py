@@ -285,18 +285,11 @@ def _fit_config(cfg, seed):
 # ---------------------------------------------------------------------------
 
 
-def _build_fit(cfg):
-    """Load data and return ``(fit_one, export)``.
-
-    ``fit_one(seed)`` runs a fit; ``export(report, seed, out)`` returns the
-    model-specific fields of ``fit_<seed>.json``, the model's
-    ``export_state``, and may write side files for large parameters.
-    """
+def cmd_fit(cfg):
     # Stochastic fits by model: each takes (data, config, schedule,
     # fit_config, batch_size) and reports the model's own ELBO and state.
     # Built per call, so a function rebound by name (as profilers do) is seen.
     svi_fits = {"gmm": gmm_svi_fit, "lda": lda_svi_fit}
-    schedule = None
     if cfg.algorithm == "svi":
         if cfg.model not in svi_fits:
             raise ConfigError(
@@ -316,36 +309,18 @@ def _build_fit(cfg):
         **{n: getattr(cfg, n) for n in names if getattr(cfg, n) is not None}
     )
     model = adapter(config)
-
-    if cfg.algorithm == "svi":
-        svi_fit = svi_fits[cfg.model]
-
-        def fit_one(seed):
-            return svi_fit(data, config, schedule, _fit_config(cfg, seed), cfg.batch)
-    elif cfg.model == "lda":
-        def fit_one(seed):
-            return lda_cavi_fit(data, config, _fit_config(cfg, seed))
-    else:
-        def fit_one(seed):
-            return cavi_fit(model, data, _fit_config(cfg, seed))
-
-    def export(report, seed, out):
-        state = report.model_state
-        exported = model.export_state(state)
-        if cfg.model == "lda":
-            exported["lambda_csv"] = f"lambda_{seed}.csv"
-            exported["gamma_csv"] = f"gamma_{seed}.csv"
-            _write_matrix_csv(out / exported["lambda_csv"], state.lam)
-            _write_matrix_csv(out / exported["gamma_csv"], state.gamma)
-        return exported
-
-    return fit_one, export
-
-
-def cmd_fit(cfg):
-    fit_one, export = _build_fit(cfg)
     out = _out_dir(cfg.out)
-    reports = [fit_one(seed) for seed in cfg.seeds]
+
+    reports = []
+    for seed in cfg.seeds:
+        fit_config = _fit_config(cfg, seed)
+        if cfg.algorithm == "svi":
+            fit = svi_fits[cfg.model](data, config, schedule, fit_config, cfg.batch)
+        elif cfg.model == "lda":
+            fit = lda_cavi_fit(data, config, fit_config)
+        else:
+            fit = cavi_fit(model, data, fit_config)
+        reports.append(fit)
 
     final_elbos = []
     for seed, report in zip(cfg.seeds, reports):
@@ -360,7 +335,13 @@ def cmd_fit(cfg):
             "final_elbo": report.final_elbo,
             "metadata": report.metadata,
         }
-        doc.update(export(report, seed, out))
+        state = report.model_state
+        doc.update(model.export_state(state))
+        if cfg.model == "lda":
+            doc["lambda_csv"] = f"lambda_{seed}.csv"
+            doc["gamma_csv"] = f"gamma_{seed}.csv"
+            _write_matrix_csv(out / doc["lambda_csv"], state.lam)
+            _write_matrix_csv(out / doc["gamma_csv"], state.gamma)
         _write_json(out / f"fit_{seed}.json", doc)
         final_elbos.append(report.final_elbo)
         log.info(
@@ -393,62 +374,51 @@ def cmd_fit(cfg):
 
 
 def cmd_simulate(args):
-    out = _out_dir(args.out)
+    """Draw a dataset and write it with ``truth.json``; every argument is
+    checked before ``--out`` is created."""
     seed = _check_seed(args.seed if args.seed is not None else 0)
-
     if args.model in ("gmm", "gmm-diag"):
         if args.k is None or args.n is None:
             raise ConfigError("k", "simulate for mixtures needs --k and --n")
         data, means, labels = simulate(
-            k=int(args.k),
-            n=int(args.n),
-            seed=seed,
-            dim=int(args.dim),
-            mean_scale=float(args.mean_scale),
-            min_separation=float(args.separation),
+            args.k, args.n, seed, dim=args.dim, mean_scale=args.mean_scale,
+            min_separation=args.separation,
         )
-        _write_matrix_csv(out / "data.csv", data)
-        _write_json(
-            out / "truth.json",
-            {"means": means.tolist(), "labels": [int(v) for v in labels]},
-        )
-        log.info("wrote %s and %s", out / "data.csv", out / "truth.json")
+        truth = {"means": means.tolist(), "labels": labels.tolist()}
     elif args.model == "blr-ard":
-        if args.n is None or args.dim is None:
-            raise ConfigError("n", "simulate for regression needs --n and --dim")
+        if args.n is None:
+            raise ConfigError("n", "simulate for regression needs --n")
+        if args.n < 0:
+            raise ConfigError("n", "must be >= 0")
+        if args.dim < 1:
+            raise ConfigError("dim", "must be >= 1")
+        if not (0.0 <= args.noise < np.inf):
+            raise ConfigError("noise", "must be finite and >= 0")
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(int(args.n), int(args.dim)))
-        coef = rng.normal(size=int(args.dim))
-        y = x @ coef + float(args.noise) * rng.normal(size=int(args.n))
-        _write_matrix_csv(out / "data.csv", np.column_stack([x, y]))
-        _write_json(
-            out / "truth.json",
-            {"coefficients": coef.tolist(), "noise_sd": float(args.noise)},
-        )
-        log.info("wrote %s and %s", out / "data.csv", out / "truth.json")
+        x = rng.normal(size=(args.n, args.dim))
+        coef = rng.normal(size=args.dim)
+        y = x @ coef + args.noise * rng.normal(size=args.n)
+        data = np.column_stack([x, y])
+        truth = {"coefficients": coef.tolist(), "noise_sd": args.noise}
     else:  # lda
         if args.k is None:
             raise ConfigError("k", "simulate for lda needs --k")
-        corpus, truth = simulate_corpus(
-            k=int(args.k),
-            num_docs=int(args.docs),
-            vocab_size=int(args.vocab),
-            doc_length=int(args.doc_length),
-            seed=seed,
-            disjoint=bool(args.disjoint),
-            alpha=float(args.alpha),
-            eta=float(args.eta),
+        corpus, drawn = simulate_corpus(
+            args.k, args.docs, args.vocab, args.doc_length, seed,
+            disjoint=args.disjoint, alpha=args.alpha, eta=args.eta,
         )
-        with _writing(out / "corpus.txt") as path:
+        truth = {key: drawn[key].tolist() for key in ("topics", "doc_topic")}
+
+    out = _out_dir(args.out)
+    if args.model == "lda":
+        path = out / "corpus.txt"
+        with _writing(path):
             write_uci(corpus, path)
-        _write_json(
-            out / "truth.json",
-            {
-                "topics": truth["topics"].tolist(),
-                "doc_topic": truth["doc_topic"].tolist(),
-            },
-        )
-        log.info("wrote %s and %s", out / "corpus.txt", out / "truth.json")
+    else:
+        path = out / "data.csv"
+        _write_matrix_csv(path, data)
+    _write_json(out / "truth.json", truth)
+    log.info("wrote %s and %s", path, out / "truth.json")
     return 0
 
 

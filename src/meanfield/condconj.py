@@ -297,7 +297,7 @@ def _local_rows(spec, lam, X):
     logw = np.asarray(spec.local_natural_param(lam, X), dtype=float)
     if logw.shape != (X.shape[0], spec.num_local_values):
         raise DomainError("local_natural_param must return (n, k) logits")
-    probs, log_probs = categorical_rows(logw, log=True)
+    probs, log_probs = categorical_rows(logw)
     _check_prob_rows(probs, _SIMPLEX_TOL)
     probs.setflags(write=False)
     return probs, log_probs

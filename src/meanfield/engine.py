@@ -1,6 +1,7 @@
 """Model-agnostic coordinate ascent driver and fit reporting.
 
-A model plugs into the engine by subclassing :class:`VariationalModel` and
+A model plugs into the engine by subclassing :class:`VariationalModel`,
+which keeps the model's config and records its fields as fit metadata, and
 supplying five things: a deterministic seeded initializer, one full
 coordinate sweep (local factors before global factors), the evidence lower
 bound, a log predictive density scoring a whole batch of observations in one
@@ -22,7 +23,7 @@ from __future__ import annotations
 import abc
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -123,6 +124,9 @@ class VariationalModel(abc.ABC):
 
     name = "model"
 
+    def __init__(self, config=None):
+        self.config = config
+
     @abc.abstractmethod
     def init_state(self, data, strategy, rng):
         """Build a starting state; must be deterministic given ``rng``."""
@@ -145,8 +149,9 @@ class VariationalModel(abc.ABC):
         """The JSON-ready dict of ``state`` that the fit document holds."""
 
     def metadata(self):
-        """Hyperparameters to record in the fit report."""
-        return {}
+        """Hyperparameters to record in the fit report: the config's fields,
+        in order, or none for a model built without a config."""
+        return {} if self.config is None else asdict(self.config)
 
     def prepare(self, data):
         """``data`` with the constants a fit reads of it computed once;

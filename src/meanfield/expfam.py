@@ -5,7 +5,7 @@ and KL divergences that coordinate ascent updates are written in terms of:
 
 * numerically safe ``log_sum_exp`` for normalizing log-weights, and
   ``categorical_rows`` for turning a batch of logits into probabilities
-  and, on request, their logs, from one shifted ``exp``,
+  and their logs, from one shifted ``exp``,
 * ``digamma`` (and ``log_gamma``) for Dirichlet and Gamma expectations,
   numpy kernels that lift every digamma argument (log_gamma's below 10) in
   one broadcast, then finish with a series (no command loads scipy),
@@ -156,25 +156,23 @@ def log_sum_exp(values, axis=None):
     return float(out[0]) if axis is None else out.reshape(rows.shape[:-1])
 
 
-def categorical_rows(logits, log=False):
-    """Normalize each row of an ``(n, k)`` logit array into probabilities.
+def categorical_rows(logits):
+    """Each row of an ``(n, k)`` logit array as probabilities, and their logs.
 
     One shifted ``exp`` of the logits and one ``log`` of the ``n`` row
     sums: the rows are ``exp(l - shift) / s``, which add to 1 to rounding,
-    and with ``log`` their logs ``l - shift - log s`` come back too.  An
-    empty batch returns an empty ``(0, k)`` array.
+    and their logs are ``l - shift - log s``.  An empty batch returns two
+    empty ``(0, k)`` arrays; rows of no entries are a :class:`DomainError`.
     """
     a = np.asarray(logits, dtype=float)
     if a.shape[0] == 0:
-        return (np.zeros(a.shape), np.zeros(a.shape)) if log else np.zeros(a.shape)
+        return np.zeros(a.shape), np.zeros(a.shape)
     if a.size == 0:
-        raise DomainError("log_sum_exp of an empty array")
+        raise DomainError("categorical_rows needs at least one logit per row")
     shifted, _ = _shifted(a)
     e = np.exp(shifted)
     total = np.einsum("nk->n", e)[:, None]
     e /= total
-    if not log:
-        return e
     shifted -= np.log(total)
     return e, shifted
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, asdict, dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -293,6 +293,8 @@ def simulate(k, n, seed, dim=1, mean_scale=5.0, min_separation=0.0):
         raise ConfigError("n", "must be >= 0")
     if dim < 1:
         raise ConfigError("dim", "must be >= 1")
+    if not math.isfinite(mean_scale):
+        raise ConfigError("mean_scale", "must be finite")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         means = mean_scale * rng.standard_normal((k, dim))
@@ -318,9 +320,6 @@ class UnitVarianceGmm(VariationalModel):
 
     name = "gmm"
 
-    def __init__(self, config):
-        self.config = config
-
     def prepare(self, data):
         return MixtureData.of(data, per_coordinate=False)
 
@@ -344,9 +343,6 @@ class UnitVarianceGmm(VariationalModel):
 
     def log_predictive(self, state, data):
         return predictive_log_density(state, _as_matrix(data))
-
-    def metadata(self):
-        return {"k": self.config.k, "sigma2": self.config.sigma2}
 
     def export_state(self, state):
         return {
@@ -582,7 +578,7 @@ def diag_gmm_sweep(state, data, config):
     its prior.
     """
     data = MixtureData.of(data, per_coordinate=True)
-    r, log_r = categorical_rows(data.aug @ _diag_weights(state, data.centre).T, log=True)
+    r, log_r = categorical_rows(data.aug @ _diag_weights(state, data.centre).T)
     _check_prob_rows(r, 1e-9, "responsibility rows must be probability vectors")
     r.setflags(write=False)
     stats = _local_stats(r, data, log_r)
@@ -657,9 +653,6 @@ class DiagGmm(VariationalModel):
 
     name = "gmm-diag"
 
-    def __init__(self, config):
-        self.config = config
-
     def prepare(self, data):
         return MixtureData.of(data, per_coordinate=True)
 
@@ -684,9 +677,6 @@ class DiagGmm(VariationalModel):
 
     def log_predictive(self, state, data):
         return diag_predictive_log_density(state, _as_matrix(data))
-
-    def metadata(self):
-        return asdict(self.config)
 
     def export_state(self, state):
         return {

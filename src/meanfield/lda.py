@@ -73,6 +73,9 @@ INNER_MAX_ITERS = 100
 # nats; such tokens are normalized in log space, keeping count/phinorm finite.
 _NORM_FLOOR = 1e-100
 
+# Terms listed per topic, most probable first, in a fit document.
+_TOP_TERMS = 20
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -260,6 +263,9 @@ def simulate_corpus(
     """
     if k < 1 or num_docs < 1 or vocab_size < k or doc_length < 1:
         raise DomainError("need k >= 1, docs >= 1, vocab >= k, doc length >= 1")
+    for name, prior in (("alpha", alpha), ("eta", eta)):
+        if not (0.0 < prior < math.inf):
+            raise ConfigError(name, "must be finite and > 0")
     rng = np.random.default_rng(seed)
     if disjoint:
         topics = np.zeros((k, vocab_size))
@@ -368,11 +374,11 @@ def _phi_rows(log_theta_tok, beta_tok, elog_beta, ids):
     lost = norm < _NORM_FLOOR
     phi /= np.where(lost, 1.0, norm)[:, None]
     if lost.any():
-        phi[lost] = categorical_rows(log_theta_tok[lost] + elog_beta[:, ids[lost]].T)
+        phi[lost] = categorical_rows(log_theta_tok[lost] + elog_beta[:, ids[lost]].T)[0]
     return phi
 
 
-def e_step(corpus, elog_beta, gamma, alpha, want_phi=True):
+def e_step(corpus, elog_beta, gamma, alpha):
     """Local step for every document of ``corpus`` at fixed topics.
 
     From ``gamma`` (D, K), each document updates until the mean absolute
@@ -381,8 +387,8 @@ def e_step(corpus, elog_beta, gamma, alpha, want_phi=True):
     the active rows and is written back.  ``E[log theta]`` and ``E[log beta]``
     are shifted to peak at 0 over topics.  A pass is one ``digamma`` call
     and two batched products per padded block.  Returns ``(gamma, phi,
-    iterations)``: the (entries, K) rows of ``phi`` behind ``gamma`` (``None``
-    unless ``want_phi``) and each document's update count (0 when empty).
+    iterations)``: the (entries, K) rows of ``phi`` behind ``gamma`` and
+    each document's update count (0 when empty).
     """
     lens = np.diff(corpus.indptr)
     gamma = np.array(gamma, dtype=float)
@@ -435,10 +441,8 @@ def e_step(corpus, elog_beta, gamma, alpha, want_phi=True):
                       for b, r in zip(blocks, spans) if np.count_nonzero(keep[r])]
             docs, act = docs[keep], act[keep]
 
-    if want_phi:
-        log_theta = np.repeat(log_theta, lens, axis=0)
-        return gamma, _phi_rows(log_theta, beta_all, elog_beta, corpus.ids), iterations
-    return gamma, None, iterations
+    log_theta = np.repeat(log_theta, lens, axis=0)
+    return gamma, _phi_rows(log_theta, beta_all, elog_beta, corpus.ids), iterations
 
 
 def _physical_memory():
@@ -455,12 +459,10 @@ def _fresh_gamma(corpus, config):
     return config.alpha[None, :] + (corpus.doc_lengths() / config.k)[:, None]
 
 
-def _fold_in(corpus, lam, config, want_phi=True):
+def _fold_in(corpus, lam, config):
     """E-step for every document of ``corpus`` from a cold start at ``lam``."""
     elog_beta = _dirichlet_expected_log_rows(lam)
-    return e_step(
-        corpus, elog_beta, _fresh_gamma(corpus, config), config.alpha, want_phi
-    )
+    return e_step(corpus, elog_beta, _fresh_gamma(corpus, config), config.alpha)
 
 
 def lda_elbo(state, corpus, config):
@@ -489,9 +491,6 @@ class Lda(VariationalModel):
     """Engine adapter; the data container is a :class:`Corpus`."""
 
     name = "lda"
-
-    def __init__(self, config):
-        self.config = config
 
     def take(self, data, indices):
         return data.subset(indices)
@@ -533,7 +532,7 @@ class Lda(VariationalModel):
         """Log probability of each CSR entry's term under the mean topic
         mixture ``sum_k E[theta_k] E[beta_kv]``, every document folded in
         against frozen topics."""
-        gamma, _, _ = _fold_in(corpus, state.lam, self.config, want_phi=False)
+        gamma, _, _ = _fold_in(corpus, state.lam, self.config)
         theta = gamma / gamma.sum(axis=1, keepdims=True)
         beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
         token_probs = np.einsum(
@@ -557,18 +556,19 @@ class Lda(VariationalModel):
         return float(heldout.cts @ self._entry_log_probs(state, heldout)) / tokens
 
     def metadata(self):
+        """The config's fields, with the ``alpha`` array as a list."""
         return {
             "k": self.config.k,
             "eta": self.config.eta,
             "alpha": self.config.alpha.tolist(),
         }
 
-    def export_state(self, state, top=20):
+    def export_state(self, state):
         beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
         top_terms = []
         top_probs = []
         for row in beta_mean:
-            order = np.argsort(row)[::-1][: min(top, row.size)]
+            order = np.argsort(row)[::-1][:_TOP_TERMS]
             top_terms.append(order.tolist())
             top_probs.append(row[order].tolist())
         return {"top_terms": top_terms, "top_term_probs": top_probs}

@@ -555,6 +555,29 @@ class TestSimulate:
         assert len(truth["coefficients"]) == 3
         assert truth["noise_sd"] == 0.5
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["--model", "gmm", "--n", "10"], "k"),
+            (["--model", "gmm", "--k", "2", "--n", "10", "--mean-scale", "nan"],
+             "mean_scale"),
+            (["--model", "blr-ard", "--n", "-1"], "n"),
+            (["--model", "blr-ard", "--n", "10", "--dim", "-2"], "dim"),
+            (["--model", "blr-ard", "--n", "10", "--dim", "0"], "dim"),
+            (["--model", "blr-ard", "--n", "10", "--noise", "nan"], "noise"),
+            (["--model", "lda", "--k", "2", "--alpha", "-1"], "alpha"),
+            (["--model", "lda", "--k", "2", "--eta", "0"], "eta"),
+        ],
+        ids=["no-k", "mean-scale-nan", "n-negative", "dim-negative", "dim-zero",
+             "noise-nan", "alpha-negative", "eta-zero"],
+    )
+    def test_bad_argument_exits_2_before_writing(self, tmp_path, args, name):
+        out = tmp_path / "new"
+        res = run_cli("simulate", *args, "--out", out)
+        assert res.returncode == 2, res.stderr
+        assert f"'{name}'" in res.stderr
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_correlated_gaussian_variances(self, tmp_path):

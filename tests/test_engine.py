@@ -2,6 +2,7 @@
 
 import csv
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from _oracles import (
     k1_gaussian_posterior,
 )
 from meanfield import engine
-from meanfield.blr_ard import BlrArdConfig, blr_ard_fit
+from meanfield.blr_ard import BlrArd, BlrArdConfig, blr_ard_fit
 from meanfield.condconj import StepSchedule, coordinate_ascent, prior_param, svi_fit
 from meanfield.engine import (
     FitConfig,
@@ -30,6 +31,8 @@ from meanfield.errors import (
     NumericError,
 )
 from meanfield.gmm import (
+    DiagGmm,
+    DiagGmmConfig,
     UniGmmConfig,
     UniGmmState,
     UnitVarianceGmm,
@@ -37,7 +40,13 @@ from meanfield.gmm import (
     gmm_svi_fit,
     simulate,
 )
-from meanfield.lda import LdaConfig, lda_cavi_fit, lda_svi_fit, simulate_corpus
+from meanfield.lda import (
+    INNER_MAX_ITERS,
+    LdaConfig,
+    lda_cavi_fit,
+    lda_svi_fit,
+    simulate_corpus,
+)
 
 
 class TestFitConfig:
@@ -414,3 +423,49 @@ def test_every_fit_runs_the_one_loop_once(name, monkeypatch):
     assert {"meanfield.engine", "meanfield.condconj"} <= set(bound)
     _one_loop_fits()[name]()
     assert len(calls) == 1
+
+
+def _config_fields(config):
+    return {f.name: getattr(config, f.name) for f in fields(config)}
+
+
+def _estep_fields(report):
+    updates = report.model_state.estep_updates
+    return {
+        "estep_cap_hits": np.count_nonzero(updates >= INNER_MAX_ITERS),
+        "estep_max_updates": updates.max(),
+    }
+
+
+def test_fit_metadata_key_order_and_values():
+    """Every fit records its run, then its model's config fields in order;
+    LDA fits add how their last E-step ended."""
+    data, _, _ = simulate(k=2, n=40, seed=0, dim=2)
+    corpus, _ = simulate_corpus(k=2, num_docs=8, vocab_size=8, doc_length=10, seed=0)
+    held = FitConfig(max_iters=3, seed=1, heldout_fraction=0.25)
+    fit = FitConfig(max_iters=3, seed=1)
+    sched = StepSchedule(kappa=0.7, delay=2.0)
+    gmm = UniGmmConfig(k=2, sigma2=2.5)
+    diag = DiagGmmConfig(k=2, m0=0.5)
+    blr = BlrArdConfig(a0=2.0, fix_relevance=True)
+    lda = LdaConfig(k=2, eta=0.2, alpha=[0.3, 0.4])
+    lda_fields = {"k": 2, "eta": 0.2, "alpha": [0.3, 0.4]}
+    cavi = {"seed": 1, "n_train": 30, "n_heldout": 10}
+    svi = {"algorithm": "svi", "seed": 1, "batch_size": 4, "kappa": 0.7, "delay": 2.0}
+    lda_cavi = lda_cavi_fit(corpus, lda, held)
+    lda_svi = lda_svi_fit(corpus, lda, sched, fit, batch_size=4)
+    cases = [
+        (cavi_fit(UnitVarianceGmm(gmm), data, held),
+         {"model": "gmm", **cavi, **_config_fields(gmm)}),
+        (cavi_fit(DiagGmm(diag), data, held),
+         {"model": "gmm-diag", **cavi, **_config_fields(diag)}),
+        (cavi_fit(BlrArd(blr), data, held),
+         {"model": "blr-ard", **cavi, **_config_fields(blr)}),
+        (lda_cavi, {"model": "lda", "seed": 1, "n_train": 6, "n_heldout": 2,
+                    **lda_fields, **_estep_fields(lda_cavi)}),
+        (gmm_svi_fit(data, gmm, sched, fit, batch_size=4),
+         {**svi, "n_train": 40, **_config_fields(gmm)}),
+        (lda_svi, {**svi, "n_train": 8, **lda_fields, **_estep_fields(lda_svi)}),
+    ]
+    for report, want in cases:
+        assert list(report.metadata.items()) == list(want.items())

@@ -628,9 +628,9 @@ class TestExportState:
         config = LdaConfig(k=2)
         model = Lda(config)
         state, _ = fit_state(corpus, config, seed=1, max_iters=60)
-        summary = model.export_state(state, top=5)
+        summary = model.export_state(state)
         assert len(summary["top_terms"]) == 2
-        assert len(summary["top_terms"][0]) == 5
+        assert sorted(summary["top_terms"][0]) == list(range(12))  # 20 > V terms
         probs = summary["top_term_probs"][0]
         assert probs == sorted(probs, reverse=True)
 
@@ -818,8 +818,8 @@ def e_step_calls(monkeypatch):
     calls = []
     batched = lda_module.e_step
 
-    def recording(corpus, elog_beta, gamma, alpha, want_phi=True):
-        out = batched(corpus, elog_beta, gamma, alpha, want_phi)
+    def recording(corpus, elog_beta, gamma, alpha):
+        out = batched(corpus, elog_beta, gamma, alpha)
         calls.append((corpus, elog_beta, np.array(gamma), alpha, out))
         return out
 
@@ -835,9 +835,8 @@ def assert_matches_per_document_loop(call, rtol=1e-10):
     assert_array_equal(iterations, want_iterations)
     assert np.all(np.isfinite(gamma))
     assert_allclose(gamma, want_gamma, rtol=rtol, atol=0)
-    if phi is not None:
-        assert np.all(np.isfinite(phi))
-        assert_allclose(phi, np.concatenate(want_phi), rtol=rtol, atol=0)
+    assert np.all(np.isfinite(phi))
+    assert_allclose(phi, np.concatenate(want_phi), rtol=rtol, atol=0)
     return iterations
 
 
@@ -880,7 +879,6 @@ class TestBatchedEStep:
         single = model.log_predictive(state, corpus.subset([0]))[0]
         assert len(e_step_calls) == 2
         for call in e_step_calls:
-            assert call[4][1] is None  # scoring needs no phi
             assert_matches_per_document_loop(call)
 
         elog_beta = _dirichlet_expected_log_rows(state.lam)
