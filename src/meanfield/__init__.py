@@ -5,6 +5,12 @@ exponential-family core, with built-in Bayesian Gaussian mixtures, linear
 regression with per-coefficient relevance priors, and a topic model.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it. A second worker thread burns
+# CPU at these matrix sizes without saving wall time; a caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .engine import (
     FitConfig,
     FitReport,

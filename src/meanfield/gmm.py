@@ -295,6 +295,8 @@ def simulate(k, n, seed, dim=1, mean_scale=5.0, min_separation=0.0):
         raise ConfigError("dim", "must be >= 1")
     if not math.isfinite(mean_scale):
         raise ConfigError("mean_scale", "must be finite")
+    if not 0.0 <= min_separation < math.inf:
+        raise ConfigError("min_separation", "must be finite and >= 0")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         means = mean_scale * rng.standard_normal((k, dim))

@@ -567,9 +567,12 @@ class TestSimulate:
             (["--model", "blr-ard", "--n", "10", "--noise", "nan"], "noise"),
             (["--model", "lda", "--k", "2", "--alpha", "-1"], "alpha"),
             (["--model", "lda", "--k", "2", "--eta", "0"], "eta"),
+            *[(["--model", "gmm", "--k", "2", "--n", "10", "--separation", value],
+               "min_separation") for value in ("nan", "inf", "-1")],
         ],
         ids=["no-k", "mean-scale-nan", "n-negative", "dim-negative", "dim-zero",
-             "noise-nan", "alpha-negative", "eta-zero"],
+             "noise-nan", "alpha-negative", "eta-zero", "separation-nan",
+             "separation-inf", "separation-negative"],
     )
     def test_bad_argument_exits_2_before_writing(self, tmp_path, args, name):
         out = tmp_path / "new"

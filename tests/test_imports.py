@@ -1,11 +1,15 @@
-"""What importing the package gives: no scipy, and exports that resolve.
+"""What importing the package gives: no scipy, one BLAS thread, and exports
+that resolve.
 
 The package's special functions and linear algebra are numpy only, so
 importing the CLI and running any model's ``fit`` or ``eval`` leaves scipy
-unloaded.  Each of those cases starts its own interpreter because pytest
-itself has imported scipy by the time a test runs.  Every name in the
-package's and each module's ``__all__`` resolves and is listed once, so an
-export left behind by a deletion fails here.
+unloaded.  Importing the package before numpy leaves OpenBLAS on one
+thread unless the caller sets ``OPENBLAS_NUM_THREADS``, so blr-ard's output
+bits do not depend on the host's core count.  Each of those cases starts its
+own interpreter because pytest itself has imported scipy and numpy by the
+time a test runs.  Every name in the package's and each module's ``__all__``
+resolves and is listed once, so an export left behind by a deletion fails
+here.
 """
 
 import importlib
@@ -29,15 +33,50 @@ print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
 """
 
 
+BLAS_THREADS = """
+import ctypes, json
+import meanfield.cli
+
+def threads():
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            libs = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return fn()
+    return None
+
+print(json.dumps(threads()))
+"""
+
+
+def child_env(**overrides):
+    """The test's environment for a fresh interpreter on ``src``; a variable
+    given as None is removed."""
+    env = dict(os.environ, VI_LOG="quiet")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
 def run_commands(*commands):
     """Exit codes of ``main`` on each argv, in one fresh process, and
     whether scipy was loaded afterwards."""
-    env = dict(os.environ, VI_LOG="quiet")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argvs = [[str(a) for a in argv] for argv in commands]
     res = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout.splitlines()[-1])
@@ -103,6 +142,51 @@ def test_digamma_models_leave_scipy_unloaded(inputs, model, data):
     codes, scipy_loaded = run_commands(*commands)
     assert codes == [0] * len(commands)
     assert not scipy_loaded
+
+
+@pytest.mark.parametrize("given, expected", [(None, 1), ("2", 2)],
+                         ids=["unset", "caller-sets-2"])
+def test_the_cli_runs_one_blas_thread_unless_the_caller_sets_more(given, expected):
+    if expected > (os.cpu_count() or 1):
+        pytest.skip("OpenBLAS caps its threads at the core count")
+    res = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS], capture_output=True, text=True,
+        env=child_env(OPENBLAS_NUM_THREADS=given), timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    count = json.loads(res.stdout)
+    if count is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    assert count == expected
+
+
+def test_blr_ard_outputs_match_one_blas_thread_by_default(tmp_path):
+    # 97 columns is the narrowest design whose outputs moved on two OpenBLAS
+    # threads: LAPACK's Cholesky and inverse then sum in another order.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((50, 97))
+    y = x[:, :9] @ rng.standard_normal(9) + rng.standard_normal(50)
+    np.savetxt(tmp_path / "reg.csv", np.column_stack([x, y]), delimiter=",")
+    outs = []
+    for given in (None, "1"):
+        out = tmp_path / f"threads-{given}"
+        res = subprocess.run(
+            [sys.executable, "-m", "meanfield.cli", "fit", "--model", "blr-ard",
+             "--seed", "0", "--data", str(tmp_path / "reg.csv"), "--out", str(out)],
+            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=given),
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        outs.append(out)
+    for name in ("fit_0.json", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def trace(out):
+        rows = [line.split(",") for line in (out / "trace_0.csv").read_text().splitlines()]
+        col = rows[0].index("elapsed_ms")
+        return [row[:col] + row[col + 1:] for row in rows]
+
+    assert trace(outs[0]) == trace(outs[1])
 
 
 def _modules():
