@@ -7,9 +7,11 @@ regression with per-coefficient relevance priors, and a topic model.
 
 import os
 
-# OpenBLAS reads this once, when numpy loads it. A second worker thread burns
-# CPU at these matrix sizes without saving wall time; a caller's value wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# OpenBLAS reads its thread count when numpy loads it. A second thread burns CPU
+# at these matrix sizes without saving wall time; a count the caller set wins.
+if not any(name in os.environ for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .engine import (
     FitConfig,

@@ -112,10 +112,7 @@ def test_one_digamma_call_per_pass(monkeypatch, case):
 
 
 def run_fit(tmp_path, corpus_path, name, argv, threads):
-    env = {key: value for key, value in os.environ.items()
-           if key != "OPENBLAS_NUM_THREADS"}
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = threads
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     out = tmp_path / name
@@ -141,12 +138,14 @@ def run_fit(tmp_path, corpus_path, name, argv, threads):
      "--max-iters", "10", "--elbo-every", "5"],
 ], ids=["cavi", "svi"])
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, argv):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its threads at the core count")
     corpus, _ = simulate_corpus(4, 60, 300, 80, seed=3)
     corpus_path = tmp_path / "corpus.txt"
     lda_module.write_uci(corpus, corpus_path)
     one = run_fit(tmp_path, corpus_path, "one", argv, "1")
-    default = run_fit(tmp_path, corpus_path, "default", argv, None)
+    two = run_fit(tmp_path, corpus_path, "two", argv, "2")
     assert sorted(one) == ["fit_0.json", "gamma_0.csv", "lambda_0.csv",
                            "summary.json", "trace_0.csv"]
     for name in one:
-        assert one[name] == default[name], name
+        assert one[name] == two[name], name

@@ -4,8 +4,9 @@ that resolve.
 The package's special functions and linear algebra are numpy only, so
 importing the CLI and running any model's ``fit`` or ``eval`` leaves scipy
 unloaded.  Importing the package before numpy leaves OpenBLAS on one
-thread unless the caller sets ``OPENBLAS_NUM_THREADS``, so blr-ard's output
-bits do not depend on the host's core count.  Each of those cases starts its
+thread unless the caller sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+or ``OMP_NUM_THREADS``, so blr-ard's output bits do not depend on the host's
+core count.  Each of those cases starts its
 own interpreter because pytest itself has imported scipy and numpy by the
 time a test runs.  Every name in the package's and each module's ``__all__``
 resolves and is listed once, so an export left behind by a deletion fails
@@ -55,6 +56,10 @@ def threads():
 
 print(json.dumps(threads()))
 """
+
+
+# OpenBLAS takes its thread count from the first of these that is set.
+BLAS_UNSET = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
 
 
 def child_env(**overrides):
@@ -144,14 +149,18 @@ def test_digamma_models_leave_scipy_unloaded(inputs, model, data):
     assert not scipy_loaded
 
 
-@pytest.mark.parametrize("given, expected", [(None, 1), ("2", 2)],
-                         ids=["unset", "caller-sets-2"])
+@pytest.mark.parametrize("given, expected", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"GOTO_NUM_THREADS": "2"}, 2),
+], ids=["unset", "caller-sets-2", "caller-sets-omp-2", "caller-sets-goto-2"])
 def test_the_cli_runs_one_blas_thread_unless_the_caller_sets_more(given, expected):
     if expected > (os.cpu_count() or 1):
         pytest.skip("OpenBLAS caps its threads at the core count")
     res = subprocess.run(
         [sys.executable, "-c", BLAS_THREADS], capture_output=True, text=True,
-        env=child_env(OPENBLAS_NUM_THREADS=given), timeout=60,
+        env=child_env(**{**BLAS_UNSET, **given}), timeout=60,
     )
     assert res.returncode == 0, res.stderr
     count = json.loads(res.stdout)
@@ -173,7 +182,8 @@ def test_blr_ard_outputs_match_one_blas_thread_by_default(tmp_path):
         res = subprocess.run(
             [sys.executable, "-m", "meanfield.cli", "fit", "--model", "blr-ard",
              "--seed", "0", "--data", str(tmp_path / "reg.csv"), "--out", str(out)],
-            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=given),
+            capture_output=True, text=True,
+            env=child_env(**{**BLAS_UNSET, "OPENBLAS_NUM_THREADS": given}),
             timeout=120,
         )
         assert res.returncode == 0, res.stderr
