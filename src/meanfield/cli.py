@@ -63,13 +63,13 @@ __all__ = ["main", "RunConfig"]
 
 log = logging.getLogger("meanfield.cli")
 
-# Engine adapter, config type and the config fields a run may set, by model.
-# Each field is a RunConfig field; k, where listed, is required.
+# Model and config class by model name.  A run sets each config field that
+# is also a RunConfig field.
 MODEL_TYPES = {
-    "gmm": (UnitVarianceGmm, UniGmmConfig, ("k", "sigma2")),
-    "gmm-diag": (DiagGmm, DiagGmmConfig, ("k", "a0", "m0", "b0", "alpha0", "beta0")),
-    "blr-ard": (BlrArd, BlrArdConfig, ("a0", "b0", "c0", "d0")),
-    "lda": (Lda, LdaConfig, ("k", "eta", "alpha")),
+    "gmm": (UnitVarianceGmm, UniGmmConfig),
+    "gmm-diag": (DiagGmm, DiagGmmConfig),
+    "blr-ard": (BlrArd, BlrArdConfig),
+    "lda": (Lda, LdaConfig),
 }
 MODELS = tuple(MODEL_TYPES)
 ALGORITHMS = ("cavi", "svi")
@@ -208,7 +208,8 @@ class RunConfig:
     """Everything a fit run needs, after merging flags and config file.
 
     Each field's annotation converts its config-file value; ``seeds`` is
-    parsed from text.
+    parsed from text.  A setting left None is unset: the default of the
+    config class that reads it applies.
     """
 
     model: str
@@ -216,10 +217,10 @@ class RunConfig:
     seeds: tuple
     algorithm: str = "cavi"
     out: str = "."
-    max_iters: int = 200
-    tol: float = 1e-8
-    elbo_every: int = 1
-    heldout_fraction: float = 0.0
+    max_iters: int = None
+    tol: float = None
+    elbo_every: int = None
+    heldout_fraction: float = None
     k: int = None
     sigma2: float = None
     a0: float = None
@@ -232,7 +233,7 @@ class RunConfig:
     eta: float = None
     alpha: float = None
     kappa: float = None
-    delay: float = 0.0
+    delay: float = None
     batch: int = 1
 
     def __post_init__(self):
@@ -270,14 +271,34 @@ def _build_run_config(args):
         raise ConfigError("data", "an input data path is required")
     if merged["model"] is MISSING:
         raise ConfigError("model", "a model name is required")
-    return RunConfig(**merged)
+    cfg = RunConfig(**merged)
+    # A setting given must be read: by the run, FitConfig or the model's config
+    # class, or under svi (which holds no data out) by StepSchedule or as batch.
+    read = {"model", "data", "seeds", "algorithm", "out"}
+    read |= {f.name for f in fields(FitConfig) + fields(MODEL_TYPES[cfg.model][1])}
+    if cfg.algorithm == "svi":
+        read |= {f.name for f in fields(StepSchedule)} | {"batch"}
+        read.remove("heldout_fraction")
+    unread = [f.name for f in fields(RunConfig) if f.name not in read
+              and (flags.get(f.name) is not None or f.name in file_cfg)]
+    if unread:
+        raise ConfigError(", ".join(unread), f"not read by model {cfg.model} "
+                          f"with algorithm {cfg.algorithm}")
+    return cfg
 
 
-def _fit_config(cfg, seed):
-    """The engine settings for one seed; every other FitConfig field is a
-    RunConfig field."""
-    names = [f.name for f in fields(FitConfig) if f.name != "seed"]
-    return FitConfig(seed=seed, **{n: getattr(cfg, n) for n in names})
+def _settings(config_type, cfg, needed_by="", **fixed):
+    """``config_type`` with each field it declares taken from ``fixed``, else
+    from the run when set, else the class default; an unset field with no
+    default is required ``needed_by``."""
+    kwargs = {}
+    for f in fields(config_type):
+        value = fixed.get(f.name, getattr(cfg, f.name, None))
+        if value is not None:
+            kwargs[f.name] = value
+        elif f.default is MISSING:
+            raise ConfigError(f.name, f"required {needed_by}")
+    return config_type(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +318,17 @@ def cmd_fit(cfg):
                 f"svi is implemented for {' and '.join(svi_fits)}, "
                 f"not {cfg.model}; use cavi",
             )
-        if cfg.kappa is None:
-            raise ConfigError("kappa", "required when algorithm is svi")
-        schedule = StepSchedule(cfg.kappa, cfg.delay)
+        schedule = _settings(StepSchedule, cfg, "when algorithm is svi")
+    model_type, config_type = MODEL_TYPES[cfg.model]
+    config = _settings(config_type, cfg, f"for model {cfg.model}")
+    fit_configs = [_settings(FitConfig, cfg, seed=seed) for seed in cfg.seeds]
 
     data = _read(read_uci if cfg.model == "lda" else read_data_csv, cfg.data)
-    adapter, config_type, names = MODEL_TYPES[cfg.model]
-    if "k" in names and cfg.k is None:
-        raise ConfigError("k", f"required for model {cfg.model}")
-    config = config_type(
-        **{n: getattr(cfg, n) for n in names if getattr(cfg, n) is not None}
-    )
-    model = adapter(config)
+    model = model_type(config)
     out = _out_dir(cfg.out)
 
     reports = []
-    for seed in cfg.seeds:
-        fit_config = _fit_config(cfg, seed)
+    for fit_config in fit_configs:
         if cfg.algorithm == "svi":
             fit = svi_fits[cfg.model](data, config, schedule, fit_config, cfg.batch)
         elif cfg.model == "lda":
@@ -459,7 +474,7 @@ def _numeric(doc, name, ndim=None):
 def _rebuild(doc, fit_dir):
     """Model handle and state from a fit document.
 
-    The config takes each field of the model's ``MODEL_TYPES`` row that the
+    The config takes each field of the model's config class that the
     document's ``metadata`` records; an absent or ``null`` one takes the
     config default, and ``k`` comes from the state's arrays.
     """
@@ -481,7 +496,7 @@ def _rebuild(doc, fit_dir):
             np.zeros((0, m.shape[0])),
         )
     elif model_name == "blr-ard":
-        kwargs = {"fix_relevance": bool(meta.get("fix_relevance", False))}
+        kwargs = {}
         state = BlrArdState(
             _numeric(doc, "coefficients", 1),
             _numeric(doc, "coefficient_precision", 2),
@@ -499,13 +514,13 @@ def _rebuild(doc, fit_dir):
         state = LdaState(lam, np.zeros((0, lam.shape[0])), np.zeros((0, lam.shape[0])))
     else:
         raise DataFormatError(f"fit document has unknown model {model_name!r}")
-    adapter, config_type, names = MODEL_TYPES[model_name]
-    for name in names:
-        if name != "k" and meta.get(name) is not None:
+    model_type, config_type = MODEL_TYPES[model_name]
+    for f in fields(config_type):
+        if f.name != "k" and meta.get(f.name) is not None:
             # lda's alpha may be a length-k vector; every other field is a scalar
-            value = _numeric(meta, name, None if name == "alpha" else 0)
-            kwargs[name] = value if value.ndim else float(value)
-    return adapter(config_type(**kwargs)), state
+            value = _numeric(meta, f.name, None if f.name == "alpha" else 0)
+            kwargs[f.name] = value if value.ndim else float(value)
+    return model_type(config_type(**kwargs)), state
 
 
 def cmd_eval(args):
@@ -559,6 +574,8 @@ def cmd_eval(args):
 
 
 def cmd_diagnose_meanfield(args):
+    if args.points < 2:
+        raise ConfigError("points", "must be >= 2")
     cov = np.array(args.cov, dtype=float).reshape(2, 2)
     mean = np.array(args.mean, dtype=float)
     means, variances = meanfield_gaussian_fixed_point(mean, cov)

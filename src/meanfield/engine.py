@@ -150,8 +150,10 @@ class VariationalModel(abc.ABC):
 
     def metadata(self):
         """Hyperparameters to record in the fit report: the config's fields,
-        in order, or none for a model built without a config."""
-        return {} if self.config is None else asdict(self.config)
+        in order, an array as a list, or none for a model built without a
+        config."""
+        values = {} if self.config is None else asdict(self.config)
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
     def prepare(self, data):
         """``data`` with the constants a fit reads of it computed once;
@@ -328,8 +330,9 @@ def meanfield_gaussian_fixed_point(mean, cov):
     Parameters
     ----------
     mean : array_like, shape (2,)
+        Finite target mean.
     cov : array_like, shape (2, 2)
-        Symmetric positive definite covariance.
+        Finite, symmetric positive definite covariance.
 
     Returns
     -------
@@ -339,8 +342,9 @@ def meanfield_gaussian_fixed_point(mean, cov):
     c = np.asarray(cov, dtype=float)
     if mu.shape != (2,) or c.shape != (2, 2):
         raise DomainError("expected a 2-vector mean and 2x2 covariance")
-    scale = np.abs(c).max()
-    if not np.all(np.isfinite(c)) or abs(c[0, 1] - c[1, 0]) > 1e-12 * max(scale, 1.0):
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(c))):
+        raise DomainError("mean and covariance must be finite")
+    if abs(c[0, 1] - c[1, 0]) > 1e-12 * max(np.abs(c).max(), 1.0):
         raise DomainError("covariance must be symmetric")
     det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
     if c[0, 0] <= 0.0 or det <= 0.0:

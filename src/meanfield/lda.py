@@ -555,14 +555,6 @@ class Lda(VariationalModel):
             raise DomainError("held-out documents contain no tokens")
         return float(heldout.cts @ self._entry_log_probs(state, heldout)) / tokens
 
-    def metadata(self):
-        """The config's fields, with the ``alpha`` array as a list."""
-        return {
-            "k": self.config.k,
-            "eta": self.config.eta,
-            "alpha": self.config.alpha.tolist(),
-        }
-
     def export_state(self, state):
         beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
         top_terms = []

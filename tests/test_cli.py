@@ -76,12 +76,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("model", ["gmm-diag", "blr-ard"])
     def test_svi_unsupported_model(self, model, two_ones, tmp_path):
+        k = ["--k", "2"] if model == "gmm-diag" else []
         res = run_cli(
             "fit", "--model", model, "--algorithm", "svi", "--kappa", "0.7",
-            "--k", "2", "--data", two_ones, "--out", tmp_path / "o",
+            *k, "--data", two_ones, "--out", tmp_path / "o",
         )
         assert res.returncode == 2
-        assert "algorithm" in res.stderr
+        assert "svi is implemented for gmm and lda" in res.stderr
 
     def test_svi_rejects_heldout_monitoring(self, mixture_csv, tmp_path):
         res = run_cli(
@@ -495,10 +496,10 @@ class TestFit:
     @pytest.mark.parametrize("algorithm", ["cavi", "svi"])
     def test_lda_fit_reports_estep_cap_hits(self, corpus_txt, tmp_path, algorithm):
         out = tmp_path / algorithm
+        svi = ["--kappa", "0.7", "--batch", "5"] if algorithm == "svi" else []
         res = run_cli(
-            "fit", "--model", "lda", "--algorithm", algorithm, "--k", "2",
-            "--kappa", "0.7", "--batch", "5", "--max-iters", "4",
-            "--data", corpus_txt, "--seed", "0", "--out", out,
+            "fit", "--model", "lda", "--algorithm", algorithm, "--k", "2", *svi,
+            "--max-iters", "4", "--data", corpus_txt, "--seed", "0", "--out", out,
         )
         assert res.returncode == 0, res.stderr
         meta = read_json(out / "fit_0.json")["metadata"]

@@ -1,8 +1,11 @@
-"""The fit settings table and the model rows of the command line.
+"""The fit settings table and the config classes that read it.
 
 ``RunConfig`` is the one list of fit settings: the config-file keys, their
-converters and the fit flags derive from it.  Each ``MODEL_TYPES`` row is
-the one list of a model's config fields, for ``fit`` and for ``eval``.
+converters and the fit flags derive from it.  Each setting is a field of a
+config class (``FitConfig``, ``StepSchedule`` or a model's config class),
+which states its default and whether it is required; ``fit`` builds each
+class from the run's settings and ``eval`` a model's config class from the
+fit document's metadata.
 """
 
 import json
@@ -19,6 +22,7 @@ from meanfield.cli import (
     _build_run_config,
     main,
 )
+from meanfield.condconj import StepSchedule
 from meanfield.engine import FitConfig
 
 # The config-file keys and converters, written out so that a change to the
@@ -38,11 +42,11 @@ class TestTables:
         assert len(FILE_KEYS) == 24
         assert _FIT_FILE_FIELDS == FILE_KEYS
 
-    def test_model_fields_are_run_and_model_config_fields(self):
+    def test_config_fields_are_run_config_fields(self):
         run_fields = {f.name for f in fields(RunConfig)}
-        for _, config_type, names in MODEL_TYPES.values():
-            assert set(names) <= run_fields
-            assert set(names) <= {f.name for f in fields(config_type)}
+        for config_type in [StepSchedule, *(t for _, t in MODEL_TYPES.values())]:
+            names = {f.name for f in fields(config_type)} - {"fix_relevance"}
+            assert names <= run_fields, config_type
 
     def test_engine_settings_are_run_config_fields(self):
         names = {f.name for f in fields(FitConfig)} - {"seed"}
@@ -88,7 +92,7 @@ class TestSeedPrecedence:
 
     def test_flag_wins_over_file_and_file_over_default(self, tmp_path):
         cfg = run_config(tmp_path, "k = 2\ntol = 1e-3\n", "--k", "4")
-        assert (cfg.k, cfg.tol, cfg.max_iters) == (4, 1e-3, 200)
+        assert (cfg.k, cfg.tol, cfg.max_iters) == (4, 1e-3, None)
 
 
 class TestEvalNullHyperparameter:

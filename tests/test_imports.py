@@ -6,11 +6,11 @@ importing the CLI and running any model's ``fit`` or ``eval`` leaves scipy
 unloaded.  Importing the package before numpy leaves OpenBLAS on one
 thread unless the caller sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
 or ``OMP_NUM_THREADS``, so blr-ard's output bits do not depend on the host's
-core count.  Each of those cases starts its
-own interpreter because pytest itself has imported scipy and numpy by the
-time a test runs.  Every name in the package's and each module's ``__all__``
-resolves and is listed once, so an export left behind by a deletion fails
-here.
+core count; the mixtures' do not depend on it either way.  Each of those
+cases starts its own interpreter because pytest itself has imported scipy
+and numpy by the time a test runs.  Every name in the package's and each
+module's ``__all__`` resolves and is listed once, so an export left behind
+by a deletion fails here.
 """
 
 import importlib
@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from meanfield.gmm import simulate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -131,7 +133,8 @@ def test_digamma_models_leave_scipy_unloaded(inputs, model, data):
     d = inputs
 
     def fit(out, *extra):
-        return ["fit", "--model", model, "--k", "2", "--seed", "0",
+        k = [] if model == "blr-ard" else ["--k", "2"]
+        return ["fit", "--model", model, *k, "--seed", "0",
                 "--max-iters", "5", "--data", d / data, "--out", d / out, *extra]
 
     def evaluate(out):
@@ -197,6 +200,46 @@ def test_blr_ard_outputs_match_one_blas_thread_by_default(tmp_path):
         return [row[:col] + row[col + 1:] for row in rows]
 
     assert trace(outs[0]) == trace(outs[1])
+
+
+def test_mixture_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # The benchmark's mixture shape: smaller inputs stay under OpenBLAS's
+    # threading threshold, so a second thread would never run.
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its threads at the core count")
+    data, _, _ = simulate(k=10, n=9000, seed=1, dim=8)
+    np.savetxt(tmp_path / "mix.csv", data, delimiter=",")
+    outs = {}
+    for threads in ("1", "2"):
+        commands = [
+            ["fit", "--model", model, "--k", "10", "--seeds", "0,1", "--max-iters", "15",
+             "--tol", "1e-12", "--data", str(tmp_path / "mix.csv"),
+             "--out", str(tmp_path / threads / model), *extra]
+            for model, extra in (("gmm", ["--heldout-fraction", "0.1"]), ("gmm-diag", []))
+        ]
+        res = subprocess.run(
+            [sys.executable, "-c", SCRIPT, json.dumps(commands)],
+            capture_output=True, text=True, timeout=120,
+            env=child_env(**{**BLAS_UNSET, "OPENBLAS_NUM_THREADS": threads}),
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1])["codes"] == [0, 0]
+        outs[threads] = _output_lines(tmp_path / threads)
+    assert len(outs["1"]) == 2 * 5  # per model: two fits, two traces, a summary
+    for name, lines in outs["1"].items():
+        assert lines == outs["2"][name], name
+
+
+def _output_lines(out):
+    """Every file under ``out`` as lines, the traces without ``elapsed_ms``."""
+    files = {}
+    for path in sorted(out.rglob("*.*")):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        if path.name.startswith("trace_"):
+            col = rows[0].index("elapsed_ms")
+            rows = [row[:col] + row[col + 1:] for row in rows]
+        files[str(path.relative_to(out))] = rows
+    return files
 
 
 def _modules():
