@@ -17,6 +17,7 @@ from .engine import (
     FitConfig,
     FitReport,
     InitStrategy,
+    StepSchedule,
     VariationalModel,
     cavi_fit,
     init_state,
@@ -30,7 +31,6 @@ from .errors import (
     NumericError,
 )
 from .expfam import ExpFamParam
-from .condconj import CondConjSpec, StepSchedule, svi_fit
 
 __version__ = "0.1.0"
 
@@ -53,3 +53,13 @@ __all__ = [
     "svi_fit",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # The conditionally conjugate machinery loads on first use, so a command
+    # that runs LDA or regression never executes it.
+    if name in ("CondConjSpec", "svi_fit"):
+        from . import condconj
+
+        return getattr(condconj, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

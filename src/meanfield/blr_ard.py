@@ -29,8 +29,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .condconj import _frozen
-from .engine import VariationalModel, cavi_fit, predictive_rows
+from .engine import VariationalModel, _frozen, cavi_fit, predictive_rows
 from .errors import ConfigError, DomainError, NumericError
 from .expfam import LOG_2PI, gamma_kl, gamma_moments, gaussian_log_pdf
 
@@ -44,6 +43,7 @@ __all__ = [
     "blr_elbo",
     "blr_log_predictive",
     "blr_ard_fit",
+    "simulate",
 ]
 
 
@@ -322,3 +322,24 @@ def blr_ard_fit(x, y, config, fit_config):
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DomainError("x must be (n, D) with one response per row")
     return cavi_fit(BlrArd(config), np.column_stack([x, y]), fit_config)
+
+
+def simulate(n, seed, dim=1, noise=0.3):
+    """Draw a regression dataset with known coefficients.
+
+    Rows of ``x`` and the coefficients are standard normal draws, and ``y =
+    x @ coefficients + noise * standard normal``.  Returns ``(data (n, dim +
+    1), truth)``: ``data`` holds ``x`` with ``y`` as its last column, and
+    ``truth`` the coefficients and the noise standard deviation.
+    """
+    if n < 0:
+        raise ConfigError("n", "must be >= 0")
+    if dim < 1:
+        raise ConfigError("dim", "must be >= 1")
+    if not (0.0 <= noise < np.inf):
+        raise ConfigError("noise", "must be finite and >= 0")
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, dim))
+    coef = rng.normal(size=dim)
+    y = x @ coef + noise * rng.normal(size=n)
+    return np.column_stack([x, y]), {"coefficients": coef, "noise_sd": noise}

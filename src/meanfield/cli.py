@@ -12,6 +12,7 @@ logging verbosity on stderr.
 """
 
 import argparse
+import importlib.util
 import json
 import logging
 import os
@@ -22,57 +23,58 @@ from pathlib import Path
 
 import numpy as np
 
-from .blr_ard import BlrArd, BlrArdConfig, BlrArdState
-from .condconj import StepSchedule
 from .engine import (
     FitConfig,
+    StepSchedule,
     cavi_fit,
     meanfield_gaussian_fixed_point,
+    read_data_csv,
     write_trace_csv,
 )
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DomainError,
-    NumericError,
-    numbered_lines,
-)
-from .gmm import (
-    DiagGmm,
-    DiagGmmConfig,
-    DiagGmmState,
-    UniGmmConfig,
-    UniGmmState,
-    UnitVarianceGmm,
-    gmm_svi_fit,
-    read_data_csv,
-    simulate,
-)
-from .lda import (
-    Lda,
-    LdaConfig,
-    LdaState,
-    lda_cavi_fit,
-    lda_svi_fit,
-    read_uci,
-    simulate_corpus,
-    write_uci,
-)
+from .errors import ConfigError, DataFormatError, DomainError, NumericError, read_text
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main", "run", "RunConfig"]
 
 log = logging.getLogger("meanfield.cli")
 
-# Model and config class by model name.  A run sets each config field that
-# is also a RunConfig field.
+
+def _lazy(name):
+    """The package's module ``name``, executed on its first attribute access.
+
+    The handle is registered in ``sys.modules`` and on the package, as an
+    import would register it, so a command loads only the model it runs
+    while every module stays reachable by name.  The CLI reaches model code
+    through these handles when a command runs.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+blr_ard, condconj, gmm, lda = map(_lazy, ("blr_ard", "condconj", "gmm", "lda"))
+
+# Module, model class and config class by model name.  A run sets each
+# config field that is also a RunConfig field.
 MODEL_TYPES = {
-    "gmm": (UnitVarianceGmm, UniGmmConfig),
-    "gmm-diag": (DiagGmm, DiagGmmConfig),
-    "blr-ard": (BlrArd, BlrArdConfig),
-    "lda": (Lda, LdaConfig),
+    "gmm": (gmm, "UnitVarianceGmm", "UniGmmConfig"),
+    "gmm-diag": (gmm, "DiagGmm", "DiagGmmConfig"),
+    "blr-ard": (blr_ard, "BlrArd", "BlrArdConfig"),
+    "lda": (lda, "Lda", "LdaConfig"),
 }
 MODELS = tuple(MODEL_TYPES)
 ALGORITHMS = ("cavi", "svi")
+
+
+def _model_types(name):
+    """Model class and config class of model ``name``."""
+    module, model_type, config_type = MODEL_TYPES[name]
+    return getattr(module, model_type), getattr(module, config_type)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +181,7 @@ def _parse_seeds(text):
 
 def _read_config_file(path):
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = "".join(line for _, line in numbered_lines(handle))
+        text = read_text(path)
     except OSError as err:
         raise ConfigError("config", f"cannot read {path}: {err.strerror}")
     except DataFormatError as err:
@@ -275,7 +276,7 @@ def _build_run_config(args):
     # A setting given must be read: by the run, FitConfig or the model's config
     # class, or under svi (which holds no data out) by StepSchedule or as batch.
     read = {"model", "data", "seeds", "algorithm", "out"}
-    read |= {f.name for f in fields(FitConfig) + fields(MODEL_TYPES[cfg.model][1])}
+    read |= {f.name for f in fields(FitConfig) + fields(_model_types(cfg.model)[1])}
     if cfg.algorithm == "svi":
         read |= {f.name for f in fields(StepSchedule)} | {"batch"}
         read.remove("heldout_fraction")
@@ -307,32 +308,37 @@ def _settings(config_type, cfg, needed_by="", **fixed):
 
 
 def cmd_fit(cfg):
-    # Stochastic fits by model: each takes (data, config, schedule,
-    # fit_config, batch_size) and reports the model's own ELBO and state.
-    # Built per call, so a function rebound by name (as profilers do) is seen.
-    svi_fits = {"gmm": gmm_svi_fit, "lda": lda_svi_fit}
+    # Models with a stochastic fit: gmm.gmm_svi_fit and lda.lda_svi_fit each
+    # take (data, config, schedule, fit_config, batch_size) and report the
+    # model's own ELBO and state.
+    svi_models = ("gmm", "lda")
     if cfg.algorithm == "svi":
-        if cfg.model not in svi_fits:
+        if cfg.model not in svi_models:
             raise ConfigError(
                 "algorithm",
-                f"svi is implemented for {' and '.join(svi_fits)}, "
+                f"svi is implemented for {' and '.join(svi_models)}, "
                 f"not {cfg.model}; use cavi",
             )
         schedule = _settings(StepSchedule, cfg, "when algorithm is svi")
-    model_type, config_type = MODEL_TYPES[cfg.model]
+    model_type, config_type = _model_types(cfg.model)
     config = _settings(config_type, cfg, f"for model {cfg.model}")
     fit_configs = [_settings(FitConfig, cfg, seed=seed) for seed in cfg.seeds]
 
-    data = _read(read_uci if cfg.model == "lda" else read_data_csv, cfg.data)
+    data = _read(lda.read_uci if cfg.model == "lda" else read_data_csv, cfg.data)
+    if cfg.algorithm == "svi" and len(data) and not 1 <= cfg.batch <= len(data):
+        raise ConfigError("batch", f"must lie in [1, {len(data)}]")
     model = model_type(config)
     out = _out_dir(cfg.out)
 
     reports = []
     for fit_config in fit_configs:
+        # Every fit is looked up in its module per call, so a function rebound
+        # there (as profilers do) is seen.
         if cfg.algorithm == "svi":
-            fit = svi_fits[cfg.model](data, config, schedule, fit_config, cfg.batch)
+            svi_fit = gmm.gmm_svi_fit if cfg.model == "gmm" else lda.lda_svi_fit
+            fit = svi_fit(data, config, schedule, fit_config, cfg.batch)
         elif cfg.model == "lda":
-            fit = lda_cavi_fit(data, config, fit_config)
+            fit = lda.lda_cavi_fit(data, config, fit_config)
         else:
             fit = cavi_fit(model, data, fit_config)
         reports.append(fit)
@@ -388,47 +394,50 @@ def cmd_fit(cfg):
 # ---------------------------------------------------------------------------
 
 
+# The flags each model's simulator reads, besides --model, --out and --seed,
+# each with the simulator parameter it sets; the simulator holds the defaults.
+_SIMULATE_FLAGS = {
+    "gmm": {"k": "k", "n": "n", "dim": "dim", "mean_scale": "mean_scale",
+            "separation": "min_separation"},
+    "blr-ard": {"n": "n", "dim": "dim", "noise": "noise"},
+    "lda": {"k": "k", "docs": "num_docs", "vocab": "vocab_size",
+            "doc_length": "doc_length", "disjoint": "disjoint", "alpha": "alpha",
+            "eta": "eta"},
+}
+_SIMULATE_FLAGS["gmm-diag"] = _SIMULATE_FLAGS["gmm"]
+
+
 def cmd_simulate(args):
     """Draw a dataset and write it with ``truth.json``; every argument is
-    checked before ``--out`` is created."""
+    checked before ``--out`` is created, and a flag the model's simulator
+    does not read is refused."""
     seed = _check_seed(args.seed if args.seed is not None else 0)
+    reads = _SIMULATE_FLAGS[args.model]
+    given = {name: value for name, value in vars(args).items() if value is not None
+             and name not in ("command", "model", "out", "seed")}
+    unread = [name for name in given if name not in reads]
+    if unread:
+        raise ConfigError(", ".join(unread), f"not read by simulate for model {args.model}")
+    kwargs = {reads[name]: value for name, value in given.items()}
     if args.model in ("gmm", "gmm-diag"):
         if args.k is None or args.n is None:
             raise ConfigError("k", "simulate for mixtures needs --k and --n")
-        data, means, labels = simulate(
-            args.k, args.n, seed, dim=args.dim, mean_scale=args.mean_scale,
-            min_separation=args.separation,
-        )
+        data, means, labels = gmm.simulate(seed=seed, **kwargs)
         truth = {"means": means.tolist(), "labels": labels.tolist()}
     elif args.model == "blr-ard":
         if args.n is None:
             raise ConfigError("n", "simulate for regression needs --n")
-        if args.n < 0:
-            raise ConfigError("n", "must be >= 0")
-        if args.dim < 1:
-            raise ConfigError("dim", "must be >= 1")
-        if not (0.0 <= args.noise < np.inf):
-            raise ConfigError("noise", "must be finite and >= 0")
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(args.n, args.dim))
-        coef = rng.normal(size=args.dim)
-        y = x @ coef + args.noise * rng.normal(size=args.n)
-        data = np.column_stack([x, y])
-        truth = {"coefficients": coef.tolist(), "noise_sd": args.noise}
+        data, truth = blr_ard.simulate(seed=seed, **kwargs)
     else:  # lda
         if args.k is None:
             raise ConfigError("k", "simulate for lda needs --k")
-        corpus, drawn = simulate_corpus(
-            args.k, args.docs, args.vocab, args.doc_length, seed,
-            disjoint=args.disjoint, alpha=args.alpha, eta=args.eta,
-        )
-        truth = {key: drawn[key].tolist() for key in ("topics", "doc_topic")}
+        corpus, truth = lda.simulate_corpus(seed=seed, **kwargs)
 
     out = _out_dir(args.out)
     if args.model == "lda":
         path = out / "corpus.txt"
         with _writing(path):
-            write_uci(corpus, path)
+            lda.write_uci(corpus, path)
     else:
         path = out / "data.csv"
         _write_matrix_csv(path, data)
@@ -444,8 +453,7 @@ def cmd_simulate(args):
 
 def _load_fit_document(path):
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = "".join(line for _, line in numbered_lines(handle))
+        text = read_text(path)
     except OSError as err:
         raise DataFormatError(f"cannot read {path}: {err.strerror}")
     try:
@@ -483,11 +491,11 @@ def _rebuild(doc, fit_dir):
     if model_name == "gmm":
         m = _numeric(doc, "means", 2)
         kwargs = {"k": m.shape[0]}
-        state = UniGmmState(m, _numeric(doc, "variances", 2), np.zeros((0, m.shape[0])))
+        state = gmm.UniGmmState(m, _numeric(doc, "variances", 2), np.zeros((0, m.shape[0])))
     elif model_name == "gmm-diag":
         m = _numeric(doc, "locations", 2)
         kwargs = {"k": m.shape[0]}
-        state = DiagGmmState(
+        state = gmm.DiagGmmState(
             _numeric(doc, "weight_concentration", 1),
             m,
             _numeric(doc, "scales", 2),
@@ -497,7 +505,7 @@ def _rebuild(doc, fit_dir):
         )
     elif model_name == "blr-ard":
         kwargs = {}
-        state = BlrArdState(
+        state = blr_ard.BlrArdState(
             _numeric(doc, "coefficients", 1),
             _numeric(doc, "coefficient_precision", 2),
             float(_numeric(doc, "noise_shape", 0)),
@@ -511,10 +519,10 @@ def _rebuild(doc, fit_dir):
             raise DataFormatError("fit document field 'lambda_csv' must name a file")
         lam = _read(read_data_csv, Path(fit_dir) / name)
         kwargs = {"k": lam.shape[0]}
-        state = LdaState(lam, np.zeros((0, lam.shape[0])), np.zeros((0, lam.shape[0])))
+        state = lda.LdaState(lam, np.zeros((0, lam.shape[0])), np.zeros((0, lam.shape[0])))
     else:
         raise DataFormatError(f"fit document has unknown model {model_name!r}")
-    model_type, config_type = MODEL_TYPES[model_name]
+    model_type, config_type = _model_types(model_name)
     for f in fields(config_type):
         if f.name != "k" and meta.get(f.name) is not None:
             # lda's alpha may be a length-k vector; every other field is a scalar
@@ -529,7 +537,7 @@ def cmd_eval(args):
     model, state = _rebuild(doc, fit_path.parent)
 
     if doc["model"] == "lda":
-        heldout = _read(read_uci, args.data)
+        heldout = _read(lda.read_uci, args.data)
         if heldout.v != state.lam.shape[1]:
             raise DataFormatError(
                 f"held-out vocabulary size {heldout.v} does not match "
@@ -636,16 +644,18 @@ def _build_parser():
     sim.add_argument("--seed", type=int)
     sim.add_argument("--k", type=int)
     sim.add_argument("--n", type=int)
-    sim.add_argument("--dim", type=int, default=1)
-    sim.add_argument("--separation", type=float, default=0.0)
-    sim.add_argument("--mean-scale", dest="mean_scale", type=float, default=5.0)
-    sim.add_argument("--noise", type=float, default=0.3)
-    sim.add_argument("--docs", type=int, default=100)
-    sim.add_argument("--vocab", type=int, default=20)
-    sim.add_argument("--doc-length", dest="doc_length", type=int, default=50)
-    sim.add_argument("--disjoint", action="store_true")
-    sim.add_argument("--alpha", type=float, default=0.5)
-    sim.add_argument("--eta", type=float, default=0.1)
+    # No defaults: the simulator that reads a flag holds its default, and an
+    # unset flag stays None, so a given flag that no simulator reads shows.
+    sim.add_argument("--dim", type=int)
+    sim.add_argument("--separation", type=float)
+    sim.add_argument("--mean-scale", dest="mean_scale", type=float)
+    sim.add_argument("--noise", type=float)
+    sim.add_argument("--docs", type=int)
+    sim.add_argument("--vocab", type=int)
+    sim.add_argument("--doc-length", dest="doc_length", type=int)
+    sim.add_argument("--disjoint", action="store_true", default=None)
+    sim.add_argument("--alpha", type=float)
+    sim.add_argument("--eta", type=float)
 
     ev = sub.add_parser("eval", help="average held-out log predictive of a fit")
     ev.add_argument("--fit", required=True, help="path to a fit_<seed>.json")
@@ -697,5 +707,18 @@ def main(argv=None):
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
+def run():
+    """The ``meanfield`` command: :func:`main` on the process's arguments,
+    then an exit that skips the interpreter's teardown, which frees every
+    object and takes longer than some commands.  Logging and the standard
+    streams are flushed first.  This relies on every file a command writes
+    being closed before ``main`` returns."""
+    code = main()
+    logging.shutdown()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -23,7 +23,7 @@ coordinates with a Robbins-Monro step size.
 The local family here is categorical (mixture assignments; the mixture's
 own fit scores with its own ELBO); models with richer local structure
 supply their own local step to the same stochastic ascent (see the topic
-model module).  That ascent is written once, next to
+model module).  That ascent is written once, in the engine next to
 :func:`step_size`: minibatch sampling, the natural-coordinate blend and its
 checks, and the fit metadata; iteration, the ELBO trace and the stopping
 rule are the engine's one fit loop, shared with coordinate ascent.
@@ -46,8 +46,10 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import _fit_loop
-from .errors import ConfigError, DomainError, NumericError
+# The stochastic ascent and its step sizes are the engine's; they are
+# importable from here too.
+from .engine import StepSchedule, _fit_loop, _frozen, _stochastic_fit, step_size
+from .errors import ConfigError, DomainError
 from .expfam import (
     _SIMPLEX_TOL,
     ExpFamParam,
@@ -73,18 +75,6 @@ __all__ = [
     "coordinate_ascent",
     "svi_fit",
 ]
-
-
-def _frozen(a, dtype=float):
-    """``a`` as a read-only array of ``dtype``, copied unless it already is
-    a read-only array of that dtype that owns its data (such as the rows
-    :func:`local_probs` returns), which no view can change.  Every state
-    class of the package stores its arrays through this."""
-    owned = isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
-    if not owned or a.flags.writeable:
-        a = np.array(a, dtype=dtype)
-        a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -200,78 +190,6 @@ class GlobalLocalState:
 
     def __post_init__(self):
         object.__setattr__(self, "phis", _as_probs(self.phis))
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Robbins-Monro step sizes ``(t + delay) ** -kappa``, each in (0, 1].
-
-    ``kappa`` must lie in (0.5, 1] so the steps are square-summable but not
-    summable; a finite ``delay >= 0`` down-weights early iterations.
-    """
-
-    kappa: float
-    delay: float = 0.0
-
-    def __post_init__(self):
-        if not (0.5 < self.kappa <= 1.0):
-            raise ConfigError("kappa", "must lie in (0.5, 1]")
-        if not (0.0 <= self.delay < np.inf):
-            raise ConfigError("delay", "must be finite and >= 0")
-
-
-def step_size(schedule, t):
-    """Step size at iteration ``t`` (1-based)."""
-    if t < 1:
-        raise DomainError("iteration index must be >= 1")
-    return (t + schedule.delay) ** (-schedule.kappa)
-
-
-def _stochastic_fit(n, batch_size, schedule, config, start, target, score):
-    """Stochastic natural-gradient ascent, shared by both stochastic fits.
-
-    ``start(rng)`` gives the starting global parameter as an array in
-    natural coordinates (or an affine shift of them), drawing any random
-    initialization before the first minibatch.  Iteration ``t`` draws
-    ``batch_size`` of the ``n`` indices uniformly without replacement and
-    blends in the rescaled update ``lambda_hat = target(lam, indices)``:
-
-        lambda_t = (1 - eps_t) * lambda_{t-1} + eps_t * lambda_hat_t.
-
-    ``score(lam)`` returns ``(elbo, snapshot)`` for the engine's loop; the
-    trace is noisy rather than monotone.  Held-out monitoring is rejected.
-    """
-    if n == 0:
-        raise DomainError("stochastic fit requires at least one observation")
-    if not (1 <= batch_size <= n):
-        raise ConfigError("batch_size", f"must lie in [1, {n}]")
-    if config.heldout_fraction > 0.0:
-        raise ConfigError(
-            "heldout_fraction", "held-out monitoring requires algorithm cavi"
-        )
-    rng = np.random.default_rng(config.seed)
-    lam = start(rng)
-
-    def step(lam, t):
-        # sorted for a fixed reduction order; sampling stays uniform
-        batch = np.sort(rng.choice(n, size=batch_size, replace=False))
-        eps = step_size(schedule, t)
-        mixed = (1.0 - eps) * lam + eps * target(lam, batch)
-        if not np.all(np.isfinite(mixed)):
-            raise NumericError("global parameter is not finite")
-        return mixed
-
-    metadata = {
-        "algorithm": "svi",
-        "seed": config.seed,
-        "batch_size": batch_size,
-        "kappa": schedule.kappa,
-        "delay": schedule.delay,
-        "n_train": n,
-    }
-    return _fit_loop(
-        config.max_iters, config.tol, config.elbo_every, lam, step, score, metadata
-    )
 
 
 def prior_param(spec):

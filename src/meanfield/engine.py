@@ -10,6 +10,9 @@ call, and the export of a state as the JSON-ready dict a fit document holds;
 read.  :func:`cavi_fit` then owns iteration, convergence, timing, held-out
 evaluation, and the monotonicity check, through the package's one iteration
 loop, which the stochastic fits and ``condconj.coordinate_ascent`` share.
+The one stochastic ascent (:func:`_stochastic_fit`, with its Robbins-Monro
+:class:`StepSchedule`) and the CSV reader every model command uses live
+here too, so that a command loads only the model module it runs.
 
 The ELBO is a true lower bound on the log evidence, and every coordinate
 sweep can only increase it.  A recorded decrease beyond floating-point slack
@@ -23,13 +26,21 @@ from __future__ import annotations
 import abc
 import csv
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MonotonicityError, NumericError
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    DomainError,
+    MonotonicityError,
+    NumericError,
+    numbered_lines,
+)
 
 __all__ = [
     "InitStrategy",
@@ -40,13 +51,28 @@ __all__ = [
     "VariationalModel",
     "init_state",
     "cavi_fit",
+    "StepSchedule",
+    "step_size",
     "meanfield_gaussian_fixed_point",
+    "read_data_csv",
     "write_trace_csv",
 ]
 
 # Slack allowed for a recorded ELBO decrease before it is treated as an
 # internal error rather than rounding noise.
 MONOTONE_SLACK = 1e-8
+
+
+def _frozen(a, dtype=float):
+    """``a`` as a read-only array of ``dtype``, copied unless it already is
+    a read-only array of that dtype that owns its data (such as the rows
+    ``condconj.local_probs`` returns), which no view can change.  Every state
+    class of the package stores its arrays through this."""
+    owned = isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
+    if not owned or a.flags.writeable:
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
+    return a
 
 
 class InitStrategy(Enum):
@@ -268,6 +294,78 @@ def _fit_loop(max_iters, tol, every, state, step, score, metadata, heldout=None,
     )
 
 
+@dataclass(frozen=True)
+class StepSchedule:
+    """Robbins-Monro step sizes ``(t + delay) ** -kappa``, each in (0, 1].
+
+    ``kappa`` must lie in (0.5, 1] so the steps are square-summable but not
+    summable; a finite ``delay >= 0`` down-weights early iterations.
+    """
+
+    kappa: float
+    delay: float = 0.0
+
+    def __post_init__(self):
+        if not (0.5 < self.kappa <= 1.0):
+            raise ConfigError("kappa", "must lie in (0.5, 1]")
+        if not (0.0 <= self.delay < np.inf):
+            raise ConfigError("delay", "must be finite and >= 0")
+
+
+def step_size(schedule, t):
+    """Step size at iteration ``t`` (1-based)."""
+    if t < 1:
+        raise DomainError("iteration index must be >= 1")
+    return (t + schedule.delay) ** (-schedule.kappa)
+
+
+def _stochastic_fit(n, batch_size, schedule, config, start, target, score):
+    """Stochastic natural-gradient ascent, shared by both stochastic fits.
+
+    ``start(rng)`` gives the starting global parameter as an array in
+    natural coordinates (or an affine shift of them), drawing any random
+    initialization before the first minibatch.  Iteration ``t`` draws
+    ``batch_size`` of the ``n`` indices uniformly without replacement and
+    blends in the rescaled update ``lambda_hat = target(lam, indices)``:
+
+        lambda_t = (1 - eps_t) * lambda_{t-1} + eps_t * lambda_hat_t.
+
+    ``score(lam)`` returns ``(elbo, snapshot)`` for the engine's loop; the
+    trace is noisy rather than monotone.  Held-out monitoring is rejected.
+    """
+    if n == 0:
+        raise DomainError("stochastic fit requires at least one observation")
+    if not (1 <= batch_size <= n):
+        raise ConfigError("batch_size", f"must lie in [1, {n}]")
+    if config.heldout_fraction > 0.0:
+        raise ConfigError(
+            "heldout_fraction", "held-out monitoring requires algorithm cavi"
+        )
+    rng = np.random.default_rng(config.seed)
+    lam = start(rng)
+
+    def step(lam, t):
+        # sorted for a fixed reduction order; sampling stays uniform
+        batch = np.sort(rng.choice(n, size=batch_size, replace=False))
+        eps = step_size(schedule, t)
+        mixed = (1.0 - eps) * lam + eps * target(lam, batch)
+        if not np.all(np.isfinite(mixed)):
+            raise NumericError("global parameter is not finite")
+        return mixed
+
+    metadata = {
+        "algorithm": "svi",
+        "seed": config.seed,
+        "batch_size": batch_size,
+        "kappa": schedule.kappa,
+        "delay": schedule.delay,
+        "n_train": n,
+    }
+    return _fit_loop(
+        config.max_iters, config.tol, config.elbo_every, lam, step, score, metadata
+    )
+
+
 def cavi_fit(model, data, config):
     """Run coordinate ascent to convergence and report the trajectory.
 
@@ -352,6 +450,57 @@ def meanfield_gaussian_fixed_point(mean, cov):
     # diag(inv(cov)) for the 2x2 case, without forming the inverse
     prec_diag = np.array([c[1, 1] / det, c[0, 0] / det])
     return mu.copy(), 1.0 / prec_diag
+
+
+def read_data_csv(path):
+    """Read a headerless numeric CSV into an (n, d) array.
+
+    Every row must have the same number of comma-separated finite numeric
+    fields, in UTF-8 text; violations raise :class:`DataFormatError`
+    carrying the 1-based line number.
+
+    Parsed by numpy's C reader (``np.loadtxt``); a file it rejects or finds
+    empty or non-finite is reread line by line, whose result or error stands.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: reread below
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        if data.size and np.isfinite(data).all():
+            return data
+    except ValueError:
+        pass
+    return _read_data_csv_lines(path)
+
+
+def _read_data_csv_lines(path):
+    rows = []
+    linenos = []
+    width = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in numbered_lines(fh):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise DataFormatError(
+                    f"expected {width} columns, found {len(fields)}", line=lineno
+                )
+            try:
+                rows.append([float(f) for f in fields])
+            except ValueError:
+                raise DataFormatError("non-numeric field", line=lineno)
+            linenos.append(lineno)
+    if not rows:
+        raise DataFormatError("empty data file", line=1)
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DataFormatError("non-finite field", line=linenos[np.argmin(finite)])
+    return data
 
 
 def write_trace_csv(report, path):

@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes (config errors -> 2, data format
 errors -> 3, numeric failures -> 4); library callers can catch them directly.
-The text readers share :func:`numbered_lines`.
+The text readers share :func:`numbered_lines` and :func:`read_text`.
 """
 
 
@@ -55,12 +55,30 @@ def numbered_lines(handle):
     try:
         yield from enumerate(handle, start=1)
     except UnicodeDecodeError:
-        with open(handle.name, "rb") as raw:
-            data = raw.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            head = data[: err.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise DataFormatError("file is not UTF-8 text", line=line) from None
+        _raise_utf8_fault(handle.name)
         raise
+
+
+def read_text(path):
+    """The whole UTF-8 text of ``path`` in one read, newlines translated as
+    for :func:`numbered_lines`, with the same error for a fault."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError:
+            _raise_utf8_fault(path)
+            raise
+
+
+def _raise_utf8_fault(path):
+    """Raise :class:`DataFormatError` at the line of the first byte sequence
+    of ``path`` that is not UTF-8, located from the decoder's offset; return
+    if the whole file decodes."""
+    with open(path, "rb") as raw:
+        data = raw.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataFormatError("file is not UTF-8 text", line=line) from None

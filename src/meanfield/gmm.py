@@ -31,7 +31,6 @@ returns fresh arrays, so a recorded state is never changed by later sweeps.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
@@ -41,13 +40,20 @@ from .condconj import (
     CondConjSpec,
     GlobalParam,
     GlobalStats,
-    _frozen,
     _local_rows,
     _spec_stochastic_fit,
     local_probs,
 )
-from .engine import InitStrategy, VariationalModel, init_state, predictive_rows
-from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
+# read_data_csv is the engine's reader, importable from here too.
+from .engine import (
+    InitStrategy,
+    VariationalModel,
+    _frozen,
+    init_state,
+    predictive_rows,
+    read_data_csv,
+)
+from .errors import ConfigError, DomainError
 from .expfam import (
     LOG_2PI,
     _check_prob_rows,
@@ -688,59 +694,3 @@ class DiagGmm(VariationalModel):
             "shapes": state.alpha.tolist(),
             "rates": state.beta.tolist(),
         }
-
-
-# ---------------------------------------------------------------------------
-# data files
-# ---------------------------------------------------------------------------
-
-
-def read_data_csv(path):
-    """Read a headerless numeric CSV into an (n, d) array.
-
-    Every row must have the same number of comma-separated finite numeric
-    fields, in UTF-8 text; violations raise :class:`DataFormatError`
-    carrying the 1-based line number.
-
-    Parsed by numpy's C reader (``np.loadtxt``); a file it rejects or finds
-    empty or non-finite is reread line by line, whose result or error stands.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: reread below
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        if data.size and np.isfinite(data).all():
-            return data
-    except ValueError:
-        pass
-    return _read_data_csv_lines(path)
-
-
-def _read_data_csv_lines(path):
-    rows = []
-    linenos = []
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in numbered_lines(fh):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise DataFormatError(
-                    f"expected {width} columns, found {len(fields)}", line=lineno
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                raise DataFormatError("non-numeric field", line=lineno)
-            linenos.append(lineno)
-    if not rows:
-        raise DataFormatError("empty data file", line=1)
-    data = np.array(rows)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise DataFormatError("non-finite field", line=linenos[np.argmin(finite)])
-    return data

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condconj import _frozen, _stochastic_fit
-from .engine import VariationalModel, cavi_fit
+from .engine import VariationalModel, _frozen, _stochastic_fit, cavi_fit
 from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
     _check_prob_rows,
@@ -108,7 +107,11 @@ class Corpus:
             raise DomainError("indptr must never decrease")
         if ids.size and (ids.min() < 0 or ids.max() >= self.v):
             raise DomainError("term ids must lie in [0, vocabulary size)")
-        if np.unique(np.stack([_entry_docs(indptr), ids]), axis=1).shape[1] != ids.size:
+        # sorted by (document, term), a repeated pair sits next to its copy
+        docs = _entry_docs(indptr)
+        order = np.lexsort((ids, docs))
+        docs, terms = docs[order], ids[order]
+        if np.any((docs[1:] == docs[:-1]) & (terms[1:] == terms[:-1])):
             raise DomainError("term ids must be distinct within a document")
         if not np.all((cts >= 1.0) & (cts < np.inf)):
             raise DomainError("term counts must be finite and >= 1")
@@ -243,10 +246,10 @@ def write_uci(corpus, path):
 
 def simulate_corpus(
     k,
-    num_docs,
-    vocab_size,
-    doc_length,
-    seed,
+    num_docs=100,
+    vocab_size=20,
+    doc_length=50,
+    seed=0,
     disjoint=False,
     alpha=0.5,
     eta=0.1,

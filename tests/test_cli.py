@@ -772,13 +772,17 @@ class TestEval:
 def test_svi_fit_is_called_through_its_module_name(model, request, tmp_path, monkeypatch):
     """The benchmark's spans (``perfbench/spans.py``) time a function by
     rebinding its name in every ``meanfield`` module, so the CLI must reach
-    each SVI fit through the name at run time, not a reference it kept."""
+    each SVI fit through its model module's name at run time, not a
+    reference it kept."""
+    import importlib
+
     from meanfield import cli
 
+    module = importlib.import_module(f"meanfield.{model}")
     name = f"{model}_svi_fit"
-    real = getattr(cli, name)
+    real = getattr(module, name)
     calls = []
-    monkeypatch.setattr(cli, name, lambda *args: calls.append(name) or real(*args))
+    monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
     data = request.getfixturevalue("mixture_csv" if model == "gmm" else "corpus_txt")
     monkeypatch.setenv("VI_LOG", "quiet")
     code = cli.main([

@@ -3,8 +3,10 @@
 the setting, and the command creates no ``--out``.
 
 ``fit`` refuses a setting that no class of the run reads and checks every
-config class it builds before it reads the data; ``diagnose-meanfield``
-checks its inputs before it computes anything.
+config class it builds before it reads the data, and an SVI batch larger
+than the data once it has read them; ``simulate`` refuses a flag that its
+model's simulator does not read; ``diagnose-meanfield`` checks its inputs
+before it computes anything.
 """
 
 import json
@@ -69,6 +71,34 @@ def test_bad_engine_setting_exits_2_before_writing(files, capsys, argv, name):
     code, err, wrote = run(files, capsys, [*GMM, "--k", "1", *argv])
     assert code == 2, err
     assert f"'{name}'" in err
+    assert not wrote
+
+
+@pytest.mark.parametrize("argv, batch, n", [
+    (GMM, "0", 4),
+    (GMM, "5", 4),
+    (["fit", "--model", "lda", "--data", "{dir}/corpus.txt"], "3", 2),
+], ids=["gmm-zero", "gmm-above-rows", "lda-above-documents"])
+def test_svi_batch_outside_the_data_exits_2_before_writing(files, capsys, argv, batch, n):
+    svi = ["--k", "1", "--algorithm", "svi", "--kappa", "0.7", "--batch", batch]
+    code, err, wrote = run(files, capsys, [*argv, *svi])
+    assert code == 2, err
+    assert f"'batch': must lie in [1, {n}]" in err
+    assert not wrote
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--model", "gmm", "--k", "2", "--n", "5", "--noise", "9", "--docs", "3"],
+     "noise, docs"),
+    (["--model", "gmm-diag", "--k", "2", "--n", "5", "--disjoint"], "disjoint"),
+    (["--model", "blr-ard", "--n", "5", "--k", "3", "--alpha", "9"], "k, alpha"),
+    (["--model", "lda", "--k", "2", "--n", "5", "--dim", "4", "--separation", "3"],
+     "n, dim, separation"),
+], ids=["gmm", "gmm-diag", "blr-ard", "lda"])
+def test_simulate_refuses_flags_its_model_does_not_read(files, capsys, argv, names):
+    code, err, wrote = run(files, capsys, ["simulate", *argv])
+    assert code == 2, err
+    assert f"'{names}': not read by simulate" in err
     assert not wrote
 
 

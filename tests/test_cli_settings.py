@@ -16,10 +16,11 @@ import pytest
 
 from meanfield.cli import (
     _FIT_FILE_FIELDS,
-    MODEL_TYPES,
+    MODELS,
     RunConfig,
     _build_parser,
     _build_run_config,
+    _model_types,
     main,
 )
 from meanfield.condconj import StepSchedule
@@ -44,7 +45,7 @@ class TestTables:
 
     def test_config_fields_are_run_config_fields(self):
         run_fields = {f.name for f in fields(RunConfig)}
-        for config_type in [StepSchedule, *(t for _, t in MODEL_TYPES.values())]:
+        for config_type in [StepSchedule, *(_model_types(m)[1] for m in MODELS)]:
             names = {f.name for f in fields(config_type)} - {"fix_relevance"}
             assert names <= run_fields, config_type
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from meanfield import gmm
+from meanfield import engine
 from meanfield.errors import DataFormatError
 
 
@@ -34,7 +34,7 @@ def outcome(reader, path):
 
 def check_same(path, data):
     path.write_bytes(data)
-    assert outcome(gmm.read_data_csv, path) == outcome(gmm._read_data_csv_lines, path)
+    assert outcome(engine.read_data_csv, path) == outcome(engine._read_data_csv_lines, path)
 
 
 # Inputs where the C reader and Python's float() disagree, or that sit on
@@ -139,5 +139,5 @@ def test_well_formed_file_takes_the_fast_path(tmp_path, monkeypatch):
     def fail(_):
         raise AssertionError("line reader used for a well-formed file")
 
-    monkeypatch.setattr(gmm, "_read_data_csv_lines", fail)
-    assert np.array_equal(gmm.read_data_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+    monkeypatch.setattr(engine, "_read_data_csv_lines", fail)
+    assert np.array_equal(engine.read_data_csv(path), [[1.0, 2.0], [3.0, 4.0]])

@@ -1,9 +1,11 @@
-"""What importing the package gives: no scipy, one BLAS thread, and exports
-that resolve.
+"""What importing the package gives: no scipy, one BLAS thread, only the
+chosen model's code, and exports that resolve.
 
 The package's special functions and linear algebra are numpy only, so
 importing the CLI and running any model's ``fit`` or ``eval`` leaves scipy
-unloaded.  Importing the package before numpy leaves OpenBLAS on one
+unloaded.  A command executes only the model modules it runs, and no
+``numpy.ma``, while every module the benchmark's tracer rebinds stays
+reachable under its name after ``import meanfield.cli``.  Importing the package before numpy leaves OpenBLAS on one
 thread unless the caller sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
 or ``OMP_NUM_THREADS``, so blr-ard's output bits do not depend on the host's
 core count; the mixtures' do not depend on it either way.  Each of those
@@ -59,6 +61,38 @@ def threads():
 print(json.dumps(threads()))
 """
 
+
+# Runs the CLI as ``python -m meanfield.cli`` does, with an audit hook that
+# appends the file of every code object the interpreter executes to the file
+# named by the first argument.  It writes as it goes because the CLI ends with
+# ``os._exit``, which runs no exit handlers.
+EXECUTED = """
+import os, runpy, sys
+record = os.open(sys.argv.pop(1), os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+def hook(event, args):
+    if event == "exec":
+        os.write(record, (getattr(args[0], "co_filename", "") + "\\n").encode())
+
+sys.addaudithook(hook)
+runpy.run_module("meanfield.cli", run_name="__main__", alter_sys=True)
+"""
+
+# Every (module, attribute) that ``perfbench/spans.py`` rebinds, looked up as
+# its ``instrument`` looks it up; prints the ones that do not resolve.
+SPAN_TARGETS = """
+import json, sys
+import meanfield.cli
+sys.path.insert(0, sys.argv[1])
+from spans import TARGETS
+
+missing = []
+for module_name, owner, attr, *_ in TARGETS:
+    module = sys.modules[f"meanfield.{module_name}"]
+    if attr not in vars(getattr(module, owner) if owner else module):
+        missing.append([module_name, owner, attr])
+print(json.dumps(missing))
+"""
 
 # OpenBLAS takes its thread count from the first of these that is set.
 BLAS_UNSET = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
@@ -150,6 +184,45 @@ def test_digamma_models_leave_scipy_unloaded(inputs, model, data):
     codes, scipy_loaded = run_commands(*commands)
     assert codes == [0] * len(commands)
     assert not scipy_loaded
+
+
+@pytest.mark.parametrize("model, data, extra, executes", [
+    ("gmm", "mix.csv", ["--k", "2"], {"gmm", "condconj"}),
+    ("gmm-diag", "mix.csv", ["--k", "2"], {"gmm", "condconj"}),
+    ("blr-ard", "reg.csv", [], {"blr_ard"}),
+    ("lda", "corpus.txt", ["--k", "2"], {"lda"}),
+    ("lda", "corpus.txt", ["--k", "2", "--algorithm", "svi", "--kappa", "0.7"], {"lda"}),
+], ids=["gmm", "gmm-diag", "blr-ard", "lda", "lda-svi"])
+def test_a_command_executes_only_the_modules_of_its_model(inputs, model, data, extra,
+                                                           executes):
+    d = inputs
+    fit = ["fit", "--model", model, "--seed", "0", "--max-iters", "5",
+           "--data", d / data, "--out", d / "o", *extra]
+    evaluate = ["eval", "--fit", d / "o" / "fit_0.json", "--data", d / data,
+                "--out", d / "ev"]
+    for argv in (fit, evaluate):
+        record = d / f"executed-{argv[0]}.txt"
+        res = subprocess.run(
+            [sys.executable, "-c", EXECUTED, str(record), *map(str, argv)],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        files = [Path(line) for line in record.read_text().splitlines()]
+        package = {f.stem for f in files if f.parent == SRC / "meanfield"}
+        assert {"cli", "engine"} <= package, argv[0]  # the hook saw the package
+        assert package & {"blr_ard", "condconj", "gmm", "lda"} == executes, argv[0]
+        numpy_dirs = [f.parts[-3:-1] for f in files if "numpy" in f.parts]
+        assert ("numpy", "linalg") in numpy_dirs  # the hook saw numpy's modules
+        assert ("numpy", "ma") not in numpy_dirs, argv[0]
+
+
+def test_every_traced_target_resolves_after_importing_the_cli():
+    res = subprocess.run(
+        [sys.executable, "-c", SPAN_TARGETS, str(SRC.parent / "perfbench")],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
 
 
 @pytest.mark.parametrize("given, expected", [
