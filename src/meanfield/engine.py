@@ -192,6 +192,14 @@ class VariationalModel(abc.ABC):
     def take(self, data, indices):
         return np.asarray(data)[np.asarray(indices, dtype=int)]
 
+    def _heldout_scorer(self, heldout, train):
+        """The scorer of a fit's held-out trace: ``add(t, state)`` takes each
+        recorded state, and ``trace()`` returns the :class:`HeldoutPoint`
+        list.  A value never feeds back into the fit, so a scorer may hold
+        states back and score several at once; this one scores each as it
+        comes."""
+        return _ScoreEach(self, heldout)
+
     def heldout_log_predictive(self, state, heldout):
         n = len(heldout)
         if n == 0:
@@ -203,6 +211,18 @@ class VariationalModel(abc.ABC):
         for value in values.tolist():
             total += value
         return total / n
+
+
+class _ScoreEach:
+    def __init__(self, model, heldout):
+        self.model, self.heldout, self.points = model, heldout, []
+
+    def add(self, t, state):
+        value = self.model.heldout_log_predictive(state, self.heldout)
+        self.points.append(HeldoutPoint(t, value))
+
+    def trace(self):
+        return self.points
 
 
 def predictive_rows(x, width):
@@ -245,15 +265,16 @@ def _fit_loop(max_iters, tol, every, state, step, score, metadata, heldout=None,
     ``step(state, t)`` returns the state after iteration ``t``; a
     :class:`NumericError` it raises is tagged with ``t``.  Every ``every``
     iterations, and at ``max_iters``, ``score(state)`` returns ``(elbo,
-    snapshot)``: the ELBO is checked finite and traced, ``heldout(snapshot)``
-    (when given) is traced, and the fit stops once the relative change
-    between consecutive recorded ELBOs falls below ``tol``.  ``monotone``
-    is for coordinate sweeps, whose recorded ELBO can never decrease.  The
-    fit always ends on a recorded iteration, so the last snapshot is the
-    final state.
+    snapshot)``: the ELBO is checked finite and traced, the snapshot goes to
+    the held-out scorer ``heldout`` (when given; see
+    ``VariationalModel._heldout_scorer``), and the fit stops once the
+    relative change between consecutive recorded ELBOs falls below ``tol``.
+    ``monotone`` is for coordinate sweeps, whose recorded ELBO can never
+    decrease.  The fit always ends on a recorded iteration, so the last
+    snapshot is the final state.  A trace point's ``elapsed_ms`` leaves out
+    the time the scorer takes.
     """
     elbo_trace = []
-    heldout_trace = []
     prev = None
     converged = False
     start = time.perf_counter()
@@ -273,7 +294,9 @@ def _fit_loop(max_iters, tol, every, state, step, score, metadata, heldout=None,
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         elbo_trace.append(TracePoint(t, float(elbo), elapsed_ms))
         if heldout is not None:
-            heldout_trace.append(HeldoutPoint(t, heldout(snapshot)))
+            mark = time.perf_counter()
+            heldout.add(t, snapshot)
+            start += time.perf_counter() - mark
         if prev is not None:
             if monotone and elbo < prev - MONOTONE_SLACK * (1.0 + abs(elbo)):
                 raise MonotonicityError(
@@ -287,7 +310,7 @@ def _fit_loop(max_iters, tol, every, state, step, score, metadata, heldout=None,
     return FitReport(
         model_state=snapshot,
         elbo_trace=elbo_trace,
-        heldout_trace=heldout_trace,
+        heldout_trace=[] if heldout is None else heldout.trace(),
         converged=converged,
         iterations_run=t,
         metadata=metadata,
@@ -400,6 +423,7 @@ def cavi_fit(model, data, config):
     }
     meta.update(model.metadata())
     train = model.prepare(train)
+    scorer = None if heldout is None else model._heldout_scorer(heldout, train)
     state = init_state(model, train, InitStrategy.DATA_CALIBRATED, config.seed)
 
     def sweep(s, t):
@@ -408,12 +432,9 @@ def cavi_fit(model, data, config):
     def score(s):
         return model.elbo(s, train), s
 
-    def held(s):
-        return model.heldout_log_predictive(s, heldout)
-
     return _fit_loop(
         config.max_iters, config.tol, config.elbo_every, state, sweep, score,
-        meta, heldout=None if heldout is None else held, monotone=True,
+        meta, heldout=scorer, monotone=True,
     )
 
 

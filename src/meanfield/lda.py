@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .engine import VariationalModel, _frozen, _stochastic_fit, cavi_fit
+from .engine import HeldoutPoint, VariationalModel, _frozen, _stochastic_fit, cavi_fit
 from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
     _check_prob_rows,
@@ -331,16 +331,23 @@ class LdaState:
     ``estep_updates`` is each document's update count in the E-step that
     produced ``gamma`` (``None`` for a state no E-step produced); it is a
     diagnostic, not a variational parameter.
+
+    A sweep passes ``kept``, the ``E[log beta]`` of ``lam`` it computed
+    once for the ELBO, the held-out fold-in and the next sweep, which
+    becomes ``elog_beta``; other states, ``dataclasses.replace`` copies
+    among them, have ``elog_beta`` None.
     """
 
     lam: np.ndarray
     gamma: np.ndarray
     phi: np.ndarray
     estep_updates: np.ndarray = field(default=None, compare=False, repr=False)
+    kept: InitVar[np.ndarray] = None
 
-    def __post_init__(self):
+    def __post_init__(self, kept):
         for name in ("lam", "gamma", "phi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "elog_beta", kept)
         if self.lam.ndim != 2 or self.gamma.ndim != 2:
             raise DomainError("lam and gamma must be matrices")
         k = self.lam.shape[0]
@@ -351,6 +358,18 @@ class LdaState:
         if self.phi.ndim != 2 or self.phi.shape[1] != k:
             raise DomainError("phi rows must have one column per topic")
         _check_prob_rows(self.phi, 1e-9, "phi rows must be probability vectors")
+
+
+def _elog_beta(state):
+    """``E[log beta]`` of ``state.lam``: the copy a sweep kept, or computed."""
+    if state.elog_beta is None:
+        return _dirichlet_expected_log_rows(state.lam)
+    return state.elog_beta
+
+
+def _topic_means(lam):
+    """``E[beta]``: each topic's Dirichlet mean over the vocabulary."""
+    return lam / lam.sum(axis=1, keepdims=True)
 
 
 def _check_matches(state, corpus):
@@ -381,8 +400,26 @@ def _phi_rows(log_theta_tok, beta_tok, elog_beta, ids):
     return phi
 
 
+def _copies(corpus, copies, width):
+    """CSR offsets, term ids and counts of ``copies`` copies of the documents
+    of ``corpus``, one after another, copy ``s`` reading term columns from
+    ``s * width`` on; one copy is ``corpus``'s own arrays."""
+    if copies == 1:
+        return corpus.indptr, corpus.ids, corpus.cts
+    lens = np.tile(np.diff(corpus.indptr), copies)
+    ids = (corpus.ids + width * np.arange(copies)[:, None]).ravel()
+    return np.concatenate([[0], np.cumsum(lens)]), ids, np.tile(corpus.cts, copies)
+
+
 def e_step(corpus, elog_beta, gamma, alpha):
     """Local step for every document of ``corpus`` at fixed topics.
+
+    ``elog_beta`` is ``E[log beta]``, (K, V), or S such matrices, (S, K, V):
+    then the documents run once per matrix, copy ``s`` reading matrix ``s``,
+    and ``gamma`` and the results hold a row per (copy, document), copy
+    after copy.  Every copy of a document sits in a padded block as wide as
+    the one it has in a call on its matrix alone, so its results are that
+    call's, bit for bit.
 
     From ``gamma`` (D, K), each document updates until the mean absolute
     change of ``gamma_d`` falls below :data:`INNER_TOL` (checked from the
@@ -393,26 +430,35 @@ def e_step(corpus, elog_beta, gamma, alpha):
     iterations)``: the (entries, K) rows of ``phi`` behind ``gamma`` and
     each document's update count (0 when empty).
     """
-    lens = np.diff(corpus.indptr)
+    elog = elog_beta[None] if elog_beta.ndim == 2 else elog_beta
+    copies, k, width = elog.shape
+    elog_beta = elog.transpose(1, 0, 2).reshape(k, -1)  # the matrices side by side
+    indptr, ids, counts = _copies(corpus, copies, width)
+    lens = np.diff(indptr)
     gamma = np.array(gamma, dtype=float)
     gamma[lens == 0] = alpha
     iterations = np.zeros(len(lens), dtype=int)
     log_theta = np.zeros_like(gamma)
-    beta_all = np.exp(elog_beta - elog_beta.max(axis=0)).T[corpus.ids]
+    beta_all = np.exp(elog_beta - elog_beta.max(axis=0)).T[ids]
 
-    # Nonempty documents longest first, in buckets that stay at least half full;
-    # padding slots get beta rows of ones (normalizer >= 1) and count 0.
-    docs = np.argsort(-lens, kind="stable")[: np.count_nonzero(lens)]
-    sizes, blocks, first = lens[docs], [], 0
-    while first < docs.size:
+    # Nonempty documents longest first, in buckets that stay at least half full,
+    # each holding every copy of its documents; padding slots get beta rows of
+    # ones (normalizer >= 1) and count 0.
+    n_docs = len(corpus)
+    order = np.argsort(-lens[:n_docs], kind="stable")[: np.count_nonzero(lens[:n_docs])]
+    sizes, docs, blocks, first = lens[order], [order[:0]], [], 0
+    while first < order.size:
         stop = first + np.count_nonzero(np.cumsum(2 * sizes[first:] - sizes[first]) >= 0)
+        bucket = (order[first:stop] + n_docs * np.arange(copies)[:, None]).ravel()
         slot = np.arange(sizes[first])
-        pad = slot >= sizes[first:stop, None]
-        entries = np.where(pad, 0, corpus.indptr[docs[first:stop], None] + slot)
+        pad = slot >= lens[bucket, None]
+        entries = np.where(pad, 0, indptr[bucket, None] + slot)
         beta = beta_all[entries]
         beta[pad] = 1.0
-        blocks.append((beta, np.where(pad, 0.0, corpus.cts[entries])[:, None], entries))
+        blocks.append((beta, np.where(pad, 0.0, counts[entries])[:, None], entries))
+        docs.append(bucket)
         first = stop
+    docs = np.concatenate(docs)
     act = gamma[docs, None, :]  # the active documents' rows, (n, 1, K)
     for it in range(1, INNER_MAX_ITERS + 1):
         if docs.size == 0:
@@ -430,8 +476,8 @@ def e_step(corpus, elog_beta, gamma, alpha):
             if np.count_nonzero(lost):
                 doc, _, slot = np.nonzero(lost)
                 e = entries[doc, slot]
-                phi = _phi_rows(lt[rows][doc, 0], beta_all[e], elog_beta, corpus.ids[e])
-                np.add.at(new[rows, 0], doc, corpus.cts[e, None] * phi)
+                phi = _phi_rows(lt[rows][doc, 0], beta_all[e], elog_beta, ids[e])
+                np.add.at(new[rows, 0], doc, counts[e, None] * phi)
         new += alpha
         done = np.add.reduce(np.abs(new - act), axis=2)[:, 0] / act.shape[2] < INNER_TOL
         act = new
@@ -445,7 +491,7 @@ def e_step(corpus, elog_beta, gamma, alpha):
             docs, act = docs[keep], act[keep]
 
     log_theta = np.repeat(log_theta, lens, axis=0)
-    return gamma, _phi_rows(log_theta, beta_all, elog_beta, corpus.ids), iterations
+    return gamma, _phi_rows(log_theta, beta_all, elog_beta, ids), iterations
 
 
 def _physical_memory():
@@ -468,6 +514,74 @@ def _fold_in(corpus, lam, config):
     return e_step(corpus, elog_beta, _fresh_gamma(corpus, config), config.alpha)
 
 
+def _fold_in_log_probs(corpus, gamma, alpha, elog_beta, beta_mean):
+    """Log probability of each CSR entry's term under the mean topic mixture
+    ``sum_k E[theta_k] E[beta_kv]``, every document folded in from ``gamma``
+    against frozen topics, for each of S topic matrices at once: one
+    :func:`e_step` on ``E[log beta]`` and ``E[beta]``, (S, K, V) each.
+    Returns an (S, entries) array."""
+    copies, k, width = beta_mean.shape
+    gamma, _, _ = e_step(corpus, elog_beta, np.tile(gamma, (copies, 1)), alpha)
+    theta = gamma / gamma.sum(axis=1, keepdims=True)
+    indptr, ids, _ = _copies(corpus, copies, width)
+    beta = beta_mean.transpose(0, 2, 1).reshape(-1, k)[ids]
+    token_probs = np.einsum("tk->t", np.repeat(theta, np.diff(indptr), axis=0) * beta)
+    return np.log(token_probs).reshape(copies, -1)
+
+
+def _heldout_tokens(heldout):
+    """The token count of a held-out set, refused when it has no documents
+    or no tokens."""
+    if len(heldout) == 0:
+        raise DomainError("held-out set is empty")
+    tokens = heldout.total_tokens
+    if tokens == 0.0:
+        raise DomainError("held-out documents contain no tokens")
+    return tokens
+
+
+class _HeldoutFoldIn:
+    """The held-out scorer of an LDA fit (``VariationalModel._heldout_scorer``).
+
+    Of each recorded state it keeps only the held-out terms' columns of
+    ``E[log beta]`` and ``E[beta]``, and it scores a batch of states with one
+    fold-in, a copy of the held-out documents per state, so each value is
+    the one a fold-in at its state alone gives, bit for bit.  A batch holds
+    one state, or as many as keep its copies' entries within
+    ``max_entries``.  A held-out set without documents or tokens is refused
+    here, before a fit sweeps.
+    """
+
+    def __init__(self, heldout, config, max_entries):
+        _heldout_tokens(heldout)
+        self.terms, ids = np.unique(heldout.ids, return_inverse=True)
+        self.corpus = Corpus(heldout.indptr, ids, heldout.cts, self.terms.size)
+        self.gamma, self.alpha = _fresh_gamma(heldout, config), config.alpha
+        self.batch = max(1, max_entries // heldout.ids.size)
+        self.pending, self.points = [], []
+
+    def add(self, t, state):
+        columns = _elog_beta(state)[:, self.terms], _topic_means(state.lam)[:, self.terms]
+        self.pending.append((t, *columns))
+        if len(self.pending) == self.batch:
+            self._flush()
+
+    def trace(self):
+        if self.pending:
+            self._flush()
+        return self.points
+
+    def _flush(self):
+        iters, elog_beta, beta_mean = zip(*self.pending)
+        self.pending = []
+        log_probs = _fold_in_log_probs(
+            self.corpus, self.gamma, self.alpha, np.stack(elog_beta), np.stack(beta_mean)
+        )
+        tokens = self.corpus.total_tokens
+        for t, row in zip(iters, log_probs):
+            self.points.append(HeldoutPoint(t, float(self.corpus.cts @ row) / tokens))
+
+
 def lda_elbo(state, corpus, config):
     """Evidence lower bound, all constants kept.
 
@@ -476,7 +590,7 @@ def lda_elbo(state, corpus, config):
     Dirichlet KL divergences to their priors, from the same ``E[log]``.
     """
     _check_matches(state, corpus)
-    elog_beta = _dirichlet_expected_log_rows(state.lam)
+    elog_beta = _elog_beta(state)
     elog_theta = _dirichlet_expected_log_rows(state.gamma)
     scores = (
         np.repeat(elog_theta, np.diff(corpus.indptr), axis=0)
@@ -523,26 +637,19 @@ class Lda(VariationalModel):
 
     def sweep(self, state, data):
         config = self.config
-        elog_beta = _dirichlet_expected_log_rows(state.lam)
-        gamma, phi, updates = e_step(data, elog_beta, state.gamma, config.alpha)
+        gamma, phi, updates = e_step(data, _elog_beta(state), state.gamma, config.alpha)
         lam = config.eta + _term_stats(data, phi)
-        return LdaState(lam, gamma, phi, updates)
+        return LdaState(lam, gamma, phi, updates, _dirichlet_expected_log_rows(lam))
 
     def elbo(self, state, data):
         return lda_elbo(state, data, self.config)
 
     def _entry_log_probs(self, state, corpus):
-        """Log probability of each CSR entry's term under the mean topic
-        mixture ``sum_k E[theta_k] E[beta_kv]``, every document folded in
-        against frozen topics."""
-        gamma, _, _ = _fold_in(corpus, state.lam, self.config)
-        theta = gamma / gamma.sum(axis=1, keepdims=True)
-        beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
-        token_probs = np.einsum(
-            "tk->t",
-            np.repeat(theta, np.diff(corpus.indptr), axis=0) * beta_mean[:, corpus.ids].T,
-        )
-        return np.log(token_probs)
+        """:func:`_fold_in_log_probs` of ``corpus`` at ``state`` alone, (entries,)."""
+        return _fold_in_log_probs(
+            corpus, _fresh_gamma(corpus, self.config), self.config.alpha,
+            _elog_beta(state)[None], _topic_means(state.lam)[None],
+        )[0]
 
     def log_predictive(self, state, data):
         """Total log predictive of each held-out document, as a (D,) array."""
@@ -551,15 +658,14 @@ class Lda(VariationalModel):
 
     def heldout_log_predictive(self, state, heldout):
         """Per-word average over the held-out documents (token-weighted)."""
-        if len(heldout) == 0:
-            raise DomainError("held-out set is empty")
-        tokens = heldout.total_tokens
-        if tokens == 0.0:
-            raise DomainError("held-out documents contain no tokens")
+        tokens = _heldout_tokens(heldout)
         return float(heldout.cts @ self._entry_log_probs(state, heldout)) / tokens
 
+    def _heldout_scorer(self, heldout, train):
+        return _HeldoutFoldIn(heldout, self.config, train.ids.size)
+
     def export_state(self, state):
-        beta_mean = state.lam / state.lam.sum(axis=1, keepdims=True)
+        beta_mean = _topic_means(state.lam)
         top_terms = []
         top_probs = []
         for row in beta_mean:
@@ -625,8 +731,10 @@ def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
         return config.eta + (n / batch_size) * _term_stats(batch, phi)
 
     def score(lam):
-        gamma, phi, updates = _fold_in(corpus, lam, config)
-        snapshot = LdaState(lam, gamma, phi, updates)
+        elog_beta = _dirichlet_expected_log_rows(lam)
+        start = _fresh_gamma(corpus, config)
+        gamma, phi, updates = e_step(corpus, elog_beta, start, config.alpha)
+        snapshot = LdaState(lam, gamma, phi, updates, elog_beta)
         return lda_elbo(snapshot, corpus, config), snapshot
 
     report = _stochastic_fit(n, batch_size, schedule, fit_config, start, target, score)

@@ -15,6 +15,8 @@ by hand, and model ELBOs summed point by point in long double -- so
 agreement with the package is evidence of correctness rather than of
 shared code.  The exceptions are ``corpus_of``, a constructor, the LDA
 single-document updates, which the tests compose by hand,
+``lda_heldout_per_state``, the package's own LDA held-out scoring as it was
+before it scored recorded states in batches, one ``e_step`` per state,
 ``coordinate_optimality_gap``, a fixed-point check that scores
 single-factor perturbations of a fitted state with the model's own ELBO,
 and the ``*_elbo_rows`` forms: the package's own ELBOs as they were before
@@ -43,7 +45,7 @@ from meanfield.expfam import (
 )
 from meanfield.expfam import digamma as np_digamma
 from meanfield.gmm import DiagGmmState, UniGmmState
-from meanfield.lda import Corpus, _check_matches, _phi_rows
+from meanfield.lda import Corpus, _check_matches, _phi_rows, e_step
 
 
 def k1_gaussian_posterior(data, sigma2):
@@ -305,6 +307,25 @@ def lda_local_steps(corpus, elog_beta, gamma, alpha, tol, max_iters):
         tuple(p for _, p, _ in out),
         np.array([i for _, _, i in out]),
     )
+
+
+def lda_heldout_per_state(config, lams, heldout):
+    """Per-word held-out log predictive at each topic matrix of ``lams``, one
+    cold fold-in of ``heldout`` per matrix: how an LDA fit scored every
+    recorded state before it scored them in batches."""
+    values = []
+    for lam in lams:
+        elog_beta = _dirichlet_expected_log_rows(lam)
+        start = config.alpha[None, :] + (heldout.doc_lengths() / config.k)[:, None]
+        gamma, _, _ = e_step(heldout, elog_beta, start, config.alpha)
+        theta = gamma / gamma.sum(axis=1, keepdims=True)
+        beta_mean = lam / lam.sum(axis=1, keepdims=True)
+        token_probs = np.einsum(
+            "tk->t",
+            np.repeat(theta, np.diff(heldout.indptr), axis=0) * beta_mean[:, heldout.ids].T,
+        )
+        values.append(float(heldout.cts @ np.log(token_probs)) / heldout.total_tokens)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+import meanfield.expfam as expfam_module
 from meanfield.errors import DomainError
 from meanfield.expfam import (
     ExpFamParam,
@@ -437,6 +438,29 @@ class TestBroadcast:
             with pytest.raises(DomainError):
                 categorical_entropy(bad)
         assert categorical_entropy([0.5, 0.5 + 5e-10]) == pytest.approx(math.log(2.0))
+
+
+class TestRowMax:
+    """``_row_max`` takes narrow rows a column at a time and wide ones with
+    ``a.max(axis=1)``; both branches give the same maxima."""
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 17, 30, 31, 60, 100])
+    def test_both_branches_agree(self, monkeypatch, k):
+        a = np.random.default_rng(k).normal(size=(450, k))
+        a[3, k // 2] = np.nan  # a NaN row maximum is NaN, wherever the NaN sits
+        a[4, 0] = np.nan
+        a[5, -1] = np.nan
+        a[6] = -np.inf
+        a[7, k - 1] = np.inf
+        a[8] = -0.0
+        branches = []
+        for columns in (0, k):  # k > 0 columns: reduce; k <= k: column loop
+            monkeypatch.setattr(expfam_module, "_LOOP_COLUMNS", columns)
+            branches.append(expfam_module._row_max(a))
+        assert np.array_equal(branches[0], branches[1], equal_nan=True)
+        assert np.array_equal(branches[0], np.max(a, axis=1), equal_nan=True)
+        assert np.isnan(branches[1][3:6]).all()
+        assert not np.isnan(np.delete(branches[1], [3, 4, 5])).any()
 
 
 class TestLogSumExpAllMinusInf:

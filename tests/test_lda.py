@@ -828,15 +828,21 @@ def e_step_calls(monkeypatch):
 
 
 def assert_matches_per_document_loop(call, rtol=1e-10):
+    """Check a recorded ``e_step`` call against the per-document loop, each
+    copy of a call on stacked (S, K, V) topic matrices against its own."""
     corpus, elog_beta, gamma_start, alpha, (gamma, phi, iterations) = call
-    want_gamma, want_phi, want_iterations = lda_local_steps(
-        corpus, elog_beta, gamma_start, alpha, INNER_TOL, INNER_MAX_ITERS
-    )
-    assert_array_equal(iterations, want_iterations)
-    assert np.all(np.isfinite(gamma))
-    assert_allclose(gamma, want_gamma, rtol=rtol, atol=0)
-    assert np.all(np.isfinite(phi))
-    assert_allclose(phi, np.concatenate(want_phi), rtol=rtol, atol=0)
+    stacked = elog_beta if elog_beta.ndim == 3 else elog_beta[None]
+    docs, entries = len(corpus), corpus.ids.size
+    for s, matrix in enumerate(stacked):
+        rows, flat = slice(s * docs, (s + 1) * docs), slice(s * entries, (s + 1) * entries)
+        want_gamma, want_phi, want_iterations = lda_local_steps(
+            corpus, matrix, gamma_start[rows], alpha, INNER_TOL, INNER_MAX_ITERS
+        )
+        assert_array_equal(iterations[rows], want_iterations)
+        assert np.all(np.isfinite(gamma[rows]))
+        assert_allclose(gamma[rows], want_gamma, rtol=rtol, atol=0)
+        assert np.all(np.isfinite(phi[flat]))
+        assert_allclose(phi[flat], np.concatenate(want_phi), rtol=rtol, atol=0)
     return iterations
 
 
