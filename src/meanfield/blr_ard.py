@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .engine import VariationalModel, _frozen, cavi_fit, predictive_rows
+from .engine import VariationalModel, _frozen, cavi_fit, doc_array, predictive_rows
 from .errors import ConfigError, DomainError, NumericError
 from .expfam import LOG_2PI, gamma_kl, gamma_moments, gaussian_log_pdf
 
@@ -266,6 +266,7 @@ class BlrArd(VariationalModel):
     """Engine adapter.  Data rows are ``(x_1 .. x_D, y)``."""
 
     name = "blr-ard"
+    config_type = BlrArdConfig
 
     def init_state(self, data, strategy, rng):
         """Both strategies start at the prior: the first coefficient
@@ -309,6 +310,19 @@ class BlrArd(VariationalModel):
             "expected_relevance": exp["e_alpha"].tolist(),
         }
 
+    @classmethod
+    def load_state(cls, doc, fit_dir):
+        beta = doc_array(doc, "coefficients", 1)
+        v_inv = doc_array(doc, "coefficient_precision", 2)
+        a, b, c = (float(doc_array(doc, key, 0))
+                   for key in ("noise_shape", "noise_rate", "relevance_shape"))
+        state = BlrArdState(beta, v_inv, a, b, c, doc_array(doc, "relevance_rates", 1))
+        return cls.from_document(doc), state
+
+    def data_width(self, state):
+        return state.beta.shape[0] + 1
+
+
 def blr_ard_fit(x, y, config, fit_config):
     """Fit the model with coordinate ascent from the prior state; returns a
     :class:`FitReport`.
@@ -332,8 +346,8 @@ def simulate(n, seed, dim=1, noise=0.3):
     1), truth)``: ``data`` holds ``x`` with ``y`` as its last column, and
     ``truth`` the coefficients and the noise standard deviation.
     """
-    if n < 0:
-        raise ConfigError("n", "must be >= 0")
+    if n < 1:
+        raise ConfigError("n", "must be >= 1")
     if dim < 1:
         raise ConfigError("dim", "must be >= 1")
     if not (0.0 <= noise < np.inf):

@@ -26,9 +26,8 @@ import numpy as np
 from .engine import (
     FitConfig,
     StepSchedule,
-    cavi_fit,
     meanfield_gaussian_fixed_point,
-    read_data_csv,
+    read_file,
     write_trace_csv,
 )
 from .errors import ConfigError, DataFormatError, DomainError, NumericError, read_text
@@ -59,13 +58,14 @@ def _lazy(name):
 
 blr_ard, condconj, gmm, lda = map(_lazy, ("blr_ard", "condconj", "gmm", "lda"))
 
-# Module, model class and config class by model name.  A run sets each
-# config field that is also a RunConfig field.
+# Module and model class by model name.  The class reads the model's data,
+# fits it, and writes and loads its fit documents; a run sets each field of
+# its config class that is also a RunConfig field.
 MODEL_TYPES = {
-    "gmm": (gmm, "UnitVarianceGmm", "UniGmmConfig"),
-    "gmm-diag": (gmm, "DiagGmm", "DiagGmmConfig"),
-    "blr-ard": (blr_ard, "BlrArd", "BlrArdConfig"),
-    "lda": (lda, "Lda", "LdaConfig"),
+    "gmm": (gmm, "UnitVarianceGmm"),
+    "gmm-diag": (gmm, "DiagGmm"),
+    "blr-ard": (blr_ard, "BlrArd"),
+    "lda": (lda, "Lda"),
 }
 MODELS = tuple(MODEL_TYPES)
 ALGORITHMS = ("cavi", "svi")
@@ -73,8 +73,9 @@ ALGORITHMS = ("cavi", "svi")
 
 def _model_types(name):
     """Model class and config class of model ``name``."""
-    module, model_type, config_type = MODEL_TYPES[name]
-    return getattr(module, model_type), getattr(module, config_type)
+    module, model_type = MODEL_TYPES[name]
+    model_type = getattr(module, model_type)
+    return model_type, model_type.config_type
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +148,6 @@ def _write_matrix_csv(path, matrix):
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with _writing(path), open(path, "w", encoding="utf-8") as handle:
         handle.writelines(line % tuple(row.tolist()) for row in rows)
-
-
-def _read(reader, path):
-    """``reader(path)``; an OSError raised while reading is a DataFormatError."""
-    try:
-        return reader(path)
-    except OSError as err:
-        raise DataFormatError(f"cannot read {path}: {err.strerror}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,42 +301,26 @@ def _settings(config_type, cfg, needed_by="", **fixed):
 
 
 def cmd_fit(cfg):
-    # Models with a stochastic fit: gmm.gmm_svi_fit and lda.lda_svi_fit each
-    # take (data, config, schedule, fit_config, batch_size) and report the
-    # model's own ELBO and state.
-    svi_models = ("gmm", "lda")
-    if cfg.algorithm == "svi":
-        if cfg.model not in svi_models:
-            raise ConfigError(
-                "algorithm",
-                f"svi is implemented for {' and '.join(svi_models)}, "
-                f"not {cfg.model}; use cavi",
-            )
-        schedule = _settings(StepSchedule, cfg, "when algorithm is svi")
     model_type, config_type = _model_types(cfg.model)
-    config = _settings(config_type, cfg, f"for model {cfg.model}")
+    if cfg.algorithm == "svi":
+        if model_type.svi_fit is None:
+            with_svi = [name for name in MODELS if _model_types(name)[0].svi_fit]
+            raise ConfigError("algorithm", f"svi is implemented for "
+                              f"{' and '.join(with_svi)}, not {cfg.model}; use cavi")
+        schedule = _settings(StepSchedule, cfg, "when algorithm is svi")
+    model = model_type(_settings(config_type, cfg, f"for model {cfg.model}"))
     fit_configs = [_settings(FitConfig, cfg, seed=seed) for seed in cfg.seeds]
 
-    data = _read(lda.read_uci if cfg.model == "lda" else read_data_csv, cfg.data)
+    data = read_file(model.read, cfg.data)
     if cfg.algorithm == "svi" and len(data) and not 1 <= cfg.batch <= len(data):
         raise ConfigError("batch", f"must lie in [1, {len(data)}]")
-    model = model_type(config)
     out = _out_dir(cfg.out)
 
-    reports = []
-    for fit_config in fit_configs:
-        # Every fit is looked up in its module per call, so a function rebound
-        # there (as profilers do) is seen.
-        if cfg.algorithm == "svi":
-            svi_fit = gmm.gmm_svi_fit if cfg.model == "gmm" else lda.lda_svi_fit
-            fit = svi_fit(data, config, schedule, fit_config, cfg.batch)
-        elif cfg.model == "lda":
-            fit = lda.lda_cavi_fit(data, config, fit_config)
-        else:
-            fit = cavi_fit(model, data, fit_config)
-        reports.append(fit)
+    if cfg.algorithm == "svi":
+        reports = [model.svi_fit(data, schedule, fc, cfg.batch) for fc in fit_configs]
+    else:
+        reports = [model.fit(data, fc) for fc in fit_configs]
 
-    final_elbos = []
     for seed, report in zip(cfg.seeds, reports):
         with _writing(out / f"trace_{seed}.csv") as path:
             write_trace_csv(report, path)
@@ -356,15 +333,11 @@ def cmd_fit(cfg):
             "final_elbo": report.final_elbo,
             "metadata": report.metadata,
         }
-        state = report.model_state
-        doc.update(model.export_state(state))
-        if cfg.model == "lda":
-            doc["lambda_csv"] = f"lambda_{seed}.csv"
-            doc["gamma_csv"] = f"gamma_{seed}.csv"
-            _write_matrix_csv(out / doc["lambda_csv"], state.lam)
-            _write_matrix_csv(out / doc["gamma_csv"], state.gamma)
+        doc.update(model.export_state(report.model_state))
+        for key, (name, matrix) in model.export_files(report.model_state, seed).items():
+            doc[key] = name
+            _write_matrix_csv(out / name, matrix)
         _write_json(out / f"fit_{seed}.json", doc)
-        final_elbos.append(report.final_elbo)
         log.info(
             "fit model=%s seed=%d converged=%s iterations=%d elbo=%s",
             cfg.model,
@@ -381,7 +354,7 @@ def cmd_fit(cfg):
             "algorithm": cfg.algorithm,
             "data": cfg.data,
             "seeds": list(cfg.seeds),
-            "final_elbos": final_elbos,
+            "final_elbos": [r.final_elbo for r in reports],
             "converged": [r.converged for r in reports],
             "iterations_run": [r.iterations_run for r in reports],
         },
@@ -452,114 +425,24 @@ def cmd_simulate(args):
 
 
 def _load_fit_document(path):
-    try:
-        text = read_text(path)
-    except OSError as err:
-        raise DataFormatError(f"cannot read {path}: {err.strerror}")
+    text = read_file(read_text, path)
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:
         raise DataFormatError(f"{path} is not valid JSON: {err}")
     if not isinstance(doc, dict) or not isinstance(doc.get("metadata", {}), dict):
         raise DataFormatError(f"{path} is not a fit document (a JSON object)")
+    if doc.get("model") not in MODELS:
+        raise DataFormatError(f"fit document has unknown model {doc.get('model')!r}")
     return doc
-
-
-def _numeric(doc, name, ndim=None):
-    """Required field ``name`` of a fit document as a float array (of
-    ``ndim`` axes, when given)."""
-    if name not in doc:
-        raise DataFormatError(f"fit document lacks field {name!r}")
-    try:
-        value = np.asarray(doc[name], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DataFormatError(f"fit document field {name!r} is not numeric")
-    if ndim is not None and value.ndim != ndim:
-        raise DataFormatError(f"fit document field {name!r} must have {ndim} axes")
-    return value
-
-
-def _rebuild(doc, fit_dir):
-    """Model handle and state from a fit document.
-
-    The config takes each field of the model's config class that the
-    document's ``metadata`` records; an absent or ``null`` one takes the
-    config default, and ``k`` comes from the state's arrays.
-    """
-    meta = doc.get("metadata", {})
-    model_name = doc.get("model")
-    if model_name == "gmm":
-        m = _numeric(doc, "means", 2)
-        kwargs = {"k": m.shape[0]}
-        state = gmm.UniGmmState(m, _numeric(doc, "variances", 2), np.zeros((0, m.shape[0])))
-    elif model_name == "gmm-diag":
-        m = _numeric(doc, "locations", 2)
-        kwargs = {"k": m.shape[0]}
-        state = gmm.DiagGmmState(
-            _numeric(doc, "weight_concentration", 1),
-            m,
-            _numeric(doc, "scales", 2),
-            _numeric(doc, "shapes", 2),
-            _numeric(doc, "rates", 2),
-            np.zeros((0, m.shape[0])),
-        )
-    elif model_name == "blr-ard":
-        kwargs = {}
-        state = blr_ard.BlrArdState(
-            _numeric(doc, "coefficients", 1),
-            _numeric(doc, "coefficient_precision", 2),
-            float(_numeric(doc, "noise_shape", 0)),
-            float(_numeric(doc, "noise_rate", 0)),
-            float(_numeric(doc, "relevance_shape", 0)),
-            _numeric(doc, "relevance_rates", 1),
-        )
-    elif model_name == "lda":
-        name = doc.get("lambda_csv")
-        if not isinstance(name, str) or "\x00" in name:
-            raise DataFormatError("fit document field 'lambda_csv' must name a file")
-        lam = _read(read_data_csv, Path(fit_dir) / name)
-        kwargs = {"k": lam.shape[0]}
-        state = lda.LdaState(lam, np.zeros((0, lam.shape[0])), np.zeros((0, lam.shape[0])))
-    else:
-        raise DataFormatError(f"fit document has unknown model {model_name!r}")
-    model_type, config_type = _model_types(model_name)
-    for f in fields(config_type):
-        if f.name != "k" and meta.get(f.name) is not None:
-            # lda's alpha may be a length-k vector; every other field is a scalar
-            value = _numeric(meta, f.name, None if f.name == "alpha" else 0)
-            kwargs[f.name] = value if value.ndim else float(value)
-    return model_type(config_type(**kwargs)), state
 
 
 def cmd_eval(args):
     fit_path = Path(args.fit)
     doc = _load_fit_document(fit_path)
-    model, state = _rebuild(doc, fit_path.parent)
-
-    if doc["model"] == "lda":
-        heldout = _read(lda.read_uci, args.data)
-        if heldout.v != state.lam.shape[1]:
-            raise DataFormatError(
-                f"held-out vocabulary size {heldout.v} does not match "
-                f"fitted vocabulary {state.lam.shape[1]}"
-            )
-        if len(heldout) == 0 or heldout.total_tokens == 0.0:
-            raise DataFormatError("held-out corpus has no tokens")
-        count = heldout.total_tokens
-        unit = "word"
-    else:
-        heldout = _read(read_data_csv, args.data)
-        if doc["model"] == "blr-ard":
-            expected = state.beta.shape[0] + 1
-        else:
-            expected = state.m.shape[1]
-        if heldout.shape[1] != expected:
-            raise DataFormatError(
-                f"held-out data has {heldout.shape[1]} columns, fit expects {expected}"
-            )
-        count = heldout.shape[0]
-        unit = "point"
-
+    model, state = _model_types(doc["model"])[0].load_state(doc, fit_path.parent)
+    heldout = read_file(model.read, args.data)
+    count, unit = model.check_heldout(state, heldout)
     value = model.heldout_log_predictive(state, heldout)
     out = _out_dir(args.out)
     print(_fmt(value))

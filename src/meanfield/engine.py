@@ -10,8 +10,10 @@ call, and the export of a state as the JSON-ready dict a fit document holds;
 read.  :func:`cavi_fit` then owns iteration, convergence, timing, held-out
 evaluation, and the monotonicity check, through the package's one iteration
 loop, which the stochastic fits and ``condconj.coordinate_ascent`` share.
-The one stochastic ascent (:func:`_stochastic_fit`, with its Robbins-Monro
-:class:`StepSchedule`) and the CSV reader every model command uses live
+The command line reaches a model through its class alone, which reads its
+data, fits it, and writes and loads its fit documents.  The one stochastic
+ascent (:func:`_stochastic_fit`, with its Robbins-Monro
+:class:`StepSchedule`), the CSV reader and the fit-document helpers live
 here too, so that a command loads only the model module it runs.
 
 The ELBO is a true lower bound on the log evidence, and every coordinate
@@ -27,7 +29,7 @@ import abc
 import csv
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -54,6 +56,8 @@ __all__ = [
     "StepSchedule",
     "step_size",
     "meanfield_gaussian_fixed_point",
+    "read_file",
+    "doc_array",
     "read_data_csv",
     "write_trace_csv",
 ]
@@ -146,9 +150,17 @@ class VariationalModel(abc.ABC):
     never mutates its argument, so states can be shared across threads and
     recorded mid-fit.  All reductions use a fixed summation order, making
     results bit-reproducible for a given (seed, strategy, data).
+
+    A model's ``load_state(doc, fit_dir)`` classmethod inverts
+    ``export_state`` and ``export_files``, returning the model and state.
+    The hooks that run a command call their module's functions by name, so a
+    function rebound there, as a profiler rebinds it, is the one that runs.
     """
 
     name = "model"
+    config_type = None
+    # ``svi_fit(data, schedule, fit_config, batch_size)``, on a model with one
+    svi_fit = None
 
     def __init__(self, config=None):
         self.config = config
@@ -199,6 +211,39 @@ class VariationalModel(abc.ABC):
         states back and score several at once; this one scores each as it
         comes."""
         return _ScoreEach(self, heldout)
+
+    def read(self, path):
+        """The data file at ``path``: numeric CSV rows unless overridden."""
+        return read_data_csv(path)
+
+    def fit(self, data, config):
+        return cavi_fit(self, data, config)
+
+    def export_files(self, state, seed):
+        """``{document field: (file name, matrix)}`` of the matrices written
+        beside the fit document of ``seed``."""
+        return {}
+
+    @classmethod
+    def from_document(cls, doc, vectors=(), **fixed):
+        """The model whose ``config_type`` takes ``fixed`` and each other
+        field that the fit document's metadata holds (a number, or an array
+        for a field in ``vectors``); an absent or null one takes its default."""
+        meta = doc.get("metadata", {})
+        for f in fields(cls.config_type):
+            if f.name not in fixed and meta.get(f.name) is not None:
+                value = doc_array(meta, f.name, None if f.name in vectors else 0)
+                fixed[f.name] = value if value.ndim else float(value)
+        return cls(cls.config_type(**fixed))
+
+    def check_heldout(self, state, heldout):
+        """The count and unit of held-out rows, each a point; a width other
+        than ``data_width(state)`` is a DataFormatError."""
+        width = self.data_width(state)
+        if heldout.shape[1] != width:
+            raise DataFormatError(f"held-out data has {heldout.shape[1]} columns, "
+                                  f"fit expects {width}")
+        return heldout.shape[0], "point"
 
     def heldout_log_predictive(self, state, heldout):
         n = len(heldout)
@@ -471,6 +516,30 @@ def meanfield_gaussian_fixed_point(mean, cov):
     # diag(inv(cov)) for the 2x2 case, without forming the inverse
     prec_diag = np.array([c[1, 1] / det, c[0, 0] / det])
     return mu.copy(), 1.0 / prec_diag
+
+
+def read_file(reader, path):
+    """``reader(path)``; an OSError raised while reading is a DataFormatError."""
+    try:
+        return reader(path)
+    except OSError as err:
+        raise DataFormatError(f"cannot read {path}: {err.strerror}")
+
+
+def doc_array(doc, name, ndim=None):
+    """Field ``name`` of a fit document (or its metadata) as a finite float
+    array, of ``ndim`` axes when given."""
+    if name not in doc:
+        raise DataFormatError(f"fit document lacks field {name!r}")
+    try:
+        value = np.asarray(doc[name], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataFormatError(f"fit document field {name!r} is not numeric")
+    if ndim is not None and value.ndim != ndim:
+        raise DataFormatError(f"fit document field {name!r} must have {ndim} axes")
+    if not np.all(np.isfinite(value)):
+        raise DataFormatError(f"fit document field {name!r} must be finite")
+    return value
 
 
 def read_data_csv(path):

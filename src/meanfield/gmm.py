@@ -49,6 +49,7 @@ from .engine import (
     InitStrategy,
     VariationalModel,
     _frozen,
+    doc_array,
     init_state,
     predictive_rows,
     read_data_csv,
@@ -295,8 +296,8 @@ def simulate(k, n, seed, dim=1, mean_scale=5.0, min_separation=0.0):
     """
     if k < 1:
         raise ConfigError("k", "must be >= 1")
-    if n < 0:
-        raise ConfigError("n", "must be >= 0")
+    if n < 1:
+        raise ConfigError("n", "must be >= 1")
     if dim < 1:
         raise ConfigError("dim", "must be >= 1")
     if not math.isfinite(mean_scale):
@@ -327,6 +328,10 @@ class UnitVarianceGmm(VariationalModel):
     """
 
     name = "gmm"
+    config_type = UniGmmConfig
+
+    def svi_fit(self, data, schedule, fit_config, batch_size):
+        return gmm_svi_fit(data, self.config, schedule, fit_config, batch_size)
 
     def prepare(self, data):
         return MixtureData.of(data, per_coordinate=False)
@@ -357,6 +362,15 @@ class UnitVarianceGmm(VariationalModel):
             "means": state.m.tolist(),
             "variances": state.s2.tolist(),
         }
+
+    @classmethod
+    def load_state(cls, doc, fit_dir):
+        m = doc_array(doc, "means", 2)
+        state = UniGmmState(m, doc_array(doc, "variances", 2), np.zeros((0, m.shape[0])))
+        return cls.from_document(doc, k=m.shape[0]), state
+
+    def data_width(self, state):
+        return state.m.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +674,7 @@ class DiagGmm(VariationalModel):
     """Engine adapter for the diagonal-covariance mixture."""
 
     name = "gmm-diag"
+    config_type = DiagGmmConfig
 
     def prepare(self, data):
         return MixtureData.of(data, per_coordinate=True)
@@ -694,3 +709,14 @@ class DiagGmm(VariationalModel):
             "shapes": state.alpha.tolist(),
             "rates": state.beta.tolist(),
         }
+
+    @classmethod
+    def load_state(cls, doc, fit_dir):
+        m = doc_array(doc, "locations", 2)
+        conc = doc_array(doc, "weight_concentration", 1)
+        b, alpha, beta = (doc_array(doc, key, 2) for key in ("scales", "shapes", "rates"))
+        state = DiagGmmState(conc, m, b, alpha, beta, np.zeros((0, m.shape[0])))
+        return cls.from_document(doc, k=m.shape[0]), state
+
+    def data_width(self, state):
+        return state.m.shape[1]

@@ -31,10 +31,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import InitVar, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .engine import HeldoutPoint, VariationalModel, _frozen, _stochastic_fit, cavi_fit
+from .engine import (HeldoutPoint, VariationalModel, _frozen, _stochastic_fit, cavi_fit,
+                     read_data_csv, read_file)
 from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
 from .expfam import (
     _check_prob_rows,
@@ -608,6 +610,16 @@ class Lda(VariationalModel):
     """Engine adapter; the data container is a :class:`Corpus`."""
 
     name = "lda"
+    config_type = LdaConfig
+
+    def read(self, path):
+        return read_uci(path)
+
+    def fit(self, data, config):
+        return lda_cavi_fit(data, self.config, config)
+
+    def svi_fit(self, data, schedule, fit_config, batch_size):
+        return lda_svi_fit(data, self.config, schedule, fit_config, batch_size)
 
     def take(self, data, indices):
         return data.subset(indices)
@@ -673,6 +685,31 @@ class Lda(VariationalModel):
             top_terms.append(order.tolist())
             top_probs.append(row[order].tolist())
         return {"top_terms": top_terms, "top_term_probs": top_probs}
+
+    def export_files(self, state, seed):
+        return {"lambda_csv": (f"lambda_{seed}.csv", state.lam),
+                "gamma_csv": (f"gamma_{seed}.csv", state.gamma)}
+
+    @classmethod
+    def load_state(cls, doc, fit_dir):
+        """The topics come from the file ``lambda_csv`` names in ``fit_dir``."""
+        name = doc.get("lambda_csv")
+        if (not isinstance(name, str) or name in ("", ".", "..") or "\x00" in name
+                or os.path.basename(name) != name):
+            raise DataFormatError("fit document field 'lambda_csv' must name a file")
+        lam = read_file(read_data_csv, Path(fit_dir) / name)
+        state = LdaState(lam, np.zeros((0, lam.shape[0])), np.zeros((0, lam.shape[0])))
+        return cls.from_document(doc, ("alpha",), k=lam.shape[0]), state
+
+    def check_heldout(self, state, heldout):
+        """The token count, per word; a corpus over another vocabulary, or
+        without tokens, is a DataFormatError."""
+        if heldout.v != state.lam.shape[1]:
+            raise DataFormatError(f"held-out vocabulary size {heldout.v} does not "
+                                  f"match fitted vocabulary {state.lam.shape[1]}")
+        if len(heldout) == 0 or heldout.total_tokens == 0.0:
+            raise DataFormatError("held-out corpus has no tokens")
+        return heldout.total_tokens, "word"
 
 
 def _estep_summary(state):

@@ -22,6 +22,7 @@ from meanfield.blr_ard import (
     blr_elbo,
     blr_expectations,
     blr_log_predictive,
+    simulate,
     update_coeff_precision,
     update_relevance,
 )
@@ -50,6 +51,21 @@ def make_regression(n, d, seed, relevant=None, noise=0.3):
 
 def stack(x, y):
     return np.column_stack([x, y])
+
+
+class TestSimulate:
+    def test_rows_and_truth(self):
+        data, truth = simulate(n=7, seed=2, dim=3, noise=0.5)
+        assert data.shape == (7, 4)
+        assert truth["coefficients"].shape == (3,) and truth["noise_sd"] == 0.5
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n": 0}, "n"), ({"n": -1}, "n"), ({"n": 5, "dim": 0}, "dim"),
+        ({"n": 5, "noise": math.nan}, "noise"),
+    ], ids=["no-rows", "negative-rows", "no-columns", "noise-nan"])
+    def test_bad_args_rejected(self, kwargs, name):
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            simulate(seed=0, **kwargs)
 
 
 class TestConfig:

@@ -723,50 +723,6 @@ class TestEval:
         assert res.returncode == 3
         assert "column" in res.stderr
 
-    def test_lda_round_trip_and_vocab_mismatch(self, corpus_txt, tmp_path):
-        out = tmp_path / "lda"
-        res = run_cli(
-            "fit", "--model", "lda", "--k", "2", "--data", corpus_txt,
-            "--max-iters", "40", "--out", out,
-        )
-        assert res.returncode == 0, res.stderr
-        res = run_cli("eval", "--fit", out / "fit_0.json",
-                      "--data", corpus_txt, "--out", tmp_path / "e")
-        assert res.returncode == 0, res.stderr
-        value = float(res.stdout)
-        assert -10.0 < value < 0.0
-        doc = read_json(tmp_path / "e" / "eval.json")
-        assert doc["per"] == "word"
-
-        other = tmp_path / "other"
-        assert run_cli(
-            "simulate", "--model", "lda", "--k", "2", "--docs", "5",
-            "--vocab", "6", "--seed", "1", "--out", other,
-        ).returncode == 0
-        res = run_cli("eval", "--fit", out / "fit_0.json",
-                      "--data", other / "corpus.txt", "--out", tmp_path / "e2")
-        assert res.returncode == 3
-        assert "vocabulary" in res.stderr
-
-    def test_blr_fit_eval_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(40, 3))
-        y = x @ np.array([1.5, 0.0, -0.5]) + 0.3 * rng.normal(size=40)
-        train = tmp_path / "train.csv"
-        np.savetxt(train, np.column_stack([x, y]), delimiter=",")
-        out = tmp_path / "blr"
-        res = run_cli("fit", "--model", "blr-ard", "--data", train,
-                      "--out", out)
-        assert res.returncode == 0, res.stderr
-        heldout = tmp_path / "h.csv"
-        heldout.write_text("0.1,0.2,0.3,0.15\n0.0,0.0,0.0,0.0\n")
-        res = run_cli("eval", "--fit", out / "fit_0.json",
-                      "--data", heldout, "--out", tmp_path / "e")
-        assert res.returncode == 0, res.stderr
-        assert np.isfinite(float(res.stdout))
-        doc = read_json(tmp_path / "e" / "eval.json")
-        assert doc["count"] == 2
-
 
 @pytest.mark.parametrize("model", ["gmm", "lda"])
 def test_svi_fit_is_called_through_its_module_name(model, request, tmp_path, monkeypatch):

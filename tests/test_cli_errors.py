@@ -5,11 +5,14 @@ the setting, and the command creates no ``--out``.
 ``fit`` refuses a setting that no class of the run reads and checks every
 config class it builds before it reads the data, and an SVI batch larger
 than the data once it has read them; ``simulate`` refuses a flag that its
-model's simulator does not read; ``diagnose-meanfield`` checks its inputs
-before it computes anything.
+model's simulator does not read, and a dataset without rows; ``eval``
+refuses a fit document holding a number that is not finite, or naming its
+topics file by a path rather than a file name in its directory;
+``diagnose-meanfield`` checks its inputs before it computes anything.
 """
 
 import json
+import math
 
 import pytest
 
@@ -38,6 +41,10 @@ def run(files, capsys, argv, config=None):
 
 
 GMM = ["fit", "--model", "gmm", "--data", "{dir}/mix.csv"]
+# A blr-ard fit document for the one-feature rows of reg.csv.
+BLR_FIT = {"model": "blr-ard", "coefficients": [2.0], "coefficient_precision": [[30.0]],
+           "noise_shape": 3.0, "noise_rate": 0.5, "relevance_shape": 1.5,
+           "relevance_rates": [3.0]}
 
 
 @pytest.mark.parametrize("argv, config, names", [
@@ -118,19 +125,41 @@ def test_simulate_refuses_flags_its_model_does_not_read(files, capsys, argv, nam
      "'k': required for model lda"),
     (["simulate", "--model", "blr-ard"], None, 2, "needs --n"),
     (["simulate", "--model", "lda"], None, 2, "needs --k"),
+    (["simulate", "--model", "gmm", "--k", "2", "--n", "0"], None, 2, "'n': must be >= 1"),
+    (["simulate", "--model", "blr-ard", "--n", "0"], None, 2, "'n': must be >= 1"),
     (["eval", "--fit", "{dir}", "--data", "{dir}/mix.csv"], None, 3, "cannot read"),
     (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/corpus.txt"],
      {"model": "lda", "lambda_csv": 3}, 3, "'lambda_csv' must name a file"),
     (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/empty.txt"],
      {"model": "lda", "lambda_csv": "lambda.csv"}, 3, "held-out corpus has no tokens"),
+    # the fixture's lambda.csv fits corpus.txt: only the path is refused
+    (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/corpus.txt"],
+     {"model": "lda", "lambda_csv": "lambda.csv"}, 0, ""),
+    (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/corpus.txt"],
+     {"model": "lda", "lambda_csv": "{dir}/lambda.csv"}, 3, "'lambda_csv' must name a file"),
+    (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/corpus.txt"],
+     {"model": "lda", "lambda_csv": "../{name}/lambda.csv"}, 3,
+     "'lambda_csv' must name a file"),
+    (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/reg.csv"], BLR_FIT, 0, ""),
+    (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/reg.csv"],
+     {**BLR_FIT, "noise_rate": math.inf}, 3, "field 'noise_rate' must be finite"),
+    (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/reg.csv"],
+     {**BLR_FIT, "coefficients": [math.nan]}, 3, "field 'coefficients' must be finite"),
+    (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/mix.csv"],
+     {"model": "gmm", "means": [[math.nan]], "variances": [[1.0]]}, 3,
+     "field 'means' must be finite"),
 ], ids=["seeds-not-integers", "config-comments-and-blank-lines", "config-line-without-equals",
         "config-unknown-model", "config-unknown-algorithm", "config-no-seeds",
         "config-no-model", "gmm-without-k", "lda-without-k", "simulate-blr-ard-without-n",
-        "simulate-lda-without-k", "eval-fit-is-a-directory", "eval-lambda-csv-not-a-name",
-        "eval-heldout-without-triples"])
+        "simulate-lda-without-k", "simulate-gmm-without-rows", "simulate-blr-ard-without-rows",
+        "eval-fit-is-a-directory", "eval-lambda-csv-not-a-name",
+        "eval-heldout-without-triples", "eval-lambda-csv-a-name", "eval-lambda-csv-absolute",
+        "eval-lambda-csv-in-parent", "eval-blr-ard-document", "eval-infinite-noise-rate",
+        "eval-nan-coefficients", "eval-nan-means"])
 def test_documented_error_exits(files, capsys, argv, config, code, fragment):
     if isinstance(config, dict):  # a fit document, not a config file
-        (files / "fit.json").write_text(json.dumps(config))
+        text = json.dumps(config).replace("{dir}", str(files))
+        (files / "fit.json").write_text(text.replace("{name}", files.name))
         (files / "lambda.csv").write_text("1,2,3\n3,1,0.5\n")
         (files / "empty.txt").write_text("2\n3\n0\n")
         config = None

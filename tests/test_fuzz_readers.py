@@ -3,11 +3,13 @@
 Arbitrary bytes as a mixture CSV, a bag-of-words corpus, a held-out file or
 a fit document must end in one of the documented exit codes (0 success,
 2 configuration or domain error, 3 data format error, 4 numeric failure);
-no exception may escape ``meanfield.cli.main``.  Examples are derandomized,
-so every run tries the same 200 inputs.
+no exception may escape ``meanfield.cli.main``, and an ``eval`` that exits 0
+writes JSON holding a finite value.  Examples are derandomized, so every run
+tries the same 200 inputs.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -80,6 +82,15 @@ JSON_VALUE = ARRAY | st.recursive(
     ),
     max_leaves=6,
 )
+
+
+def strict_json(text):
+    """``text`` parsed as JSON, which has no NaN or infinities."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run(monkeypatch, capsys, *argv):
@@ -165,8 +176,11 @@ def test_eval_on_arbitrary_fit_documents(
         for text in (json.dumps(doc).encode(), raw):
             fit = fit_dir / "fuzzed.json"
             fit.write_bytes(text)
-            run(monkeypatch, capsys, "eval", "--fit", fit, "--data", heldout,
-                "--out", Path(tmp) / "out")
+            code = run(monkeypatch, capsys, "eval", "--fit", fit, "--data", heldout,
+                       "--out", Path(tmp) / "out")
+            if code == 0:
+                written = strict_json((Path(tmp) / "out" / "eval.json").read_text())
+                assert math.isfinite(written["heldout_log_predictive"])
 
 
 def test_the_fuzzed_commands_succeed_on_good_input(monkeypatch, capsys, fit_dir):

@@ -225,6 +225,8 @@ class TestSimulate:
             simulate(k=0, n=5, seed=0)
         with pytest.raises(ConfigError):
             simulate(k=2, n=-1, seed=0)
+        with pytest.raises(ConfigError):
+            simulate(k=2, n=0, seed=0)  # no rows: a data file that fit refuses
 
 
 class TestUnitVarianceModel:
