@@ -258,6 +258,8 @@ def blr_log_predictive(state, point):
     x, y = rows[:, :-1], rows[:, -1]
     u = _factor(state)[1] @ x.T
     var = (state.b / state.a) * (1.0 + (u * u).sum(axis=0))
+    if not np.all(var > 0.0):  # b / a underflowed
+        raise NumericError("predictive variance underflowed to 0")
     out = gaussian_log_pdf(y, x @ state.beta, var)
     return float(out[0]) if one else out
 

@@ -443,7 +443,11 @@ def cmd_eval(args):
     model, state = _model_types(doc["model"])[0].load_state(doc, fit_path.parent)
     heldout = read_file(model.read, args.data)
     count, unit = model.check_heldout(state, heldout)
-    value = model.heldout_log_predictive(state, heldout)
+    # a fit document's extreme values may overflow where a fit's never do
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        value = float(model.heldout_log_predictive(state, heldout))
+    if not np.isfinite(value):
+        raise NumericError(f"held-out log predictive is {value!r}, not finite")
     out = _out_dir(args.out)
     print(_fmt(value))
     _write_json(
@@ -451,7 +455,7 @@ def cmd_eval(args):
         {
             "fit": str(args.fit),
             "data": str(args.data),
-            "heldout_log_predictive": float(value),
+            "heldout_log_predictive": value,
             "per": unit,
             "count": count,
         },
@@ -569,8 +573,10 @@ def _configure_logging():
     )
 
 
-# The exit code of each error the package raises; see the module docstring.
-_EXIT_CODES = {ConfigError: 2, DataFormatError: 3, DomainError: 2, NumericError: 4}
+# The exit code of each error the package raises, and of numpy's floating-point
+# error where a command asks for it; see the module docstring.
+_EXIT_CODES = {ConfigError: 2, DataFormatError: 3, DomainError: 2, NumericError: 4,
+               FloatingPointError: 4}
 
 
 def main(argv=None):

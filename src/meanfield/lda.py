@@ -14,16 +14,15 @@ share their assignment factor, weighted by the term count; this is
 equivalent to per-token factors because tokens are exchangeable.
 
 A :class:`Corpus` is one CSR layout (``indptr``, ``ids``, ``cts``) with an
-entry per such pair, and :class:`LdaState` keeps ``phi`` as one (entries, K)
-array in the same order.  The local step (:func:`e_step`) runs all documents
-of a corpus or minibatch at once, on padded blocks of documents of similar
+entry per such pair.  The local step (:func:`e_step`) runs all documents of
+a corpus or minibatch at once, on padded blocks of documents of similar
 length, in the exp-space form of Hoffman, Blei & Bach (2010): with ``t_d =
 exp E[log theta_d]`` and ``b_w = exp E[log beta_w]``, ``gamma_d = alpha +
-t_d * sum_w (c_dw / t_d . b_w) b_w``, and ``phi`` is formed only at the end.
-One coordinate sweep runs that step at the current topics, then refreshes
-every ``lambda_k`` from the assignment statistics.  Stochastic fits replace
-the full statistics with a rescaled minibatch estimate blended in at a
-Robbins-Monro step size.
+t_d * sum_w (c_dw / t_d . b_w) b_w``.  No ``phi`` row is stored: a sweep
+runs that step at the current topics and reduces the rows of its last pass
+to the topic-term counts, which refresh every ``lambda_k``, and to that
+pass's share of the ELBO.  Stochastic fits replace the full statistics
+with a rescaled minibatch estimate blended in at a Robbins-Monro step size.
 """
 
 from __future__ import annotations
@@ -38,14 +37,7 @@ import numpy as np
 from .engine import (HeldoutPoint, VariationalModel, _frozen, _stochastic_fit, cavi_fit,
                      read_data_csv, read_file)
 from .errors import ConfigError, DataFormatError, DomainError, numbered_lines
-from .expfam import (
-    _check_prob_rows,
-    _dirichlet_expected_log_rows,
-    _dirichlet_kl,
-    categorical_entropy,
-    categorical_rows,
-    digamma,
-)
+from .expfam import _dirichlet_expected_log_rows, _dirichlet_kl, categorical_rows, digamma
 
 __all__ = [
     "INNER_TOL",
@@ -326,40 +318,36 @@ class LdaConfig:
 
 @dataclass(frozen=True)
 class LdaState:
-    """Variational parameters: topics ``lam`` (K, V), proportions
-    ``gamma`` (D, K), and the assignment rows ``phi`` (entries, K), one per
-    CSR entry of the corpus the state belongs to, in corpus order.
+    """Variational parameters: topics ``lam`` (K, V) and proportions
+    ``gamma`` (D, K); no assignment row is kept.  ``estep_updates`` is each
+    document's update count in the E-step that produced ``gamma`` (``None``
+    for a state no E-step produced), a diagnostic.
 
-    ``estep_updates`` is each document's update count in the E-step that
-    produced ``gamma`` (``None`` for a state no E-step produced); it is a
-    diagnostic, not a variational parameter.
-
-    A sweep passes ``kept``, the ``E[log beta]`` of ``lam`` it computed
-    once for the ELBO, the held-out fold-in and the next sweep, which
-    becomes ``elog_beta``; other states, ``dataclasses.replace`` copies
-    among them, have ``elog_beta`` None.
+    A sweep or an SVI snapshot passes ``kept``, the ``E[log beta]`` of
+    ``lam`` it computed once for the ELBO, the held-out fold-in and the
+    next sweep, which becomes ``elog_beta``, and ``terms``, its last local
+    pass's token terms less ``<gamma - alpha, E[log theta]>``, which
+    becomes ``token_terms``.  Other states (initial, loaded, ``replace``
+    copies) have both None, and :func:`lda_elbo` refuses them.
     """
 
     lam: np.ndarray
     gamma: np.ndarray
-    phi: np.ndarray
     estep_updates: np.ndarray = field(default=None, compare=False, repr=False)
     kept: InitVar[np.ndarray] = None
+    terms: InitVar[float] = None
 
-    def __post_init__(self, kept):
-        for name in ("lam", "gamma", "phi"):
+    def __post_init__(self, kept, terms):
+        for name in ("lam", "gamma"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         object.__setattr__(self, "elog_beta", kept)
+        object.__setattr__(self, "token_terms", terms)
         if self.lam.ndim != 2 or self.gamma.ndim != 2:
             raise DomainError("lam and gamma must be matrices")
-        k = self.lam.shape[0]
-        if self.gamma.shape[1] != k:
+        if self.gamma.shape[1] != self.lam.shape[0]:
             raise DomainError("gamma must have one column per topic")
         if np.any(self.lam <= 0.0) or np.any(self.gamma <= 0.0):
             raise DomainError("Dirichlet parameters must be > 0")
-        if self.phi.ndim != 2 or self.phi.shape[1] != k:
-            raise DomainError("phi rows must have one column per topic")
-        _check_prob_rows(self.phi, 1e-9, "phi rows must be probability vectors")
 
 
 def _elog_beta(state):
@@ -374,32 +362,23 @@ def _topic_means(lam):
     return lam / lam.sum(axis=1, keepdims=True)
 
 
-def _check_matches(state, corpus):
-    """Raise unless ``state`` has one ``phi`` row per CSR entry and one
-    ``gamma`` row per document of ``corpus``."""
-    if state.phi.shape[0] != corpus.ids.size or state.gamma.shape[0] != len(corpus):
-        raise DomainError("state does not match the corpus entries and documents")
-
-
-def _term_stats(corpus, phi):
-    """Expected topic-term counts ``sum_d count_dw phi_dw`` as a (K, V) array."""
-    k = phi.shape[1]
-    slots = (corpus.ids[:, None] * k + np.arange(k)).ravel()
-    flat = np.bincount(slots, (phi * corpus.cts[:, None]).ravel(), corpus.v * k)
-    return flat.reshape(corpus.v, k).T
-
-
 def _phi_rows(log_theta_tok, beta_tok, elog_beta, ids):
     """Assignment rows (T, K) for CSR entries with term ids ``ids``, from
-    each entry's shifted ``E[log theta_d]`` row and ``exp E[log beta]``
-    row; entries whose exp-space normalizer underflows use log space."""
+    each entry's shifted ``E[log theta_d]`` and ``exp E[log beta]`` rows, and
+    the log of each row's normalizer; entries whose exp-space normalizer
+    underflows use log space."""
     phi = np.exp(log_theta_tok) * beta_tok
     norm = np.einsum("tk->t", phi)
     lost = norm < _NORM_FLOOR
-    phi /= np.where(lost, 1.0, norm)[:, None]
+    norm[lost] = 1.0
+    phi /= norm[:, None]
+    log_norm = np.log(norm)
     if lost.any():
-        phi[lost] = categorical_rows(log_theta_tok[lost] + elog_beta[:, ids[lost]].T)[0]
-    return phi
+        elog = elog_beta[:, ids[lost]]
+        logits = log_theta_tok[lost] + elog.T
+        phi[lost], log_phi = categorical_rows(logits)
+        log_norm[lost] = logits.max(axis=1) - log_phi.max(axis=1) - elog.max(axis=0)
+    return phi, log_norm
 
 
 def _copies(corpus, copies, width):
@@ -428,9 +407,9 @@ def e_step(corpus, elog_beta, gamma, alpha):
     second update on) or after :data:`INNER_MAX_ITERS` updates, then leaves
     the active rows and is written back.  ``E[log theta]`` and ``E[log beta]``
     are shifted to peak at 0 over topics.  A pass is one ``digamma`` call
-    and two batched products per padded block.  Returns ``(gamma, phi,
-    iterations)``: the (entries, K) rows of ``phi`` behind ``gamma`` and
-    each document's update count (0 when empty).
+    and two batched products per padded block.  Returns ``(gamma, log_theta,
+    iterations)``: each document's shifted ``E[log theta]`` row from its
+    last pass, the one behind ``gamma``, and update count, both 0 if empty.
     """
     elog = elog_beta[None] if elog_beta.ndim == 2 else elog_beta
     copies, k, width = elog.shape
@@ -478,7 +457,7 @@ def e_step(corpus, elog_beta, gamma, alpha):
             if np.count_nonzero(lost):
                 doc, _, slot = np.nonzero(lost)
                 e = entries[doc, slot]
-                phi = _phi_rows(lt[rows][doc, 0], beta_all[e], elog_beta, ids[e])
+                phi, _ = _phi_rows(lt[rows][doc, 0], beta_all[e], elog_beta, ids[e])
                 np.add.at(new[rows, 0], doc, counts[e, None] * phi)
         new += alpha
         done = np.add.reduce(np.abs(new - act), axis=2)[:, 0] / act.shape[2] < INNER_TOL
@@ -492,8 +471,25 @@ def e_step(corpus, elog_beta, gamma, alpha):
                       for b, r in zip(blocks, spans) if np.count_nonzero(keep[r])]
             docs, act = docs[keep], act[keep]
 
-    log_theta = np.repeat(log_theta, lens, axis=0)
-    return gamma, _phi_rows(log_theta, beta_all, elog_beta, ids), iterations
+    return gamma, log_theta, iterations
+
+
+def _local_step(corpus, elog_beta, gamma, alpha):
+    """:func:`e_step` and its last pass's rows, formed as it formed them,
+    reduced to ``(gamma, updates, T, terms)``: the topic statistics ``T =
+    sum_d count_dw phi_dw`` (K, V) and the token terms ``sum count log Z -
+    <gamma - alpha, log_theta>`` (``Z`` an entry's normalizer), which are
+    ``sum count phi . (E[log theta] + E[log beta] - log phi)`` less ``<gamma
+    - alpha, E[log theta]>``, as ``gamma_d - alpha`` sums ``d``'s counts."""
+    gamma, log_theta, updates = e_step(corpus, elog_beta, gamma, alpha)
+    k, shift = elog_beta.shape[0], elog_beta.max(axis=0)
+    log_theta_tok = np.repeat(log_theta, np.diff(corpus.indptr), axis=0)
+    beta = np.exp(elog_beta - shift).T[corpus.ids]
+    phi, log_norm = _phi_rows(log_theta_tok, beta, elog_beta, corpus.ids)
+    slots = (corpus.ids[:, None] * k + np.arange(k)).ravel()
+    stats = np.bincount(slots, (phi * corpus.cts[:, None]).ravel(), corpus.v * k)
+    terms = corpus.cts @ (log_norm + shift[corpus.ids]) - np.vdot(gamma - alpha, log_theta)
+    return gamma, updates, stats.reshape(corpus.v, k).T, float(terms)
 
 
 def _physical_memory():
@@ -508,12 +504,6 @@ def _physical_memory():
 def _fresh_gamma(corpus, config):
     """Cold-start proportions ``alpha + N_d / K`` for every document."""
     return config.alpha[None, :] + (corpus.doc_lengths() / config.k)[:, None]
-
-
-def _fold_in(corpus, lam, config):
-    """E-step for every document of ``corpus`` from a cold start at ``lam``."""
-    elog_beta = _dirichlet_expected_log_rows(lam)
-    return e_step(corpus, elog_beta, _fresh_gamma(corpus, config), config.alpha)
 
 
 def _fold_in_log_probs(corpus, gamma, alpha, elog_beta, beta_mean):
@@ -549,9 +539,9 @@ class _HeldoutFoldIn:
     ``E[log beta]`` and ``E[beta]``, and it scores a batch of states with one
     fold-in, a copy of the held-out documents per state, so each value is
     the one a fold-in at its state alone gives, bit for bit.  A batch holds
-    one state, or as many as keep its copies' entries within
-    ``max_entries``.  A held-out set without documents or tokens is refused
-    here, before a fit sweeps.
+    one state, or as many as keep its copies' entries within ``max_entries``
+    (a fit's training entries, so no block outgrows a sweep's).  A held-out
+    set without documents or tokens is refused here, before a fit sweeps.
     """
 
     def __init__(self, heldout, config, max_entries):
@@ -587,22 +577,20 @@ class _HeldoutFoldIn:
 def lda_elbo(state, corpus, config):
     """Evidence lower bound, all constants kept.
 
-    Token terms (likelihood, assignment cross-entropy, assignment entropy)
-    sum over the CSR entries; the theta and beta blocks enter as exact
-    Dirichlet KL divergences to their priors, from the same ``E[log]``.
+    The token terms are the ``token_terms`` of the sweep or snapshot that
+    built ``state`` plus ``<gamma - alpha, E[log theta]>``; the theta and
+    beta blocks enter as exact Dirichlet KL divergences to their priors.
+    Any other state, or one not of ``corpus``, is refused.
     """
-    _check_matches(state, corpus)
-    elog_beta = _elog_beta(state)
+    if state.token_terms is None:
+        raise DomainError("the ELBO needs a state that a sweep or snapshot built")
+    if state.gamma.shape[0] != len(corpus):
+        raise DomainError("state does not match the corpus documents")
     elog_theta = _dirichlet_expected_log_rows(state.gamma)
-    scores = (
-        np.repeat(elog_theta, np.diff(corpus.indptr), axis=0)
-        + elog_beta[:, corpus.ids].T
-    )
-    total = float((corpus.cts[:, None] * state.phi * scores).sum())
-    total += float(corpus.cts @ categorical_entropy(state.phi))
+    total = state.token_terms + float(np.vdot(state.gamma - config.alpha, elog_theta))
     total -= float(_dirichlet_kl(state.gamma, config.alpha, elog_theta).sum())
     eta = np.full(corpus.v, config.eta)
-    total -= float(_dirichlet_kl(state.lam, eta, elog_beta).sum())
+    total -= float(_dirichlet_kl(state.lam, eta, state.elog_beta).sum())
     return total
 
 
@@ -644,14 +632,15 @@ class Lda(VariationalModel):
             lam = self.config.eta + scale * rng.uniform(size=(k, v))
         except MemoryError:
             raise too_large from None
-        phi = np.full((data.ids.size, k), 1.0 / k)
-        return LdaState(lam, _fresh_gamma(data, self.config), phi)
+        return LdaState(lam, _fresh_gamma(data, self.config))
 
     def sweep(self, state, data):
-        config = self.config
-        gamma, phi, updates = e_step(data, _elog_beta(state), state.gamma, config.alpha)
-        lam = config.eta + _term_stats(data, phi)
-        return LdaState(lam, gamma, phi, updates, _dirichlet_expected_log_rows(lam))
+        config, elog_beta = self.config, _elog_beta(state)
+        gamma, updates, stats, terms = _local_step(data, elog_beta, state.gamma, config.alpha)
+        lam = config.eta + stats
+        kept = _dirichlet_expected_log_rows(lam)
+        terms += float(np.vdot(stats, kept - elog_beta))
+        return LdaState(lam, gamma, updates, kept, terms)
 
     def elbo(self, state, data):
         return lda_elbo(state, data, self.config)
@@ -698,7 +687,7 @@ class Lda(VariationalModel):
                 or os.path.basename(name) != name):
             raise DataFormatError("fit document field 'lambda_csv' must name a file")
         lam = read_file(read_data_csv, Path(fit_dir) / name)
-        state = LdaState(lam, np.zeros((0, lam.shape[0])), np.zeros((0, lam.shape[0])))
+        state = LdaState(lam, np.zeros((0, lam.shape[0])))
         return cls.from_document(doc, ("alpha",), k=lam.shape[0]), state
 
     def check_heldout(self, state, heldout):
@@ -764,14 +753,15 @@ def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
 
     def target(lam, batch):
         batch = corpus.subset(batch)
-        _, phi, _ = _fold_in(batch, lam, config)
-        return config.eta + (n / batch_size) * _term_stats(batch, phi)
+        start = _fresh_gamma(batch, config)
+        _, _, stats, _ = _local_step(batch, _dirichlet_expected_log_rows(lam), start, config.alpha)
+        return config.eta + (n / batch_size) * stats
 
     def score(lam):
         elog_beta = _dirichlet_expected_log_rows(lam)
         start = _fresh_gamma(corpus, config)
-        gamma, phi, updates = e_step(corpus, elog_beta, start, config.alpha)
-        snapshot = LdaState(lam, gamma, phi, updates, elog_beta)
+        gamma, updates, _, terms = _local_step(corpus, elog_beta, start, config.alpha)
+        snapshot = LdaState(lam, gamma, updates, elog_beta, terms)
         return lda_elbo(snapshot, corpus, config), snapshot
 
     report = _stochastic_fit(n, batch_size, schedule, fit_config, start, target, score)

@@ -5,7 +5,8 @@ never takes -- exhaustive enumeration over assignment configurations,
 direct covariance-matrix marginal likelihoods through scipy, textbook
 conjugate posterior formulas, the digamma asymptotic series, scipy's
 triangular and Cholesky solves for the regression model, the
-one-document-at-a-time log-space LDA local step, the LDA topic update
+one-document-at-a-time log-space LDA local step, the assignment rows of
+an LDA E-step's last pass rebuilt in log space, the LDA topic update
 one CSR entry at a time, a bag-of-words file's
 CSR arrays assembled through one dict per document, the
 one-observation-at-a-time global-local (conditionally conjugate) mixture
@@ -14,7 +15,9 @@ responsibilities, model ELBOs with their prior, KL and entropy terms written out
 by hand, and model ELBOs summed point by point in long double -- so
 agreement with the package is evidence of correctness rather than of
 shared code.  The exceptions are ``corpus_of``, a constructor, the LDA
-single-document updates, which the tests compose by hand,
+single-document updates, which the tests compose by hand on
+``LdaFactors``, the LDA factors with the per-entry ``phi`` rows the package
+no longer keeps,
 ``lda_heldout_per_state``, the package's own LDA held-out scoring as it was
 before it scored recorded states in batches, one ``e_step`` per state,
 ``coordinate_optimality_gap``, a fixed-point check that scores
@@ -45,7 +48,7 @@ from meanfield.expfam import (
 )
 from meanfield.expfam import digamma as np_digamma
 from meanfield.gmm import DiagGmmState, UniGmmState
-from meanfield.lda import Corpus, _check_matches, _phi_rows, e_step
+from meanfield.lda import Corpus, _phi_rows, e_step
 
 
 def k1_gaussian_posterior(data, sigma2):
@@ -309,6 +312,16 @@ def lda_local_steps(corpus, elog_beta, gamma, alpha, tol, max_iters):
     )
 
 
+def lda_pass_phi(corpus, log_theta, elog_beta):
+    """The (entries, K) assignment rows of an E-step's last pass, in log
+    space, from each document's ``E[log theta]`` row of that pass (under
+    any per-document shift) and the ``E[log beta]`` it ran at."""
+    logits = (
+        np.repeat(log_theta, np.diff(corpus.indptr), axis=0) + elog_beta[:, corpus.ids].T
+    )
+    return np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+
+
 def lda_heldout_per_state(config, lams, heldout):
     """Per-word held-out log predictive at each topic matrix of ``lams``, one
     cold fold-in of ``heldout`` per matrix: how an LDA fit scored every
@@ -364,9 +377,21 @@ def _shifted(logits):
     return logits - logits.max(axis=1, keepdims=True)
 
 
+@dataclasses.dataclass(frozen=True)
+class LdaFactors:
+    """Topics ``lam`` (K, V), proportions ``gamma`` (D, K) and one
+    assignment row ``phi`` (entries, K) per CSR entry, in corpus order:
+    every LDA factor, for the references below."""
+
+    lam: np.ndarray
+    gamma: np.ndarray
+    phi: np.ndarray
+
+
 # The two single-document updates below are the package's own, kept for
 # tests that compose them by hand: ``lda_update_phi`` forms its rows with
-# the package's exp-space kernel and its log-space fallback.
+# the package's exp-space kernel and its log-space fallback, at the ``lam``
+# and ``gamma`` of an ``LdaFactors`` or a package state.
 
 
 def lda_update_phi(state, d, corpus):
@@ -379,7 +404,7 @@ def lda_update_phi(state, d, corpus):
     elog_beta = _dirichlet_expected_log_rows(state.lam)
     log_theta = _shifted(np_digamma(state.gamma[d : d + 1]))
     beta = np.exp(_shifted(elog_beta[:, terms].T))
-    return _phi_rows(np.repeat(log_theta, terms.size, axis=0), beta, elog_beta, terms)
+    return _phi_rows(np.repeat(log_theta, terms.size, axis=0), beta, elog_beta, terms)[0]
 
 
 def lda_update_gamma(state, d, corpus, config):
@@ -390,10 +415,9 @@ def lda_update_gamma(state, d, corpus, config):
 
 
 def lda_update_lambda(state, corpus, config):
-    """Topic parameters from all assignment rows, one CSR entry at a time:
-    ``lam_kv = eta + sum_d count_dv phi_dv^k``.  A state that does not match
-    the corpus raises the package's ``DomainError``."""
-    _check_matches(state, corpus)
+    """Topic parameters from all assignment rows of an ``LdaFactors``, one
+    CSR entry at a time: ``lam_kv = eta + sum_d count_dv phi_dv^k``."""
+    assert state.phi.shape[0] == corpus.ids.size
     lam = np.full(state.lam.shape, float(config.eta))
     for term, count, row in zip(corpus.ids, corpus.cts, state.phi):
         lam[:, term] += count * row
@@ -733,7 +757,8 @@ def blr_cholesky_solves(v_inv, xty, x):
 
 
 def lda_elbo(state, corpus, config):
-    """LDA ELBO over the CSR entries with row-wise Dirichlet KLs inline."""
+    """LDA ELBO of an ``LdaFactors`` over the CSR entries with row-wise
+    Dirichlet KLs inline."""
     elog_beta = digamma(state.lam) - digamma(state.lam.sum(axis=1))[:, None]
     elog_theta = digamma(state.gamma) - digamma(state.gamma.sum(axis=1))[:, None]
     phi = state.phi

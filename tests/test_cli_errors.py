@@ -7,7 +7,8 @@ config class it builds before it reads the data, and an SVI batch larger
 than the data once it has read them; ``simulate`` refuses a flag that its
 model's simulator does not read, and a dataset without rows; ``eval``
 refuses a fit document holding a number that is not finite, or naming its
-topics file by a path rather than a file name in its directory;
+topics file by a path rather than a file name in its directory, and a
+held-out score that is not finite, before it writes anything;
 ``diagnose-meanfield`` checks its inputs before it computes anything.
 """
 
@@ -148,6 +149,9 @@ def test_simulate_refuses_flags_its_model_does_not_read(files, capsys, argv, nam
     (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/mix.csv"],
      {"model": "gmm", "means": [[math.nan]], "variances": [[1.0]]}, 3,
      "field 'means' must be finite"),
+    (["eval", "--fit", "{dir}/fit.json", "--data", "{dir}/one.csv"],
+     {"model": "gmm", "means": [[1e300], [1e300]], "variances": [[1.0], [1.0]]}, 4,
+     "held-out log predictive is -inf, not finite"),
 ], ids=["seeds-not-integers", "config-comments-and-blank-lines", "config-line-without-equals",
         "config-unknown-model", "config-unknown-algorithm", "config-no-seeds",
         "config-no-model", "gmm-without-k", "lda-without-k", "simulate-blr-ard-without-n",
@@ -155,13 +159,14 @@ def test_simulate_refuses_flags_its_model_does_not_read(files, capsys, argv, nam
         "eval-fit-is-a-directory", "eval-lambda-csv-not-a-name",
         "eval-heldout-without-triples", "eval-lambda-csv-a-name", "eval-lambda-csv-absolute",
         "eval-lambda-csv-in-parent", "eval-blr-ard-document", "eval-infinite-noise-rate",
-        "eval-nan-coefficients", "eval-nan-means"])
+        "eval-nan-coefficients", "eval-nan-means", "eval-infinite-score"])
 def test_documented_error_exits(files, capsys, argv, config, code, fragment):
     if isinstance(config, dict):  # a fit document, not a config file
         text = json.dumps(config).replace("{dir}", str(files))
         (files / "fit.json").write_text(text.replace("{name}", files.name))
         (files / "lambda.csv").write_text("1,2,3\n3,1,0.5\n")
         (files / "empty.txt").write_text("2\n3\n0\n")
+        (files / "one.csv").write_text("1\n")
         config = None
     got, err, wrote = run(files, capsys, argv, config)
     assert got == code, err

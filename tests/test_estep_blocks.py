@@ -70,7 +70,7 @@ def test_skewed_corpus_matches_per_document_loop(e_step_calls):  # noqa: F811
     beta = np.exp(elog_beta[:, 0] - elog_beta[:, 0].max())
     assert theta @ beta < lda_module._NORM_FLOOR  # the underflowing entry
 
-    state = LdaState(lam, gamma, np.full((corpus.ids.size, 2), 0.5))
+    state = LdaState(lam, gamma)
     model = Lda(config)
     swept = model.sweep(state, corpus)
     model.heldout_log_predictive(swept, corpus)

@@ -5,7 +5,8 @@ a fit document must end in one of the documented exit codes (0 success,
 2 configuration or domain error, 3 data format error, 4 numeric failure);
 no exception may escape ``meanfield.cli.main``, and an ``eval`` that exits 0
 writes JSON holding a finite value.  Examples are derandomized, so every run
-tries the same 200 inputs.
+tries the same 200 inputs; so are the 200 valid fit documents whose numbers
+are scaled by powers of ten.
 """
 
 import json
@@ -13,6 +14,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -181,6 +183,60 @@ def test_eval_on_arbitrary_fit_documents(
             if code == 0:
                 written = strict_json((Path(tmp) / "out" / "eval.json").read_text())
                 assert math.isfinite(written["heldout_log_predictive"])
+
+
+# A valid fit document of each model, with held-out data of its shape; an
+# lda document's numbers are the values of its topics file.
+VALID_DOCS = {
+    "gmm": ({"model": "gmm", "metadata": {"k": 2, "sigma2": 1.0},
+             "means": [[-1.0], [1.0]], "variances": [[0.1], [0.1]]}, "0.5\n"),
+    "gmm-diag": ({"model": "gmm-diag", "metadata": {"k": 2},
+                  "locations": [[-1.0], [1.0]], "weight_concentration": [2.0, 3.0],
+                  "scales": [[4.0], [5.0]], "shapes": [[3.0], [2.5]],
+                  "rates": [[1.5], [0.5]]}, "0.5\n"),
+    "blr-ard": ({"model": "blr-ard", "coefficients": [2.0],
+                 "coefficient_precision": [[30.0]], "noise_shape": 3.0,
+                 "noise_rate": 0.5, "relevance_shape": 1.5, "relevance_rates": [3.0]},
+                "1,2\n2,3.5\n"),
+    "lda": ({"model": "lda", "metadata": {"k": 2, "eta": 0.1, "alpha": [0.1, 0.1]},
+             "lambda_csv": "lambda_0.csv"}, "1\n3\n1\n1 2 3\n"),
+}
+LDA_TOPICS = [[1.5, 0.5, 0.2], [0.1, 2.0, 0.7]]
+
+
+def scaled(value, rng):
+    """``value`` with each number multiplied by its own ``10**u``, ``u``
+    uniform on [-300, 300], so that every product stays a finite double."""
+    if isinstance(value, list):
+        return [scaled(v, rng) for v in value]
+    return value * 10.0 ** rng.uniform(-300.0, 300.0)
+
+
+def test_eval_on_valid_fit_documents_with_scaled_numbers(monkeypatch, capsys, tmp_path):
+    """Every number of a valid fit document scaled by 10**u: ``eval`` scores
+    it (exit 0, writing strict JSON holding a finite value), refuses a
+    number (3), or reports a numeric failure (4).  The draws are seeded."""
+    rng = np.random.default_rng(20)
+    codes = []
+    for model, (doc, heldout) in VALID_DOCS.items():
+        (tmp_path / "heldout").write_text(heldout)
+        for _ in range(50):
+            fitted = {key: value if key in ("model", "metadata", "lambda_csv")
+                      else scaled(value, rng) for key, value in doc.items()}
+            topics = scaled(LDA_TOPICS, rng)
+            (tmp_path / "lambda_0.csv").write_text(
+                "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in topics))
+            (tmp_path / "fit.json").write_text(json.dumps(fitted))
+            out = tmp_path / f"out{len(codes)}"
+            code = run(monkeypatch, capsys, "eval", "--fit", tmp_path / "fit.json",
+                       "--data", tmp_path / "heldout", "--out", out)
+            assert code in (0, 3, 4), (model, fitted, topics)
+            assert out.exists() == (code == 0)
+            if code == 0:
+                written = strict_json((out / "eval.json").read_text())
+                assert math.isfinite(written["heldout_log_predictive"])
+            codes.append(code)
+    assert 2 * codes.count(0) >= len(codes), codes
 
 
 def test_the_fuzzed_commands_succeed_on_good_input(monkeypatch, capsys, fit_dir):

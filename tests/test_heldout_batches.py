@@ -36,7 +36,7 @@ from test_lda import e_step_calls  # noqa: F401
 def score_in_batches(config, lams, heldout, max_entries):
     scorer = _HeldoutFoldIn(heldout, config, max_entries)
     for t, lam in enumerate(lams, start=1):
-        scorer.add(t, lda_module.LdaState(lam, np.ones((0, config.k)), np.ones((0, config.k))))
+        scorer.add(t, lda_module.LdaState(lam, np.ones((0, config.k))))
     return scorer.trace()
 
 
@@ -80,12 +80,13 @@ def test_stacked_e_step_equals_one_call_per_matrix(seed):
     ])
     start = lda_module._fresh_gamma(corpus, config)
     stacked = lda_module.e_step(corpus, elog_beta, np.tile(start, (copies, 1)), config.alpha)
-    docs, entries = len(corpus), corpus.ids.size
+    docs = len(corpus)
     for s, matrix in enumerate(elog_beta):
-        gamma, phi, iterations = lda_module.e_step(corpus, matrix, start, config.alpha)
-        assert_array_equal(stacked[0][s * docs:(s + 1) * docs], gamma)
-        assert_array_equal(stacked[1][s * entries:(s + 1) * entries], phi)
-        assert_array_equal(stacked[2][s * docs:(s + 1) * docs], iterations)
+        rows = slice(s * docs, (s + 1) * docs)
+        gamma, log_theta, iterations = lda_module.e_step(corpus, matrix, start, config.alpha)
+        assert_array_equal(stacked[0][rows], gamma)
+        assert_array_equal(stacked[1][rows], log_theta)
+        assert_array_equal(stacked[2][rows], iterations)
 
 
 def test_log_space_fallback_inside_a_batch(monkeypatch):
@@ -137,7 +138,7 @@ def test_e_step_work_of_a_small_fit_is_pinned(e_step_calls):  # noqa: F811
     corpus, _ = simulate_corpus(4, 60, 50, 30, seed=5, alpha=0.3)
     fit_config = FitConfig(max_iters=10, tol=1e-15, seed=3, heldout_fraction=0.2)
     report = lda_cavi_fit(corpus, LdaConfig(k=4, alpha=0.05), fit_config)
-    train_entries = report.model_state.phi.shape[0]
+    train_entries = e_step_calls[0][0].ids.size  # the first sweep's corpus
     iterations = [call[4][2] for call in e_step_calls]
     counts = (
         len(e_step_calls),

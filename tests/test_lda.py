@@ -8,6 +8,7 @@ sum identities, monotone ELBO traces, and recovery of constructed
 disjoint-vocabulary topics.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -43,9 +44,11 @@ from meanfield.lda import (
 )
 
 from _oracles import (
+    LdaFactors,
     corpus_of,
     doc_phi,
     lda_local_steps,
+    lda_pass_phi,
     lda_update_gamma,
     lda_update_lambda,
     lda_update_phi,
@@ -306,7 +309,7 @@ def uniform_state(corpus, config, lam=None, gamma=None):
     if gamma is None:
         gamma = np.full((len(corpus), k), 1.0)
     phi = np.full((corpus.ids.size, k), 1.0 / k)
-    return LdaState(lam, gamma, phi)
+    return LdaFactors(lam, gamma, phi)
 
 
 class TestUpdatePhi:
@@ -326,7 +329,7 @@ class TestUpdatePhi:
 
     def test_two_topic_single_word_logistic_value(self):
         corpus = corpus_of(((np.array([0]), np.array([1.0])),), 2)
-        state = LdaState(
+        state = LdaFactors(
             np.array([[2.0, 1.0], [1.0, 2.0]]),
             np.array([[1.0, 1.0]]),
             np.full((1, 2), 0.5),
@@ -375,7 +378,7 @@ class TestUpdateGamma:
         config = LdaConfig(k=3, alpha=[0.2, 0.5, 0.9])
         raw = rng.uniform(size=(corpus.ids.size, 3))
         phi = raw / raw.sum(axis=1, keepdims=True)
-        state = LdaState(np.ones((3, 4)), np.ones((3, 3)), phi)
+        state = LdaFactors(np.ones((3, 4)), np.ones((3, 3)), phi)
         for d in range(len(corpus)):
             gamma = lda_update_gamma(state, d, corpus, config)
             n_d = corpus.cts[doc_rows(corpus, d)].sum()
@@ -386,7 +389,7 @@ class TestUpdateLambda:
     def test_unassigned_topic_row_is_prior(self):
         corpus = corpus_of(((np.array([1]), np.array([4.0])),), 3)
         config = LdaConfig(k=2, eta=0.25)
-        state = LdaState(
+        state = LdaFactors(
             np.ones((2, 3)),
             np.ones((1, 2)),
             np.array([[1.0, 0.0]]),
@@ -398,7 +401,7 @@ class TestUpdateLambda:
     def test_single_occurrence_increments_one_cell(self):
         corpus = corpus_of(((np.array([2]), np.array([1.0])),), 4)
         config = LdaConfig(k=2, eta=0.5)
-        state = LdaState(np.ones((2, 4)), np.ones((1, 2)), np.array([[0.0, 1.0]]))
+        state = LdaFactors(np.ones((2, 4)), np.ones((1, 2)), np.array([[0.0, 1.0]]))
         lam = lda_update_lambda(state, corpus, config)
         expected = np.full((2, 4), 0.5)
         expected[1, 2] = 1.5
@@ -410,7 +413,7 @@ class TestUpdateLambda:
         config = LdaConfig(k=2, eta=0.1)
         raw = rng.uniform(size=(corpus.ids.size, 2))
         phi = raw / raw.sum(axis=1, keepdims=True)
-        state = LdaState(np.ones((2, 4)), np.ones((3, 2)), phi)
+        state = LdaFactors(np.ones((2, 4)), np.ones((3, 2)), phi)
         lam = lda_update_lambda(state, corpus, config)
         for k in range(2):
             expected = 4 * 0.1 + sum(
@@ -444,11 +447,6 @@ class TestSweepIdentities:
             assert state.lam.sum() == pytest.approx(
                 3 * 15 * 0.3 + corpus.total_tokens, abs=1e-9
             )
-            assert state.phi.shape == (corpus.ids.size, 3)
-            for d in range(len(corpus)):
-                phi = state.phi[doc_rows(corpus, d)]
-                if phi.size:
-                    assert_allclose(phi.sum(axis=1), np.ones(phi.shape[0]), atol=1e-12)
 
     def test_empty_document_gets_prior_gamma(self):
         docs = (
@@ -469,6 +467,7 @@ class TestSweepIdentities:
         config = LdaConfig(k=3)
         model = Lda(config)
         state = model.init_state(corpus, "prior", np.random.default_rng(seed))
+        state = model.sweep(state, corpus)  # no ELBO before the first sweep
         prev = model.elbo(state, corpus)
         for _ in range(25):
             state = model.sweep(state, corpus)
@@ -498,11 +497,7 @@ class TestCaviFit:
         state, _ = fit_state(corpus, config, seed=1, max_iters=100)
 
         doubled = corpus.subset(np.tile(np.arange(len(corpus)), 2))
-        stacked = LdaState(
-            state.lam,
-            np.vstack([state.gamma, state.gamma]),
-            np.vstack([state.phi, state.phi]),
-        )
+        stacked = LdaState(state.lam, np.vstack([state.gamma, state.gamma]))
         one = model.sweep(state, corpus)
         two = model.sweep(stacked, doubled)
         d = len(corpus)
@@ -614,9 +609,7 @@ class TestPredictive:
         train = corpus.subset(range(50))
         held = corpus.subset(range(50, 60))
         fitted, _ = fit_state(train, config, seed=0, max_iters=80)
-        flat = LdaState(
-            np.ones_like(fitted.lam), fitted.gamma, fitted.phi
-        )
+        flat = LdaState(np.ones_like(fitted.lam), fitted.gamma)
         assert model.heldout_log_predictive(
             fitted, held
         ) > model.heldout_log_predictive(flat, held)
@@ -661,20 +654,20 @@ class TestSviFit:
         for d in range(n):
             rows = doc_rows(corpus, d)
             gamma = config.alpha + corpus.cts[rows].sum() / config.k
-            state = LdaState(
+            state = LdaFactors(
                 lam, np.tile(gamma, (n, 1)), np.full((corpus.ids.size, 2), 0.5)
             )
             for _ in range(300):
                 phi = state.phi.copy()
                 phi[rows] = lda_update_phi(state, d, corpus)
-                state = LdaState(lam, state.gamma, phi)
+                state = LdaFactors(lam, state.gamma, phi)
                 g = state.gamma.copy()
                 g[d] = lda_update_gamma(state, d, corpus, config)
-                state = LdaState(lam, g, state.phi)
+                state = LdaFactors(lam, g, state.phi)
             phis.append(state.phi[rows])
             gammas[d] = state.gamma[d]
 
-        full_state = LdaState(lam, gammas, np.concatenate(phis))
+        full_state = LdaFactors(lam, gammas, np.concatenate(phis))
         lam_full = lda_update_lambda(full_state, corpus, config)
 
         targets = []
@@ -753,50 +746,51 @@ class TestSviFit:
 class TestStateValidation:
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(DomainError):
-            LdaState(np.zeros((1, 2)), np.ones((0, 1)), np.zeros((0, 1)))
+            LdaState(np.zeros((1, 2)), np.ones((0, 1)))
         with pytest.raises(DomainError):
-            LdaState(np.ones((2, 3)), np.array([[1.0, -1.0]]), np.zeros((0, 2)))
-
-    def test_rejects_unnormalized_phi(self):
-        with pytest.raises(DomainError):
-            LdaState(
-                np.ones((2, 3)),
-                np.ones((1, 2)),
-                np.array([[0.9, 0.3]]),
-            )
+            LdaState(np.ones((2, 3)), np.array([[1.0, -1.0]]))
 
     def test_rejects_rows_with_the_wrong_topic_count(self):
         with pytest.raises(DomainError):
-            LdaState(np.ones((2, 3)), np.ones((1, 3)), np.full((1, 2), 0.5))
-        with pytest.raises(DomainError):
-            LdaState(np.ones((2, 3)), np.ones((1, 2)), np.full((1, 3), 1.0 / 3))
+            LdaState(np.ones((2, 3)), np.ones((1, 3)))
 
     def test_state_must_match_the_corpus(self):
-        # two documents of 2 and 1 terms: 3 CSR entries
+        # two documents of 2 and 1 terms, swept; then scored on three
         docs = (
             (np.array([0, 2]), np.array([1.0, 2.0])),
             (np.array([1]), np.array([3.0])),
         )
         corpus = corpus_of(docs, 3)
         config = LdaConfig(k=2)
-        lam = np.ones((2, 3))
-        short_phi = LdaState(lam, np.ones((2, 2)), np.full((2, 2), 0.5))
-        extra_doc = LdaState(lam, np.ones((3, 2)), np.full((3, 2), 0.5))
-        for state in (short_phi, extra_doc):
-            with pytest.raises(DomainError, match="does not match"):
-                lda_elbo(state, corpus, config)
-            with pytest.raises(DomainError, match="does not match"):
-                lda_update_lambda(state, corpus, config)
-        matching = LdaState(lam, np.ones((2, 2)), np.full((3, 2), 0.5))
-        assert np.isfinite(lda_elbo(matching, corpus, config))
-        assert lda_update_lambda(matching, corpus, config).shape == (2, 3)
+        model = Lda(config)
+        state = model.sweep(LdaState(np.ones((2, 3)), np.ones((2, 2))), corpus)
+        assert np.isfinite(lda_elbo(state, corpus, config))
+        with pytest.raises(DomainError, match="does not match"):
+            lda_elbo(state, corpus.subset([0, 1, 1]), config)
+
+    @pytest.mark.parametrize("built_by", ["init_state", "load_state", "replace"])
+    def test_elbo_refuses_a_state_no_sweep_or_snapshot_built(self, tmp_path, built_by):
+        corpus = tiny_corpus()
+        config = LdaConfig(k=2)
+        model = Lda(config)
+        state = model.init_state(corpus, "prior", np.random.default_rng(0))
+        if built_by == "load_state":
+            path = tmp_path / "lambda.csv"
+            np.savetxt(path, model.sweep(state, corpus).lam, delimiter=",")
+            _, state = Lda.load_state({"lambda_csv": path.name}, tmp_path)
+        elif built_by == "replace":
+            swept = model.sweep(state, corpus)
+            assert np.isfinite(lda_elbo(swept, corpus, config))
+            state = dataclasses.replace(swept, lam=swept.lam * 2.0)
+        with pytest.raises(DomainError, match="sweep or snapshot"):
+            lda_elbo(state, corpus, config)
 
     def test_arrays_read_only(self):
-        state = LdaState(np.ones((2, 3)), np.ones((1, 2)), np.full((1, 2), 0.5))
+        state = LdaState(np.ones((2, 3)), np.ones((1, 2)))
         with pytest.raises(ValueError):
             state.lam[0, 0] = 2.0
         with pytest.raises(ValueError):
-            state.phi[0, 0] = 1.0
+            state.gamma[0, 0] = 1.0
 
 
 def random_corpus(seed, num_docs=12, vocab=30):
@@ -830,20 +824,58 @@ def e_step_calls(monkeypatch):
 def assert_matches_per_document_loop(call, rtol=1e-10):
     """Check a recorded ``e_step`` call against the per-document loop, each
     copy of a call on stacked (S, K, V) topic matrices against its own."""
-    corpus, elog_beta, gamma_start, alpha, (gamma, phi, iterations) = call
+    corpus, elog_beta, gamma_start, alpha, (gamma, log_theta, iterations) = call
     stacked = elog_beta if elog_beta.ndim == 3 else elog_beta[None]
-    docs, entries = len(corpus), corpus.ids.size
+    docs = len(corpus)
     for s, matrix in enumerate(stacked):
-        rows, flat = slice(s * docs, (s + 1) * docs), slice(s * entries, (s + 1) * entries)
+        rows = slice(s * docs, (s + 1) * docs)
         want_gamma, want_phi, want_iterations = lda_local_steps(
             corpus, matrix, gamma_start[rows], alpha, INNER_TOL, INNER_MAX_ITERS
         )
         assert_array_equal(iterations[rows], want_iterations)
         assert np.all(np.isfinite(gamma[rows]))
         assert_allclose(gamma[rows], want_gamma, rtol=rtol, atol=0)
-        assert np.all(np.isfinite(phi[flat]))
-        assert_allclose(phi[flat], np.concatenate(want_phi), rtol=rtol, atol=0)
+        # the rows of the last pass, rebuilt from its E[log theta]
+        assert np.all(np.isfinite(log_theta[rows]))
+        phi = lda_pass_phi(corpus, log_theta[rows], matrix)
+        assert_allclose(phi, np.concatenate(want_phi), rtol=rtol, atol=0)
     return iterations
+
+
+class TestNoArrayPerEntry:
+    """A state is O(DK + KV): no ``LdaState`` array, and no array ``e_step``
+    returns, has a row per CSR entry."""
+
+    def test_fits_and_fold_in(self, monkeypatch, e_step_calls):
+        corpus, _ = simulate_corpus(3, 20, 30, 25, seed=4)
+        train, held = corpus.subset(range(15)), corpus.subset(range(15, 20))
+        config = LdaConfig(k=3)
+        sizes = {train.ids.size, held.ids.size}
+        assert not sizes & {len(train), len(held), config.k, corpus.v}
+        states = []
+        post_init = LdaState.__post_init__
+
+        def recording(self, kept, terms):
+            post_init(self, kept, terms)
+            states.append(self)
+
+        monkeypatch.setattr(LdaState, "__post_init__", recording)
+        cavi = lda_cavi_fit(train, config, FitConfig(max_iters=3, seed=0))
+        lda_svi_fit(train, config, StepSchedule(kappa=0.7),
+                    FitConfig(max_iters=4, seed=0, elbo_every=2), batch_size=5)
+        Lda(config).heldout_log_predictive(cavi.model_state, held)
+
+        assert len(states) == 1 + 3 + 1 + 2  # init, sweeps, init, snapshots
+        for state in states:
+            arrays = [a for a in vars(state).values() if isinstance(a, np.ndarray)]
+            assert len(arrays) >= 2
+            assert all(a.shape[0] != train.ids.size for a in arrays)
+        assert len(e_step_calls) == 3 + 4 + 2 + 1
+        for batch, elog_beta, _, _, out in e_step_calls:
+            copies = elog_beta.shape[0] if elog_beta.ndim == 3 else 1
+            entries = copies * batch.ids.size
+            assert entries != copies * len(batch)
+            assert all(a.shape[0] != entries for a in out)
 
 
 class TestBatchedEStep:
@@ -866,8 +898,12 @@ class TestBatchedEStep:
                 # documents leave the active set at different iterations
                 assert len(set(iterations.tolist())) > 2
         assert_allclose(state.gamma[len(corpus) // 2], config.alpha, rtol=0, atol=0)
+        _, elog_beta, _, _, (_, log_theta, _) = e_step_calls[-1]
+        phi = lda_pass_phi(corpus, log_theta, elog_beta)
         assert_allclose(
-            state.lam, lda_update_lambda(state, corpus, config), rtol=1e-12
+            state.lam,
+            lda_update_lambda(LdaFactors(state.lam, state.gamma, phi), corpus, config),
+            rtol=1e-12,
         )
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -877,9 +913,7 @@ class TestBatchedEStep:
         model = Lda(config)
         rng = np.random.default_rng(k)
         state = LdaState(
-            config.eta + rng.uniform(0.0, 5.0, size=(k, corpus.v)),
-            np.ones((0, k)),
-            np.zeros((0, k)),
+            config.eta + rng.uniform(0.0, 5.0, size=(k, corpus.v)), np.ones((0, k))
         )
         per_word = model.heldout_log_predictive(state, corpus)
         single = model.log_predictive(state, corpus.subset([0]))[0]
@@ -957,8 +991,8 @@ class TestExpSpaceUnderflow:
         (call,) = e_step_calls
         assert_matches_per_document_loop(call, rtol=self.RTOL)
 
-        # the same document through a sweep, phi included
-        stacked = LdaState(state.lam, call[4][0], np.full((8, 3), 1.0 / 3))
+        # the same document through a sweep, its topic statistics included
+        stacked = LdaState(state.lam, call[4][0])
         e_step_calls.clear()
         swept = Lda(config).sweep(stacked, held)
         assert np.all(np.isfinite(swept.lam))
@@ -978,7 +1012,7 @@ class TestExpSpaceUnderflow:
         shifted_beta = elog_beta[:, 0] - elog_beta[:, 0].max()
         assert np.exp(log_theta) @ np.exp(shifted_beta) == 0.0
 
-        state = LdaState(lam, gamma, np.full((2, 2), 0.5))
+        state = LdaState(lam, gamma)
         swept = Lda(config).sweep(state, corpus)
         (call,) = e_step_calls
         assert_matches_per_document_loop(call, rtol=self.RTOL)
