@@ -16,7 +16,6 @@ if not any(name in os.environ for name in
 from .engine import (
     FitConfig,
     FitReport,
-    InitStrategy,
     StepSchedule,
     VariationalModel,
     cavi_fit,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FitConfig",
     "FitReport",
-    "InitStrategy",
     "VariationalModel",
     "cavi_fit",
     "init_state",

@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .engine import VariationalModel, _frozen, cavi_fit, doc_array, predictive_rows
+from .engine import VariationalModel, _frozen, doc_array, predictive_rows
 from .errors import ConfigError, DomainError, NumericError
 from .expfam import LOG_2PI, gamma_kl, gamma_moments, gaussian_log_pdf
 
@@ -42,7 +42,6 @@ __all__ = [
     "blr_expectations",
     "blr_elbo",
     "blr_log_predictive",
-    "blr_ard_fit",
     "simulate",
 ]
 
@@ -270,11 +269,10 @@ class BlrArd(VariationalModel):
     name = "blr-ard"
     config_type = BlrArdConfig
 
-    def init_state(self, data, strategy, rng):
-        """Both strategies start at the prior: the first coefficient
-        refresh is exact given the relevance factors, so random inits add
-        nothing here (the objective has no assignment symmetry to break)."""
-        del strategy, rng
+    def init_state(self, data, rng):
+        """The prior, whatever ``rng``: the first coefficient refresh is
+        exact given the relevance factors, so a random start adds nothing
+        here (the objective has no assignment symmetry to break)."""
         dim = _split(data)[0].shape[1]
         c = self.config
         return BlrArdState(
@@ -323,21 +321,6 @@ class BlrArd(VariationalModel):
 
     def data_width(self, state):
         return state.beta.shape[0] + 1
-
-
-def blr_ard_fit(x, y, config, fit_config):
-    """Fit the model with coordinate ascent from the prior state; returns a
-    :class:`FitReport`.
-
-    ``x`` is the ``(n, D)`` design matrix, ``y`` the ``n`` responses,
-    ``config`` a :class:`BlrArdConfig` and ``fit_config`` a
-    :class:`FitConfig`.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise DomainError("x must be (n, D) with one response per row")
-    return cavi_fit(BlrArd(config), np.column_stack([x, y]), fit_config)
 
 
 def simulate(n, seed, dim=1, noise=0.3):

@@ -261,10 +261,16 @@ def noisy_natural_gradient(spec, lam, data, index):
     n = X.shape[0]
     if not (0 <= index < n):
         raise DomainError(f"index {index} outside [0, {n})")
-    row = X[index : index + 1]
-    stat = spec.expected_suff_stat(local_probs(spec, lam, row), row)
-    target = GlobalParam(spec.prior_stat + n * stat, spec.prior_count + n)
-    return natural_gradient(lam, target)
+    update = _minibatch_update(spec, lam, X[index : index + 1], n)
+    return natural_gradient(lam, GlobalParam(update[:-1], update[-1]))
+
+
+def _minibatch_update(spec, lam, xb, n):
+    """``prior + (n / B) * statistics`` of the ``B`` rows ``xb`` at ``lam``,
+    in natural coordinates: the unbiased estimate of the full update on all
+    ``n`` observations that every stochastic step blends in."""
+    stat = spec.expected_suff_stat(local_probs(spec, lam, xb), xb)
+    return np.append(spec.prior_stat + (n / xb.shape[0]) * stat, spec.prior_count + n)
 
 
 def cond_conj_elbo(spec, state, data):
@@ -330,18 +336,13 @@ def svi_fit(spec, data, schedule, config, init=None, batch_size=1):
 
 def _spec_stochastic_fit(spec, X, schedule, config, init, batch_size, score):
     """:func:`_stochastic_fit` on a spec from the global parameter ``init``,
-    blending in ``prior + (n / batch_size) * minibatch statistics``.
+    blending in each minibatch's :func:`_minibatch_update`.
     ``score(lam)`` gets a :class:`GlobalParam` and returns ``(elbo,
     snapshot)``, so a model can report its own ELBO and state."""
     n = X.shape[0]
 
     def target(lam, batch):
-        xb = X[batch]
-        probs = local_probs(spec, GlobalParam(lam[:-1], lam[-1]), xb)
-        total = spec.expected_suff_stat(probs, xb)
-        return np.append(
-            spec.prior_stat + (n / batch_size) * total, spec.prior_count + n
-        )
+        return _minibatch_update(spec, GlobalParam(lam[:-1], lam[-1]), X[batch], n)
 
     return _stochastic_fit(
         n, batch_size, schedule, config, lambda rng: init.natural(), target,

@@ -30,7 +30,6 @@ import csv
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +44,6 @@ from .errors import (
 )
 
 __all__ = [
-    "InitStrategy",
     "FitConfig",
     "TracePoint",
     "HeldoutPoint",
@@ -77,11 +75,6 @@ def _frozen(a, dtype=float):
         a = np.array(a, dtype=dtype)
         a.setflags(write=False)
     return a
-
-
-class InitStrategy(Enum):
-    PRIOR = "prior"
-    DATA_CALIBRATED = "data_calibrated"
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,7 @@ class VariationalModel(abc.ABC):
     Implementations must be functional: ``sweep`` returns a fresh state and
     never mutates its argument, so states can be shared across threads and
     recorded mid-fit.  All reductions use a fixed summation order, making
-    results bit-reproducible for a given (seed, strategy, data).
+    results bit-reproducible for a given (seed, data).
 
     A model's ``load_state(doc, fit_dir)`` classmethod inverts
     ``export_state`` and ``export_files``, returning the model and state.
@@ -166,7 +159,7 @@ class VariationalModel(abc.ABC):
         self.config = config
 
     @abc.abstractmethod
-    def init_state(self, data, strategy, rng):
+    def init_state(self, data, rng):
         """Build a starting state; must be deterministic given ``rng``."""
 
     @abc.abstractmethod
@@ -280,15 +273,9 @@ def predictive_rows(x, width):
     return rows, x.ndim < 2
 
 
-def init_state(model, data, strategy, seed):
+def init_state(model, data, seed):
     """Seeded, bit-reproducible initial state for ``model`` on ``data``."""
-    if isinstance(strategy, str):
-        try:
-            strategy = InitStrategy(strategy)
-        except ValueError:
-            raise ConfigError("strategy", f"unknown init strategy {strategy!r}")
-    rng = np.random.default_rng(seed)
-    return model.init_state(data, strategy, rng)
+    return model.init_state(data, np.random.default_rng(seed))
 
 
 def _split_heldout(model, data, config):
@@ -437,7 +424,7 @@ def _stochastic_fit(n, batch_size, schedule, config, start, target, score):
 def cavi_fit(model, data, config):
     """Run coordinate ascent to convergence and report the trajectory.
 
-    It starts from the data-calibrated state seeded by ``config.seed``;
+    It starts from the model's initial state seeded by ``config.seed``;
     every sweep and ELBO reads the one prepared training object.
 
     Parameters
@@ -469,7 +456,7 @@ def cavi_fit(model, data, config):
     meta.update(model.metadata())
     train = model.prepare(train)
     scorer = None if heldout is None else model._heldout_scorer(heldout, train)
-    state = init_state(model, train, InitStrategy.DATA_CALIBRATED, config.seed)
+    state = init_state(model, train, config.seed)
 
     def sweep(s, t):
         return model.sweep(s, train)

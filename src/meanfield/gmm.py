@@ -46,7 +46,6 @@ from .condconj import (
 )
 # read_data_csv is the engine's reader, importable from here too.
 from .engine import (
-    InitStrategy,
     VariationalModel,
     _frozen,
     doc_array,
@@ -164,17 +163,14 @@ def _lik_and_entropy(phi, kept, data, w):
     return float(np.einsum("kj,kj->", kept.sums, w)) + kept.entropy
 
 
-def _initial_means(x, k, strategy, rng, prior_mean):
-    """``(k, d)`` starting component locations.  The prior strategy (or no
-    data) puts them all at ``prior_mean``; the calibrated strategy draws
-    them from a Gaussian matched to each data coordinate's empirical mean
-    and variance, which breaks the symmetric fixed point."""
+def _initial_means(x, k, rng, prior_mean):
+    """``(k, d)`` starting component locations, drawn from a Gaussian matched
+    to each data coordinate's empirical mean and variance, which breaks the
+    symmetric fixed point; with no data they all sit at ``prior_mean``."""
     d = x.shape[1] if x.size else max(x.shape[1], 1)
-    if strategy is InitStrategy.PRIOR or x.shape[0] == 0:
+    if x.shape[0] == 0:
         return np.full((k, d), prior_mean)
-    if strategy is InitStrategy.DATA_CALIBRATED:
-        return x.mean(axis=0) + x.std(axis=0) * rng.standard_normal((k, d))
-    raise ConfigError("strategy", f"unknown init strategy {strategy!r}")
+    return x.mean(axis=0) + x.std(axis=0) * rng.standard_normal((k, d))
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +332,10 @@ class UnitVarianceGmm(VariationalModel):
     def prepare(self, data):
         return MixtureData.of(data, per_coordinate=False)
 
-    def init_state(self, data, strategy, rng):
+    def init_state(self, data, rng):
         x = _as_matrix(data)
         k = self.config.k
-        m = _initial_means(x, k, strategy, rng, 0.0)
+        m = _initial_means(x, k, rng, 0.0)
         s2 = np.full(m.shape, self.config.sigma2)
         phi = np.full((x.shape[0], k), 1.0 / k)
         return UniGmmState(m, s2, phi)
@@ -495,7 +491,7 @@ def gmm_svi_fit(data, config, schedule, fit_config, batch_size=1):
     model = UnitVarianceGmm(config)
     x = model.prepare(data)
     spec = conjugate_spec(config.k, config.sigma2, x.shape[1])
-    start = init_state(model, x, InitStrategy.DATA_CALIBRATED, fit_config.seed)
+    start = init_state(model, x, fit_config.seed)
 
     def score(lam):
         state = _state_from_param(lam, *_local_pass(spec, lam, x))
@@ -659,12 +655,16 @@ def diag_predictive_log_density(state, x_new):
     x, point = predictive_rows(x_new, state.m.shape[1])
     nu = 2.0 * state.alpha
     lam = state.alpha * state.b / (state.beta * (1.0 + state.b))
-    z = lam * (x[:, None, :] - state.m) ** 2 / nu
+    # log1p(r^2) for the scaled distance r = sqrt(lam / nu) |x - m|, never
+    # squaring an r above 1: log1p(1 / r^2) + 2 log r there
+    r = np.sqrt(lam / nu) * np.abs(x[:, None, :] - state.m)
+    big = np.maximum(r, 1.0)
+    small = np.minimum(r, 1.0 / big)
     log_t = (
         log_gamma(0.5 * (nu + 1.0))
         - log_gamma(0.5 * nu)
         + 0.5 * (np.log(lam) - np.log(math.pi * nu))
-    ) - 0.5 * (nu + 1.0) * np.log1p(z)
+    ) - 0.5 * (nu + 1.0) * (np.log1p(small * small) + 2.0 * np.log(big))
     logw = np.log(state.conc / state.conc.sum())
     out = log_sum_exp(logw + log_t.sum(axis=2), axis=1)
     return float(out[0]) if point else out
@@ -679,10 +679,10 @@ class DiagGmm(VariationalModel):
     def prepare(self, data):
         return MixtureData.of(data, per_coordinate=True)
 
-    def init_state(self, data, strategy, rng):
+    def init_state(self, data, rng):
         x = _as_matrix(data)
         c = self.config
-        m = _initial_means(x, c.k, strategy, rng, c.m0)
+        m = _initial_means(x, c.k, rng, c.m0)
         return DiagGmmState(
             conc=np.full(c.k, c.a0),
             m=m,

@@ -51,7 +51,6 @@ __all__ = [
     "write_uci",
     "simulate_corpus",
     "e_step",
-    "lda_cavi_fit",
     "lda_svi_fit",
 ]
 
@@ -604,7 +603,13 @@ class Lda(VariationalModel):
         return read_uci(path)
 
     def fit(self, data, config):
-        return lda_cavi_fit(data, self.config, config)
+        """Coordinate-ascent fit; the metadata carries ``estep_cap_hits`` and
+        ``estep_max_updates`` of the final sweep's E-step."""
+        if len(data) == 0:
+            raise DomainError("corpus has no documents")
+        report = cavi_fit(self, data, config)
+        report.metadata.update(_estep_summary(report.model_state))
+        return report
 
     def svi_fit(self, data, schedule, fit_config, batch_size):
         return lda_svi_fit(data, self.config, schedule, fit_config, batch_size)
@@ -612,15 +617,13 @@ class Lda(VariationalModel):
     def take(self, data, indices):
         return data.subset(indices)
 
-    def init_state(self, data, strategy, rng):
+    def init_state(self, data, rng):
         """Topics start at the prior plus a small positive perturbation,
         Uniform(0,1) scaled by 0.01 * tokens / (K V) per entry; a fully
-        symmetric start is a saddle point with all topics identical.  The
-        perturbation scale is data-calibrated by construction, so both
-        init strategies coincide.  A (K, V) array that numpy cannot index or
-        that exceeds the host's physical memory is refused before it is
-        allocated, and so is one whose allocation fails."""
-        del strategy
+        symmetric start is a saddle point with all topics identical.  A
+        (K, V) array that numpy cannot index or that exceeds the host's
+        physical memory is refused before it is allocated, and so is one
+        whose allocation fails."""
         k, v = self.config.k, data.v
         too_large = DomainError(
             f"vocabulary size {v} too large for a dense topic matrix"
@@ -716,19 +719,6 @@ def _estep_summary(state):
     }
 
 
-def lda_cavi_fit(corpus, config, fit_config):
-    """Coordinate-ascent fit; returns a :class:`FitReport`.
-
-    The metadata carries ``estep_cap_hits`` and ``estep_max_updates`` of
-    the final sweep's E-step.
-    """
-    if len(corpus) == 0:
-        raise DomainError("corpus has no documents")
-    report = cavi_fit(Lda(config), corpus, fit_config)
-    report.metadata.update(_estep_summary(report.model_state))
-    return report
-
-
 def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
     """Stochastic fit: one document minibatch per step.
 
@@ -749,7 +739,7 @@ def lda_svi_fit(corpus, config, schedule, fit_config, batch_size=1):
     model = Lda(config)
 
     def start(rng):
-        return np.array(model.init_state(corpus, "prior", rng).lam)
+        return np.array(model.init_state(corpus, rng).lam)
 
     def target(lam, batch):
         batch = corpus.subset(batch)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from meanfield.blr_ard import BlrArdConfig, blr_ard_fit
+from meanfield.blr_ard import BlrArd, BlrArdConfig
 from meanfield.condconj import (
     GlobalParam,
     StepSchedule,
@@ -24,7 +24,6 @@ from meanfield.condconj import (
 )
 from meanfield.engine import (
     FitConfig,
-    InitStrategy,
     cavi_fit,
     init_state,
     meanfield_gaussian_fixed_point,
@@ -40,7 +39,7 @@ from meanfield.gmm import (
     simulate,
     update_assignments,
 )
-from meanfield.lda import LdaConfig, lda_cavi_fit, simulate_corpus
+from meanfield.lda import Lda, LdaConfig, simulate_corpus
 
 from _oracles import (
     align_accuracy,
@@ -111,7 +110,7 @@ def test_criterion_1_elbo_monotonicity(capsys):
             d = int(rng.integers(1, 11))
             x = rng.normal(size=(n, d))
             y = x @ rng.normal(size=d) + 0.5 * rng.normal(size=n)
-            report = blr_ard_fit(x, y, BlrArdConfig(), fit_cfg(i))
+            report = BlrArd(BlrArdConfig()).fit(np.column_stack([x, y]), fit_cfg(i))
             _assert_monotone([p.elbo for p in report.elbo_trace])
 
         for i in range(50):
@@ -122,7 +121,7 @@ def test_criterion_1_elbo_monotonicity(capsys):
                 k=k, num_docs=docs, vocab_size=v,
                 doc_length=int(rng.integers(10, 40)), seed=i,
             )
-            report = lda_cavi_fit(corpus, LdaConfig(k=k), fit_cfg(i))
+            report = Lda(LdaConfig(k=k)).fit(corpus, fit_cfg(i))
             _assert_monotone([p.elbo for p in report.elbo_trace])
 
         assert time.perf_counter() - start < 120.0
@@ -140,7 +139,7 @@ def test_criterion_2_evidence_bound_and_kl_identity(capsys):
             evidence = gmm_log_evidence(data[:, 0], k, sigma2)
 
             model = UnitVarianceGmm(UniGmmConfig(k=k, sigma2=sigma2))
-            state = init_state(model, data, InitStrategy.DATA_CALIBRATED, i)
+            state = init_state(model, data, i)
             for _ in range(15):
                 state = model.sweep(state, data)
                 elbo = gmm_elbo(state, data, sigma2)
@@ -160,7 +159,7 @@ def test_criterion_3_conjugate_exactness(capsys):
         data = rng.normal(1.5, 2.0, size=(25, 1))
         sigma2 = 1.3
         model = UnitVarianceGmm(UniGmmConfig(k=1, sigma2=sigma2))
-        state = init_state(model, data, InitStrategy.PRIOR, 0)
+        state = init_state(model, data, 0)
         state = model.sweep(state, data)
         want_m, want_s2 = k1_gaussian_posterior(data[:, 0], sigma2)
         assert state.m[0, 0] == pytest.approx(want_m, abs=1e-12)
@@ -171,8 +170,8 @@ def test_criterion_3_conjugate_exactness(capsys):
         x = rng.normal(size=(30, 4))
         y = x @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.3 * rng.normal(size=30)
         config = BlrArdConfig(a0=2.0, b0=1.5, fix_relevance=True)
-        report = blr_ard_fit(
-            x, y, config, FitConfig(max_iters=1, tol=1e-12, seed=0)
+        report = BlrArd(config).fit(
+            np.column_stack([x, y]), FitConfig(max_iters=1, tol=1e-12, seed=0)
         )
         st = report.model_state
         want_beta, want_v, want_a, want_b = bayes_linreg_posterior(
@@ -259,7 +258,7 @@ def test_criterion_6_stochastic_matches_coordinate_ascent(capsys):
         spec = conjugate_spec(k=2, sigma2=config.sigma2)
         for seed in (0, 1, 2):
             lam0 = global_param_from_state(
-                init_state(model, data, InitStrategy.DATA_CALIBRATED, seed)
+                init_state(model, data, seed)
             )
             _, elbos = coordinate_ascent(spec, flat, lam0)
             star = elbos[-1]
@@ -317,8 +316,8 @@ def test_criterion_8_topic_recovery_and_identities(capsys):
         # the basin that separates the halves (multi-start is the documented
         # usage, which is why the CLI runs and summarizes many seeds)
         for seed in (1, 2, 4):
-            report = lda_cavi_fit(
-                corpus, config, FitConfig(max_iters=400, tol=1e-8, seed=seed)
+            report = Lda(config).fit(
+                corpus, FitConfig(max_iters=400, tol=1e-8, seed=seed)
             )
             state = report.model_state
             beta = state.lam / state.lam.sum(axis=1, keepdims=True)

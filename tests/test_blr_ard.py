@@ -18,7 +18,6 @@ from meanfield.blr_ard import (
     BlrArd,
     BlrArdConfig,
     BlrArdState,
-    blr_ard_fit,
     blr_elbo,
     blr_expectations,
     blr_log_predictive,
@@ -108,7 +107,7 @@ class TestFixedRelevanceExactness:
         data = stack(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
         config = BlrArdConfig(fix_relevance=True)
         model = BlrArd(config)
-        state = model.init_state(data, "prior", np.random.default_rng(0))
+        state = model.init_state(data, np.random.default_rng(0))
         state = update_coeff_precision(state, data, config)
         assert_allclose(state.v_inv, [[6.0]], rtol=0, atol=0)
         assert_allclose(state.beta, [5.0 / 6.0], rtol=1e-15)
@@ -121,7 +120,7 @@ class TestFixedRelevanceExactness:
         config = BlrArdConfig(a0=1.5, b0=0.7, fix_relevance=True)
         data = stack(x, y)
         model = BlrArd(config)
-        state = model.sweep(model.init_state(data, "prior", None), data)
+        state = model.sweep(model.init_state(data, None), data)
 
         mean, v, shape, rate = bayes_linreg_posterior(x, y, config.a0, config.b0)
         assert_allclose(state.beta, mean, rtol=1e-12)
@@ -137,7 +136,7 @@ class TestFixedRelevanceExactness:
         config = BlrArdConfig(a0=2.0, b0=1.3, fix_relevance=True)
         data = stack(x, y)
         model = BlrArd(config)
-        state = model.sweep(model.init_state(data, "prior", None), data)
+        state = model.sweep(model.init_state(data, None), data)
         evidence = bayes_linreg_log_marginal(x, y, config.a0, config.b0)
         assert blr_elbo(state, data, config) == pytest.approx(evidence, abs=1e-9)
 
@@ -146,7 +145,7 @@ class TestFixedRelevanceExactness:
         config = BlrArdConfig(fix_relevance=True)
         data = stack(x, y)
         model = BlrArd(config)
-        state = model.init_state(data, "prior", None)
+        state = model.init_state(data, None)
         evidence = bayes_linreg_log_marginal(x, y, 1.0, 1.0)
         assert blr_elbo(state, data, config) <= evidence + 1e-9
 
@@ -154,7 +153,7 @@ class TestFixedRelevanceExactness:
         config = BlrArdConfig(fix_relevance=True)
         data = np.empty((0, 4))
         model = BlrArd(config)
-        state = model.init_state(data, "prior", None)
+        state = model.init_state(data, None)
         assert blr_elbo(state, data, config) == pytest.approx(0.0, abs=1e-12)
         state = model.sweep(state, data)
         assert blr_elbo(state, data, config) == pytest.approx(0.0, abs=1e-12)
@@ -192,7 +191,7 @@ class TestRelevanceUpdates:
         config = BlrArdConfig(c0=2.0, d0=3.0)
         data = stack(x, y)
         model = BlrArd(config)
-        state = model.sweep(model.init_state(data, "prior", None), data)
+        state = model.sweep(model.init_state(data, None), data)
         assert state.c == 2.5
 
     def test_rate_uses_expected_scaled_square(self):
@@ -201,7 +200,7 @@ class TestRelevanceUpdates:
         data = stack(x, y)
         model = BlrArd(config)
         state = update_coeff_precision(
-            model.init_state(data, "prior", None), data, config
+            model.init_state(data, None), data, config
         )
         exp = blr_expectations(state, config)
         updated = update_relevance(state, config)
@@ -223,7 +222,7 @@ class TestRelevanceUpdates:
         config = BlrArdConfig(a0=1.0, b0=1.0)
         data = stack(x, y)
         model = BlrArd(config)
-        state = model.sweep(model.init_state(data, "prior", None), data)
+        state = model.sweep(model.init_state(data, None), data)
         assert state.a == 1.0 + 7.0
 
 
@@ -234,7 +233,7 @@ class TestElboStructure:
         config = BlrArdConfig()
         data = stack(x, y)
         model = BlrArd(config)
-        state = model.init_state(data, "prior", None)
+        state = model.init_state(data, None)
         prev = blr_elbo(state, data, config)
         for _ in range(40):
             state = model.sweep(state, data)
@@ -249,7 +248,7 @@ class TestElboStructure:
         config = BlrArdConfig()
         data = np.empty((0, 3))
         model = BlrArd(config)
-        state = model.init_state(data, "prior", None)
+        state = model.init_state(data, None)
         for _ in range(50):
             state = model.sweep(state, data)
         assert blr_elbo(state, data, config) < -1e-3
@@ -302,7 +301,7 @@ class TestPredictive:
         config = BlrArdConfig(fix_relevance=True)
         data = stack(x, y)
         model = BlrArd(config)
-        state = model.sweep(model.init_state(data, "prior", None), data)
+        state = model.sweep(model.init_state(data, None), data)
         _, v, shape, rate = bayes_linreg_posterior(x, y, 1.0, 1.0)
         x_new = np.array([0.4, -1.2])
         y_new = 0.3
@@ -335,7 +334,7 @@ class TestPredictive:
         config = BlrArdConfig()
         data = stack(x, y)
         model = BlrArd(config)
-        state = model.sweep(model.init_state(data, "prior", None), data)
+        state = model.sweep(model.init_state(data, None), data)
         per_row = [blr_log_predictive(state, row) for row in data[:4]]
         assert model.heldout_log_predictive(state, data[:4]) == pytest.approx(
             np.mean(per_row)
@@ -345,8 +344,8 @@ class TestPredictive:
 class TestEngineIntegration:
     def test_fit_wrapper_and_report(self):
         x, y, _ = make_regression(n=60, d=3, seed=8, relevant=(0,))
-        report = blr_ard_fit(
-            x, y, BlrArdConfig(), FitConfig(max_iters=200, tol=1e-11, seed=1)
+        report = BlrArd(BlrArdConfig()).fit(
+            stack(x, y), FitConfig(max_iters=200, tol=1e-11, seed=1)
         )
         assert report.converged
         assert report.metadata["model"] == "blr-ard"
@@ -357,17 +356,15 @@ class TestEngineIntegration:
     def test_fit_is_deterministic(self):
         x, y, _ = make_regression(n=40, d=3, seed=9)
         cfg = FitConfig(max_iters=50, tol=1e-12, seed=5)
-        r1 = blr_ard_fit(x, y, BlrArdConfig(), cfg)
-        r2 = blr_ard_fit(x, y, BlrArdConfig(), cfg)
+        r1 = BlrArd(BlrArdConfig()).fit(stack(x, y), cfg)
+        r2 = BlrArd(BlrArdConfig()).fit(stack(x, y), cfg)
         assert r1.final_elbo == r2.final_elbo
         assert_allclose(r1.model_state.beta, r2.model_state.beta, rtol=0, atol=0)
 
     def test_heldout_trace_improves_fit_quality_signal(self):
         x, y, _ = make_regression(n=120, d=3, seed=10, relevant=(0, 1))
-        report = blr_ard_fit(
-            x,
-            y,
-            BlrArdConfig(),
+        report = BlrArd(BlrArdConfig()).fit(
+            stack(x, y),
             FitConfig(max_iters=100, tol=1e-12, seed=2, heldout_fraction=0.25),
         )
         assert report.heldout_trace
@@ -377,17 +374,14 @@ class TestEngineIntegration:
     def test_init_state_via_engine_helper(self):
         x, y, _ = make_regression(n=10, d=3, seed=12)
         model = BlrArd(BlrArdConfig(c0=2.0, d0=4.0))
-        state = init_state(model, stack(x, y), "data_calibrated", seed=0)
+        state = init_state(model, stack(x, y), seed=0)
         assert_allclose(state.beta, np.zeros(3))
         assert_allclose(np.diag(state.v_inv), np.full(3, 0.5))
 
     def test_rejects_mismatched_shapes(self):
-        with pytest.raises(DomainError):
-            blr_ard_fit(
-                np.zeros((5, 2)),
-                np.zeros(4),
-                BlrArdConfig(),
-                FitConfig(max_iters=5, tol=1e-8, seed=0),
+        with pytest.raises(DomainError, match="response column"):
+            BlrArd(BlrArdConfig()).fit(
+                np.zeros((5, 1)), FitConfig(max_iters=5, tol=1e-8, seed=0)
             )
         with pytest.raises(DomainError):
             blr_elbo(

@@ -33,7 +33,7 @@ from meanfield.condconj import (
     step_size,
     svi_fit,
 )
-from meanfield.engine import FitConfig, InitStrategy, cavi_fit, init_state
+from meanfield.engine import FitConfig, cavi_fit, init_state
 from meanfield.errors import ConfigError, DomainError, MonotonicityError
 from meanfield.expfam import ExpFamParam
 from meanfield.gmm import (
@@ -154,7 +154,7 @@ class TestLocalGlobalSteps:
         data, _, _ = simulate(k=3, n=40, seed=2, dim=1)
         data = data[:, 0]
         model = UnitVarianceGmm(UniGmmConfig(k=3, sigma2=2.0))
-        state = init_state(model, data, "data_calibrated", seed=0)
+        state = init_state(model, data, seed=0)
         spec = conjugate_spec(k=3, sigma2=2.0)
         lam = global_param_from_state(state)
 
@@ -246,7 +246,7 @@ class TestElbo:
             phi = np.array([p.params for p in phis])
             b = lam.stat[2:]
             gstate = type(
-                init_state(UnitVarianceGmm(UniGmmConfig(k=2)), data, "prior", 0)
+                init_state(UnitVarianceGmm(UniGmmConfig(k=2)), data, 0)
             )((lam.stat[:2] / b)[:, None], (1.0 / b)[:, None], phi)
             offset = gmm_conjugate_elbo_offset(data, 2)
             assert gmm_elbo(gstate, data, 1.0) == pytest.approx(
@@ -526,9 +526,7 @@ class TestGmmSviFit:
     def test_state_matches_svi_fit_on_the_spec_from_the_same_start(self, run):
         data, config, sched, fit_cfg, report, _ = run
         spec = conjugate_spec(3, self.SIGMA2, dim=2)
-        start = init_state(
-            UnitVarianceGmm(config), data, InitStrategy.DATA_CALIBRATED, self.SEED
-        )
+        start = init_state(UnitVarianceGmm(config), data, self.SEED)
         ref = svi_fit(
             spec, data, sched, fit_cfg,
             init=global_param_from_state(start), batch_size=self.BATCH,

@@ -2,7 +2,7 @@
 
 import csv
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -12,12 +12,11 @@ from _oracles import (
     gmm_log_evidence,
     k1_gaussian_posterior,
 )
-from meanfield import engine
-from meanfield.blr_ard import BlrArd, BlrArdConfig, blr_ard_fit
+from meanfield import cli, engine
+from meanfield.blr_ard import BlrArd, BlrArdConfig
 from meanfield.condconj import StepSchedule, coordinate_ascent, prior_param, svi_fit
 from meanfield.engine import (
     FitConfig,
-    InitStrategy,
     VariationalModel,
     cavi_fit,
     init_state,
@@ -26,6 +25,7 @@ from meanfield.engine import (
 )
 from meanfield.errors import (
     ConfigError,
+    DataFormatError,
     DomainError,
     MonotonicityError,
     NumericError,
@@ -42,10 +42,11 @@ from meanfield.gmm import (
 )
 from meanfield.lda import (
     INNER_MAX_ITERS,
+    Lda,
     LdaConfig,
-    lda_cavi_fit,
     lda_svi_fit,
     simulate_corpus,
+    write_uci,
 )
 
 
@@ -74,8 +75,8 @@ class TestInitState:
     def test_same_seed_bit_identical(self):
         model = UnitVarianceGmm(UniGmmConfig(k=3))
         data = np.linspace(-2.0, 2.0, 30)
-        a = init_state(model, data, "data_calibrated", seed=11)
-        b = init_state(model, data, InitStrategy.DATA_CALIBRATED, seed=11)
+        a = init_state(model, data, seed=11)
+        b = model.init_state(data, np.random.default_rng(11))
         assert np.array_equal(a.m, b.m)
         assert np.array_equal(a.s2, b.s2)
         assert np.array_equal(a.phi, b.phi)
@@ -83,16 +84,9 @@ class TestInitState:
     def test_different_seeds_differ(self):
         model = UnitVarianceGmm(UniGmmConfig(k=3))
         data = np.linspace(-2.0, 2.0, 30)
-        a = init_state(model, data, "data_calibrated", seed=1)
-        b = init_state(model, data, "data_calibrated", seed=2)
+        a = init_state(model, data, seed=1)
+        b = init_state(model, data, seed=2)
         assert not np.array_equal(a.m, b.m)
-
-    def test_prior_strategy_matches_prior(self):
-        model = UnitVarianceGmm(UniGmmConfig(k=2, sigma2=1.0))
-        state = init_state(model, [0.5, -0.5], "prior", seed=0)
-        assert np.array_equal(state.m, np.zeros((2, 1)))
-        assert np.array_equal(state.s2, np.ones((2, 1)))
-        assert np.allclose(state.phi, 0.5)
 
     def test_calibrated_means_track_data_moments(self):
         # across many seeds the drawn means are distributed around the
@@ -102,17 +96,12 @@ class TestInitState:
         model = UnitVarianceGmm(UniGmmConfig(k=1))
         draws = np.array(
             [
-                init_state(model, data, "data_calibrated", seed=s).m[0, 0]
+                init_state(model, data, seed=s).m[0, 0]
                 for s in range(300)
             ]
         )
         assert abs(draws.mean() - data.mean()) < 0.4
         assert abs(draws.std() - data.std()) < 0.4
-
-    def test_unknown_strategy_rejected(self):
-        model = UnitVarianceGmm(UniGmmConfig(k=1))
-        with pytest.raises(ConfigError):
-            init_state(model, [0.0], "warm", seed=0)
 
 
 class TestCaviFit:
@@ -320,7 +309,7 @@ class _StubModel(VariationalModel):
 
     name = "stub"
 
-    def init_state(self, data, strategy, rng):
+    def init_state(self, data, rng):
         return 0
 
     def sweep(self, state, data):
@@ -385,26 +374,58 @@ class TestBatchedHeldout:
         assert model.heldout_log_predictive(state, data) == total / data.size
 
 
-def _one_loop_fits():
+def _one_loop_cases():
+    """``(model name, algorithm)`` of every fit the package runs: each
+    registered model's CAVI fit and its SVI fit where it has one, and the
+    two conditionally conjugate fits (model None)."""
+    cases = [(None, "cavi"), (None, "svi")]
+    for name in cli.MODELS:
+        has_svi = cli._model_types(name)[0].svi_fit is not None
+        cases += [(name, "cavi")] + [(name, "svi")] * has_svi
+    return cases
+
+
+def _one_loop_id(case):
+    name, algorithm = case
+    if name is None:
+        return {"cavi": "coordinate_ascent", "svi": "svi_fit"}[algorithm]
+    return f"{name.replace('-', '_')}_{algorithm}_fit"
+
+
+def _one_loop_fit(name, algorithm, tmp_path):
+    """A thunk running fit ``(name, algorithm)`` of :func:`_one_loop_cases`;
+    a model reads the first sample file its reader accepts, rows or a
+    corpus, and its config's required fields are 2."""
     data, _, _ = simulate(k=2, n=40, seed=0, dim=2)
-    corpus, _ = simulate_corpus(k=2, num_docs=6, vocab_size=8, doc_length=10, seed=0)
-    x, y = data[:, :1], data[:, 1]
-    spec = conjugate_spec(k=2, sigma2=1.0, dim=2)
     fit = FitConfig(max_iters=3, seed=1)
     sched = StepSchedule(kappa=0.7)
-    return {
-        "cavi_fit": lambda: cavi_fit(UnitVarianceGmm(UniGmmConfig(k=2)), data, fit),
-        "lda_cavi_fit": lambda: lda_cavi_fit(corpus, LdaConfig(k=2), fit),
-        "blr_ard_fit": lambda: blr_ard_fit(x, y, BlrArdConfig(), fit),
-        "coordinate_ascent": lambda: coordinate_ascent(spec, data, prior_param(spec)),
-        "svi_fit": lambda: svi_fit(spec, data, sched, fit),
-        "gmm_svi_fit": lambda: gmm_svi_fit(data, UniGmmConfig(k=2), sched, fit),
-        "lda_svi_fit": lambda: lda_svi_fit(corpus, LdaConfig(k=2), sched, fit),
-    }
+    if name is None:
+        spec = conjugate_spec(k=2, sigma2=1.0, dim=2)
+        if algorithm == "cavi":
+            return lambda: coordinate_ascent(spec, data, prior_param(spec))
+        return lambda: svi_fit(spec, data, sched, fit)
+    corpus, _ = simulate_corpus(k=2, num_docs=6, vocab_size=8, doc_length=10, seed=0)
+    np.savetxt(tmp_path / "data.csv", data, delimiter=",")
+    write_uci(corpus, tmp_path / "corpus.txt")
+    model_type, config_type = cli._model_types(name)
+    model = model_type(config_type(**{f.name: 2 for f in fields(config_type)
+                                       if f.default is MISSING}))
+    for path in ("data.csv", "corpus.txt"):
+        try:
+            sample = model.read(tmp_path / path)
+            break
+        except DataFormatError:
+            continue
+    else:
+        pytest.fail(f"model {name} reads neither sample file")
+    if algorithm == "cavi":
+        return lambda: model.fit(sample, fit)
+    return lambda: model.svi_fit(sample, sched, fit, 2)
 
 
-@pytest.mark.parametrize("name", list(_one_loop_fits()))
-def test_every_fit_runs_the_one_loop_once(name, monkeypatch):
+@pytest.mark.parametrize("case", _one_loop_cases(), ids=_one_loop_id)
+def test_every_fit_runs_the_one_loop_once(case, monkeypatch, tmp_path):
+    run_fit = _one_loop_fit(*case, tmp_path)
     calls = []
     original = engine._fit_loop
 
@@ -421,7 +442,7 @@ def test_every_fit_runs_the_one_loop_once(name, monkeypatch):
                 bound.append(module_name)
                 monkeypatch.setattr(module, attr, counted)
     assert {"meanfield.engine", "meanfield.condconj"} <= set(bound)
-    _one_loop_fits()[name]()
+    run_fit()
     assert len(calls) == 1
 
 
@@ -452,7 +473,7 @@ def test_fit_metadata_key_order_and_values():
     lda_fields = {"k": 2, "eta": 0.2, "alpha": [0.3, 0.4]}
     cavi = {"seed": 1, "n_train": 30, "n_heldout": 10}
     svi = {"algorithm": "svi", "seed": 1, "batch_size": 4, "kappa": 0.7, "delay": 2.0}
-    lda_cavi = lda_cavi_fit(corpus, lda, held)
+    lda_cavi = Lda(lda).fit(corpus, held)
     lda_svi = lda_svi_fit(corpus, lda, sched, fit, batch_size=4)
     cases = [
         (cavi_fit(UnitVarianceGmm(gmm), data, held),

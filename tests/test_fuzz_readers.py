@@ -239,6 +239,31 @@ def test_eval_on_valid_fit_documents_with_scaled_numbers(monkeypatch, capsys, tm
     assert 2 * codes.count(0) >= len(codes), codes
 
 
+def test_eval_scores_far_locations(monkeypatch, capsys, tmp_path):
+    """A gmm-diag document whose locations sit 1e200 from the held-out row:
+    ``(x - m)^2`` overflows, but the Student-t log density, built here from
+    ``log|x - m|`` in plain floats, is finite and ``eval`` reports it."""
+    doc = dict(VALID_DOCS["gmm-diag"][0], locations=[[1e200], [-1e200]])
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    (tmp_path / "heldout").write_text("0.5\n")
+    code = run(monkeypatch, capsys, "eval", "--fit", tmp_path / "fit.json",
+               "--data", tmp_path / "heldout", "--out", tmp_path / "out")
+    assert code == 0
+    got = strict_json((tmp_path / "out" / "eval.json").read_text())
+    log_t = []
+    for m, b, alpha, beta, conc in zip((1e200, -1e200), (4.0, 5.0), (3.0, 2.5),
+                                       (1.5, 0.5), (2.0, 3.0)):
+        nu, lam = 2.0 * alpha, alpha * b / (beta * (1.0 + b))
+        # log1p(lam d^2 / nu) = log(lam / nu) + 2 log|d|, to far below 1e-300
+        log1p_z = math.log(lam / nu) + 2.0 * math.log(abs(0.5 - m))
+        log_t.append(math.log(conc / 5.0) + math.lgamma(0.5 * (nu + 1.0))
+                     - math.lgamma(0.5 * nu) + 0.5 * math.log(lam / (math.pi * nu))
+                     - 0.5 * (nu + 1.0) * log1p_z)
+    top = max(log_t)
+    want = top + math.log(sum(math.exp(v - top) for v in log_t))
+    assert got["heldout_log_predictive"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_the_fuzzed_commands_succeed_on_good_input(monkeypatch, capsys, fit_dir):
     """The command lines above are valid: on well-formed files they fit and
     score, so the fuzz runs reach the readers and the models."""

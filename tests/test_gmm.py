@@ -145,7 +145,7 @@ class TestElbo:
             data = rng.normal(0.0, 2.0, size=n)
             evidence = gmm_log_evidence(data, k, 1.0)
             model = UnitVarianceGmm(UniGmmConfig(k=k))
-            state = init_state(model, data, "data_calibrated", seed=trial)
+            state = init_state(model, data, seed=trial)
             for _ in range(30):
                 state = model.sweep(state, data)
                 assert gmm_elbo(state, data, 1.0) <= evidence + 1e-9
@@ -154,7 +154,7 @@ class TestElbo:
         rng = np.random.default_rng(7)
         data = rng.normal(0.0, 1.5, size=3)
         model = UnitVarianceGmm(UniGmmConfig(k=2))
-        state = init_state(model, data, "data_calibrated", seed=1)
+        state = init_state(model, data, seed=1)
         for _ in range(4):
             state = model.sweep(state, data)
             lhs = gmm_log_evidence(data, 2, 1.0)
@@ -285,7 +285,7 @@ class TestDiagGmm:
         data = rng.normal(1.5, 2.0, size=(40, 3))
         config = DiagGmmConfig(k=1, a0=1.0)
         model = DiagGmm(config)
-        state = init_state(model, data, "prior", seed=0)
+        state = init_state(model, data, seed=0)
         state = diag_gmm_sweep(state, data, config)
         for d in range(3):
             m, b, alpha, beta = normal_gamma_posterior(
@@ -301,7 +301,7 @@ class TestDiagGmm:
         data = rng.normal(-0.5, 1.3, size=(25, 2))
         config = DiagGmmConfig(k=1, a0=1.0)
         model = DiagGmm(config)
-        state = init_state(model, data, "prior", seed=0)
+        state = init_state(model, data, seed=0)
         state = diag_gmm_sweep(state, data, config)
         state = diag_gmm_sweep(state, data, config)
         evidence = sum(
@@ -317,7 +317,7 @@ class TestDiagGmm:
     def test_zero_at_prior_with_no_data(self):
         config = DiagGmmConfig(k=3)
         model = DiagGmm(config)
-        state = init_state(model, np.zeros((0, 2)), "prior", seed=0)
+        state = init_state(model, np.zeros((0, 2)), seed=0)
         assert diag_gmm_elbo(state, np.zeros((0, 2)), config) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -389,7 +389,7 @@ class TestDiagGmm:
     )
     def test_state_rejects_invalid_responsibilities(self, r):
         config = DiagGmmConfig(k=2)
-        state = init_state(DiagGmm(config), np.zeros((0, 1)), "prior", seed=0)
+        state = init_state(DiagGmm(config), np.zeros((0, 1)), seed=0)
         # the (0, k) array of a state rebuilt without data is valid
         assert state.r.shape == (0, 2)
         fields = {f: getattr(state, f) for f in ("conc", "m", "b", "alpha", "beta")}

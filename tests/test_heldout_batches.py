@@ -24,7 +24,6 @@ from meanfield.lda import (
     Lda,
     LdaConfig,
     _HeldoutFoldIn,
-    lda_cavi_fit,
     simulate_corpus,
 )
 
@@ -126,7 +125,7 @@ def test_fit_trace_equals_per_state_fold_ins(monkeypatch):
         return add(self, t, state)
 
     monkeypatch.setattr(_HeldoutFoldIn, "add", recording)
-    report = lda_cavi_fit(corpus, config, fit_config)
+    report = Lda(config).fit(corpus, fit_config)
     _, heldout = _split_heldout(Lda(config), corpus, fit_config)
     assert len(recorded) == 11 > batches[0] > 1  # several batches, the last short
     assert [p.iteration for p in report.heldout_trace] == list(range(1, 12))
@@ -137,7 +136,7 @@ def test_fit_trace_equals_per_state_fold_ins(monkeypatch):
 def test_e_step_work_of_a_small_fit_is_pinned(e_step_calls):  # noqa: F811
     corpus, _ = simulate_corpus(4, 60, 50, 30, seed=5, alpha=0.3)
     fit_config = FitConfig(max_iters=10, tol=1e-15, seed=3, heldout_fraction=0.2)
-    report = lda_cavi_fit(corpus, LdaConfig(k=4, alpha=0.05), fit_config)
+    report = Lda(LdaConfig(k=4, alpha=0.05)).fit(corpus, fit_config)
     train_entries = e_step_calls[0][0].ids.size  # the first sweep's corpus
     iterations = [call[4][2] for call in e_step_calls]
     counts = (
@@ -172,8 +171,8 @@ class TestRefusedBeforeTheFirstSweep:
         empty = (np.array([], dtype=int), np.array([]))
         corpus = corpus_of([empty] * 6, 3)
         with pytest.raises(DomainError, match="no tokens"):
-            lda_cavi_fit(corpus, LdaConfig(k=2),
-                         FitConfig(max_iters=3, seed=0, heldout_fraction=0.5))
+            Lda(LdaConfig(k=2)).fit(corpus, FitConfig(max_iters=3, seed=0,
+                                                     heldout_fraction=0.5))
         assert swept == []
 
     def test_empty_heldout_set(self):

@@ -35,7 +35,6 @@ from meanfield.lda import (
     Lda,
     LdaConfig,
     LdaState,
-    lda_cavi_fit,
     lda_elbo,
     lda_svi_fit,
     read_uci,
@@ -73,7 +72,7 @@ def doc_rows(corpus, d):
 
 
 def fit_state(corpus, config, seed=0, max_iters=200, tol=1e-12):
-    report = lda_cavi_fit(corpus, config, FitConfig(max_iters=max_iters, tol=tol, seed=seed))
+    report = Lda(config).fit(corpus, FitConfig(max_iters=max_iters, tol=tol, seed=seed))
     return report.model_state, report
 
 
@@ -436,7 +435,7 @@ class TestSweepIdentities:
         corpus, _ = simulate_corpus(3, 20, 15, 30, seed=6)
         config = LdaConfig(k=3, eta=0.3, alpha=0.4)
         model = Lda(config)
-        state = model.init_state(corpus, "prior", np.random.default_rng(0))
+        state = model.init_state(corpus, np.random.default_rng(0))
         for _ in range(5):
             state = model.sweep(state, corpus)
             for d in range(len(corpus)):
@@ -457,7 +456,7 @@ class TestSweepIdentities:
         config = LdaConfig(k=2, alpha=[0.3, 0.8])
         model = Lda(config)
         state = model.sweep(
-            model.init_state(corpus, "prior", np.random.default_rng(1)), corpus
+            model.init_state(corpus, np.random.default_rng(1)), corpus
         )
         assert_allclose(state.gamma[1], [0.3, 0.8], rtol=0, atol=0)
 
@@ -466,7 +465,7 @@ class TestSweepIdentities:
         corpus, _ = simulate_corpus(3, 25, 20, 25, seed=seed)
         config = LdaConfig(k=3)
         model = Lda(config)
-        state = model.init_state(corpus, "prior", np.random.default_rng(seed))
+        state = model.init_state(corpus, np.random.default_rng(seed))
         state = model.sweep(state, corpus)  # no ELBO before the first sweep
         prev = model.elbo(state, corpus)
         for _ in range(25):
@@ -480,7 +479,7 @@ class TestCaviFit:
     def test_single_topic_degenerate(self):
         corpus = tiny_corpus()
         config = LdaConfig(k=1, eta=0.5, alpha=0.7)
-        report = lda_cavi_fit(corpus, config, FitConfig(max_iters=10, tol=1e-12, seed=0))
+        report = Lda(config).fit(corpus, FitConfig(max_iters=10, tol=1e-12, seed=0))
         state = report.model_state
         token_counts = np.zeros(4)
         np.add.at(token_counts, corpus.ids, corpus.cts)
@@ -527,18 +526,16 @@ class TestCaviFit:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DomainError):
-            lda_cavi_fit(
+            Lda(LdaConfig(k=2)).fit(
                 corpus_of((), 5),
-                LdaConfig(k=2),
                 FitConfig(max_iters=5, tol=1e-8, seed=0),
             )
 
     def test_heldout_monitoring_per_word(self):
         corpus, _ = simulate_corpus(2, 40, 12, 20, seed=9)
         config = LdaConfig(k=2)
-        report = lda_cavi_fit(
+        report = Lda(config).fit(
             corpus,
-            config,
             FitConfig(max_iters=30, tol=1e-10, seed=4, heldout_fraction=0.25),
         )
         assert report.metadata["n_heldout"] == 10
@@ -550,8 +547,8 @@ class TestCaviFit:
         corpus, _ = simulate_corpus(2, 15, 10, 12, seed=11)
         config = LdaConfig(k=2)
         cfg = FitConfig(max_iters=40, tol=1e-11, seed=7)
-        r1 = lda_cavi_fit(corpus, config, cfg)
-        r2 = lda_cavi_fit(corpus, config, cfg)
+        r1 = Lda(config).fit(corpus, cfg)
+        r2 = Lda(config).fit(corpus, cfg)
         assert r1.final_elbo == r2.final_elbo
         assert_allclose(r1.model_state.lam, r2.model_state.lam, rtol=0, atol=0)
 
@@ -637,7 +634,7 @@ class TestSviFit:
         config = LdaConfig(k=2)
         fit_cfg = FitConfig(max_iters=1, tol=1e-12, seed=3)
         svi = lda_svi_fit(corpus, config, self.schedule(), fit_cfg, batch_size=1)
-        cavi = lda_cavi_fit(corpus, config, fit_cfg)
+        cavi = Lda(config).fit(corpus, fit_cfg)
         assert_allclose(svi.model_state.lam, cavi.model_state.lam, rtol=0, atol=0)
 
     def test_average_noisy_target_equals_full_update(self):
@@ -710,7 +707,7 @@ class TestSviFit:
         config = LdaConfig(k=2, eta=0.1, alpha=0.5)
         model = Lda(config)
 
-        cavi = lda_cavi_fit(train, config, FitConfig(max_iters=100, tol=1e-10, seed=0))
+        cavi = Lda(config).fit(train, FitConfig(max_iters=100, tol=1e-10, seed=0))
         svi = lda_svi_fit(
             train,
             config,
@@ -773,7 +770,7 @@ class TestStateValidation:
         corpus = tiny_corpus()
         config = LdaConfig(k=2)
         model = Lda(config)
-        state = model.init_state(corpus, "prior", np.random.default_rng(0))
+        state = model.init_state(corpus, np.random.default_rng(0))
         if built_by == "load_state":
             path = tmp_path / "lambda.csv"
             np.savetxt(path, model.sweep(state, corpus).lam, delimiter=",")
@@ -860,7 +857,7 @@ class TestNoArrayPerEntry:
             states.append(self)
 
         monkeypatch.setattr(LdaState, "__post_init__", recording)
-        cavi = lda_cavi_fit(train, config, FitConfig(max_iters=3, seed=0))
+        cavi = Lda(config).fit(train, FitConfig(max_iters=3, seed=0))
         lda_svi_fit(train, config, StepSchedule(kappa=0.7),
                     FitConfig(max_iters=4, seed=0, elbo_every=2), batch_size=5)
         Lda(config).heldout_log_predictive(cavi.model_state, held)
@@ -887,7 +884,7 @@ class TestBatchedEStep:
         corpus = random_corpus(20 + k)
         config = LdaConfig(k=k, eta=0.3, alpha=0.2)
         model = Lda(config)
-        state = model.init_state(corpus, "prior", np.random.default_rng(k))
+        state = model.init_state(corpus, np.random.default_rng(k))
         for _ in range(4):
             state = model.sweep(state, corpus)
         assert len(e_step_calls) == 4
@@ -1042,9 +1039,7 @@ class TestEStepCapReport:
         assert_array_equal(report.model_state.estep_updates, iterations)
 
     def test_cavi_reports_final_sweep(self, e_step_calls):
-        report = lda_cavi_fit(
-            self.corpus(), LdaConfig(k=5), FitConfig(max_iters=2, seed=0)
-        )
+        report = Lda(LdaConfig(k=5)).fit(self.corpus(), FitConfig(max_iters=2, seed=0))
         assert len(e_step_calls) == 2
         self.check(report, e_step_calls[-1])
 
@@ -1058,9 +1053,7 @@ class TestEStepCapReport:
         self.check(report, e_step_calls[-1])
 
     def test_no_cap_hits_on_short_documents(self):
-        report = lda_cavi_fit(
-            tiny_corpus(), LdaConfig(k=2), FitConfig(max_iters=3, seed=0)
-        )
+        report = Lda(LdaConfig(k=2)).fit(tiny_corpus(), FitConfig(max_iters=3, seed=0))
         assert report.metadata["estep_cap_hits"] == 0
         assert 1 <= report.metadata["estep_max_updates"] < INNER_MAX_ITERS
 

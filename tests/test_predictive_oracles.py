@@ -52,7 +52,7 @@ def _blr_state(rng, dim, fix_relevance, n=40):
     y = x[:, : min(dim, 3)].sum(axis=1) + 0.3 * rng.standard_normal(n)
     data = np.column_stack([x, y])
     model = BlrArd(BlrArdConfig(fix_relevance=fix_relevance))
-    state = model.init_state(data, "prior", None)
+    state = model.init_state(data, None)
     for _ in range(3):
         state = model.sweep(state, data)
     return model, state

@@ -27,7 +27,7 @@ from meanfield.blr_ard import (
     update_coeff_precision,
 )
 from meanfield.condconj import global_step
-from meanfield.engine import FitConfig, InitStrategy, VariationalModel, cavi_fit
+from meanfield.engine import FitConfig, VariationalModel, cavi_fit
 from meanfield.errors import DomainError
 from meanfield.expfam import categorical_rows, log_sum_exp
 from meanfield.gmm import (
@@ -153,7 +153,7 @@ def test_statistics_of_a_row_subset_are_not_read_for_a_copy_of_those_rows(kind):
     model = make(3)
     x = simulate(k=3, n=400, seed=1, dim=2)[0]
     rows = np.arange(0, 400, 2)
-    start = model.init_state(x[rows], InitStrategy.DATA_CALIBRATED, np.random.default_rng(0))
+    start = model.init_state(x[rows], np.random.default_rng(0))
     state = model.sweep(start, model.prepare(x)[rows])
     assert state.stats is not None
     assert model.elbo(state, x[rows].copy()) == model.elbo(dataclasses.replace(state), x[rows])
@@ -177,7 +177,7 @@ def test_unit_local_step_reads_the_parameter_the_global_step_produced(monkeypatc
     )
     model = UnitVarianceGmm(UniGmmConfig(3))
     data = model.prepare(x)
-    state = model.init_state(data, InitStrategy.DATA_CALIBRATED, np.random.default_rng(0))
+    state = model.init_state(data, np.random.default_rng(0))
     states = []
     for _ in range(5):
         state = model.sweep(state, data)
@@ -210,7 +210,7 @@ def test_a_sweep_checks_its_responsibilities_once(kind, monkeypatch):
     make, conf, _, _ = MIXTURES[kind]
     model = make(3)
     data = model.prepare(_mixture())
-    state = model.init_state(data, InitStrategy.DATA_CALIBRATED, np.random.default_rng(0))
+    state = model.init_state(data, np.random.default_rng(0))
     calls = _count_checks(monkeypatch)
     state = model.sweep(state, data)
     model.elbo(state, data)
@@ -290,7 +290,7 @@ def test_regression_data_and_kept_factor_change_no_bits():
     data = _regression_probe("plain")
     config = BlrArdConfig()
     model = BlrArd(config)
-    start = model.init_state(data, InitStrategy.PRIOR, None)
+    start = model.init_state(data, None)
     prepared = RegressionData(data)
     raw = update_coeff_precision(start, data, config)
     kept = update_coeff_precision(start, prepared, config)

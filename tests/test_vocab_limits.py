@@ -52,7 +52,7 @@ def test_distinct_check_matches_per_document_sets(docs):
 def test_topic_matrix_numpy_cannot_hold_is_refused(v):
     corpus = Corpus([0, 1, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0], v)
     with pytest.raises(DomainError, match=str(v)):
-        Lda(LdaConfig(k=2)).init_state(corpus, "prior", np.random.default_rng(0))
+        Lda(LdaConfig(k=2)).init_state(corpus, np.random.default_rng(0))
 
 
 def test_topic_matrix_beyond_physical_memory_is_refused(monkeypatch):
@@ -60,11 +60,11 @@ def test_topic_matrix_beyond_physical_memory_is_refused(monkeypatch):
     monkeypatch.setattr(lda, "_physical_memory", lambda: 8 * 2 * 999)
     model = Lda(LdaConfig(k=2))
     fits = Corpus([0, 1, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0], 999)
-    state = model.init_state(fits, "prior", np.random.default_rng(0))
+    state = model.init_state(fits, np.random.default_rng(0))
     assert state.lam.shape == (2, 999)
     too_big = Corpus([0, 1, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0], 1000)
     with pytest.raises(DomainError, match="1000"):
-        model.init_state(too_big, "prior", np.random.default_rng(0))
+        model.init_state(too_big, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("v", HUGE)
