@@ -107,13 +107,13 @@ def _split(data):
 
 class RegressionData:
     """Rows ``(x_1 .. x_D, y)`` split once, with the data constants the
-    updates and the ELBO read: ``xtx = X^T X``, ``xty = X^T y`` and
-    ``yty = y . y``; ``np.asarray`` gives the rows."""
+    updates and the ELBO read: ``xtx = X^T X`` and ``xty = X^T y``;
+    ``np.asarray`` gives the rows."""
 
     def __init__(self, data):
         self.rows = np.asarray(data, dtype=float)
         x, y = self.x, self.y = _split(self.rows)
-        self.xtx, self.xty, self.yty = x.T @ x, x.T @ y, float(y @ y)
+        self.xtx, self.xty = x.T @ x, x.T @ y
 
     @classmethod
     def of(cls, data):
@@ -177,9 +177,10 @@ def update_coeff_precision(state, data, config):
     """Exact refresh of the joint coefficient/noise factor.
 
     ``V*^-1 = E[diag alpha] + sum_i x_i x_i^T``, ``beta* = V* X^T y``,
-    ``a* = a0 + n/2``, ``b* = b0 + (y.y - beta*.V*^-1.beta*)/2``.  The
-    quadratic form reuses ``V*^-1 beta* = X^T y``, so ``b*`` needs only a
-    dot product and stays positive by construction.
+    ``a* = a0 + n/2``, ``b* = b0 + (|y - X beta*|^2 + E[alpha] . beta*^2)/2``.
+    That is ``b0 + (y.y - beta* . X^T y)/2``, because ``V*^-1 beta* = X^T
+    y``, but as a sum of nonnegative terms it cannot cancel when ``y`` is
+    nearly a linear function of ``x``.
     """
     data = RegressionData.of(data)
     if config.fix_relevance:
@@ -191,7 +192,8 @@ def update_coeff_precision(state, data, config):
     inv = np.linalg.inv(lower)
     beta = inv.T @ (inv @ data.xty)
     a = config.a0 + 0.5 * len(data)
-    b = config.b0 + 0.5 * (data.yty - beta @ data.xty)
+    resid = data.y - data.x @ beta
+    b = config.b0 + 0.5 * (float(resid @ resid) + float(e_alpha @ (beta * beta)))
     return BlrArdState(beta, v_inv, a, b, state.c, state.d, (lower, inv))
 
 

@@ -392,19 +392,22 @@ def cmd_simulate(args):
     if unread:
         raise ConfigError(", ".join(unread), f"not read by simulate for model {args.model}")
     kwargs = {reads[name]: value for name, value in given.items()}
-    if args.model in ("gmm", "gmm-diag"):
-        if args.k is None or args.n is None:
-            raise ConfigError("k", "simulate for mixtures needs --k and --n")
-        data, means, labels = gmm.simulate(seed=seed, **kwargs)
-        truth = {"means": means.tolist(), "labels": labels.tolist()}
-    elif args.model == "blr-ard":
-        if args.n is None:
-            raise ConfigError("n", "simulate for regression needs --n")
-        data, truth = blr_ard.simulate(seed=seed, **kwargs)
-    else:  # lda
-        if args.k is None:
-            raise ConfigError("k", "simulate for lda needs --k")
-        corpus, truth = lda.simulate_corpus(seed=seed, **kwargs)
+    try:
+        if args.model in ("gmm", "gmm-diag"):
+            if args.k is None or args.n is None:
+                raise ConfigError("k", "simulate for mixtures needs --k and --n")
+            data, means, labels = gmm.simulate(seed=seed, **kwargs)
+            truth = {"means": means.tolist(), "labels": labels.tolist()}
+        elif args.model == "blr-ard":
+            if args.n is None:
+                raise ConfigError("n", "simulate for regression needs --n")
+            data, truth = blr_ard.simulate(seed=seed, **kwargs)
+        else:  # lda
+            if args.k is None:
+                raise ConfigError("k", "simulate for lda needs --k")
+            corpus, truth = lda.simulate_corpus(seed=seed, **kwargs)
+    except MemoryError:
+        raise DomainError("dataset too large to hold in memory") from None
 
     out = _out_dir(args.out)
     if args.model == "lda":

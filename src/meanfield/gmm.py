@@ -82,7 +82,6 @@ __all__ = [
     "DiagGmmConfig",
     "DiagGmmState",
     "DiagGmm",
-    "diag_gmm_sweep",
     "diag_gmm_elbo",
     "diag_predictive_log_density",
     "read_data_csv",
@@ -586,43 +585,6 @@ def _diag_weights(state, centre):
     return np.column_stack([e_tau * mc, const, -0.5 * e_tau])
 
 
-def diag_gmm_sweep(state, data, config):
-    """One full coordinate sweep: responsibilities, then weight and
-    component factors.
-
-    The Normal-Gamma updates are the conjugate posterior formulas with
-    responsibility-weighted counts, means and scatters, read from the
-    :class:`SweepStats`; a component with no effective weight falls back to
-    its prior.
-    """
-    data = MixtureData.of(data, per_coordinate=True)
-    r, log_r = categorical_rows(data.aug @ _diag_weights(state, data.centre).T)
-    _check_prob_rows(r, 1e-9, "responsibility rows must be probability vectors")
-    r.setflags(write=False)
-    stats = _local_stats(r, data, log_r)
-
-    d = data.shape[1]
-    nk = stats.sums[:, d]
-    conc = config.a0 + nk
-
-    tiny = np.finfo(float).tiny
-    mean = stats.sums[:, :d] / np.maximum(nk, tiny)[:, None]  # centred
-    xbar = np.where(nk[:, None] > tiny, mean + data.centre, config.m0)
-    scatter = np.maximum(stats.sums[:, d + 1 :] - nk[:, None] * mean**2, 0.0)
-
-    b = config.b0 + nk[:, None]
-    m = (config.b0 * config.m0 + nk[:, None] * xbar) / b
-    alpha = config.alpha0 + 0.5 * nk[:, None]
-    beta = (
-        config.beta0
-        + 0.5 * scatter
-        + 0.5 * config.b0 * nk[:, None] * (xbar - config.m0) ** 2 / b
-    )
-    b = np.broadcast_to(b, m.shape).copy()
-    alpha = np.broadcast_to(alpha, m.shape).copy()
-    return DiagGmmState(conc, m, b, alpha, beta, r, stats)
-
-
 def diag_gmm_elbo(state, data, config):
     """Evidence lower bound; equals 0 on an empty dataset at the prior.
 
@@ -650,23 +612,26 @@ def diag_predictive_log_density(state, x_new):
     Normal-Gamma factor against the Gaussian likelihood gives a Student-t
     with ``2 alpha`` degrees of freedom, location ``m``, and precision
     ``alpha b / (beta (1 + b))``.  One point (a scalar or ``(d,)`` row)
-    gives a float, an ``(n, d)`` batch an ``(n,)`` array.
+    gives a float, an ``(n, d)`` batch an ``(n,)`` array.  Every step is
+    taken in log space, so a document whose precision or distances overflow
+    a double still scores when its density does not.
     """
     x, point = predictive_rows(x_new, state.m.shape[1])
     nu = 2.0 * state.alpha
-    lam = state.alpha * state.b / (state.beta * (1.0 + state.b))
-    # log1p(r^2) for the scaled distance r = sqrt(lam / nu) |x - m|, never
-    # squaring an r above 1: log1p(1 / r^2) + 2 log r there
-    r = np.sqrt(lam / nu) * np.abs(x[:, None, :] - state.m)
-    big = np.maximum(r, 1.0)
-    small = np.minimum(r, 1.0 / big)
+    log_lam = np.log(state.alpha) + np.log(state.b) - np.log(state.beta) - np.log1p(state.b)
+    # log1p(r^2) for the scaled distance r = sqrt(lam / nu) |x - m|, from
+    # 2 log r (-inf where x == m): max(2 log r, 0) + log1p(exp(-|2 log r|))
+    dist = np.abs(x[:, None, :] - state.m)
+    log_dist = np.log(dist, out=np.full(dist.shape, -np.inf), where=dist > 0.0)
+    two_log_r = log_lam - np.log(nu) + 2.0 * log_dist
+    log1p_r2 = np.maximum(two_log_r, 0.0) + np.log1p(np.exp(-np.abs(two_log_r)))
     log_t = (
         log_gamma(0.5 * (nu + 1.0))
         - log_gamma(0.5 * nu)
-        + 0.5 * (np.log(lam) - np.log(math.pi * nu))
-    ) - 0.5 * (nu + 1.0) * (np.log1p(small * small) + 2.0 * np.log(big))
-    logw = np.log(state.conc / state.conc.sum())
-    out = log_sum_exp(logw + log_t.sum(axis=2), axis=1)
+        + 0.5 * (log_lam - np.log(math.pi * nu))
+    ) - 0.5 * (nu + 1.0) * log1p_r2
+    log_conc = np.log(state.conc)
+    out = log_sum_exp(log_conc - log_sum_exp(log_conc) + log_t.sum(axis=2), axis=1)
     return float(out[0]) if point else out
 
 
@@ -693,7 +658,33 @@ class DiagGmm(VariationalModel):
         )
 
     def sweep(self, state, data):
-        return diag_gmm_sweep(state, data, self.config)
+        """Responsibilities, then every factor set to its complete
+        conditional from the :class:`SweepStats` sums, in the centred frame.
+
+        With ``n_k`` a component's count, its Normal-Gamma factors get ``b =
+        b0 + n_k``, ``m = (b0 m0 + sum r x) / b``, ``alpha = alpha0 + n_k /
+        2`` and ``beta = beta0 + (sum r (x - m)^2 + b0 (m - m0)^2) / 2``, a
+        sum of nonnegative terms (Chan, Golub & LeVeque 1983).  ``m - m0`` is
+        formed as ``(sum r x - n_k m0) / b``, so an empty component gets its
+        prior exactly, with no branch.
+        """
+        c, data = self.config, self.prepare(data)
+        r, log_r = categorical_rows(data.aug @ _diag_weights(state, data.centre).T)
+        _check_prob_rows(r, 1e-9, "responsibility rows must be probability vectors")
+        r.setflags(write=False)
+        stats = _local_stats(r, data, log_r)
+
+        d = data.shape[1]
+        nk, s1, s2 = stats.sums[:, d : d + 1], stats.sums[:, :d], stats.sums[:, d + 1 :]
+        m0 = c.m0 - data.centre  # m0, m and the sums are centred
+        b = c.b0 + nk
+        shift = (s1 - nk * m0) / b  # m - m0
+        m = m0 + shift
+        scatter = np.maximum(s2 - 2.0 * m * s1 + nk * m * m, 0.0)  # sum r (x - m)^2
+        beta = c.beta0 + 0.5 * (scatter + c.b0 * shift * shift)
+        alpha = np.broadcast_to(c.alpha0 + 0.5 * nk, m.shape)
+        return DiagGmmState(c.a0 + nk[:, 0], m + data.centre, np.broadcast_to(b, m.shape),
+                            alpha, beta, r, stats)
 
     def elbo(self, state, data):
         return diag_gmm_elbo(state, data, self.config)

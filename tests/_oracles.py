@@ -4,27 +4,30 @@ Everything here is deliberately implemented by routes the package itself
 never takes -- exhaustive enumeration over assignment configurations,
 direct covariance-matrix marginal likelihoods through scipy, textbook
 conjugate posterior formulas, the digamma asymptotic series, scipy's
-triangular and Cholesky solves for the regression model, the
-one-document-at-a-time log-space LDA local step, the assignment rows of
-an LDA E-step's last pass rebuilt in log space, the LDA topic update
-one CSR entry at a time, a bag-of-words file's
-CSR arrays assembled through one dict per document, the
+triangular and Cholesky solves for the regression model, its exact noise
+rate by long-double elimination, the one-document-at-a-time log-space LDA
+local step, the assignment rows of an LDA E-step's last pass rebuilt in
+log space, the LDA topic update one CSR entry at a time, a bag-of-words
+file's CSR arrays assembled through one dict per document, the
 one-observation-at-a-time global-local (conditionally conjugate) mixture
 steps, the mixture's dedicated component update and per-coordinate
-responsibilities, model ELBOs with their prior, KL and entropy terms written out
-by hand, and model ELBOs summed point by point in long double -- so
-agreement with the package is evidence of correctness rather than of
-shared code.  The exceptions are ``corpus_of``, a constructor, the LDA
-single-document updates, which the tests compose by hand on
-``LdaFactors``, the LDA factors with the per-entry ``phi`` rows the package
-no longer keeps,
-``lda_heldout_per_state``, the package's own LDA held-out scoring as it was
-before it scored recorded states in batches, one ``e_step`` per state,
-``coordinate_optimality_gap``, a fixed-point check that scores
-single-factor perturbations of a fitted state with the model's own ELBO,
-and the ``*_elbo_rows`` forms: the package's own ELBOs as they were before
-they read a sweep's sufficient statistics, through an ``(n, k)`` expected
-log likelihood or a per-row trace term, with its KL and entropy helpers.
+responsibilities, the diagonal mixture's Normal-Gamma posterior in long
+double from a two-pass scatter, model ELBOs with their prior, KL and
+entropy terms written out by hand, and model ELBOs summed point by point
+in long double -- so agreement with the package is evidence of correctness
+rather than of shared code.  The exceptions are ``corpus_of``, a
+constructor, the LDA single-document updates, which the tests compose by
+hand on ``LdaFactors``, the LDA factors with the per-entry ``phi`` rows
+the package no longer keeps, ``lda_heldout_per_state``, the package's own
+LDA held-out scoring as it was before it scored recorded states in
+batches, one ``e_step`` per state, ``coordinate_optimality_gap``, a
+fixed-point check that scores single-factor perturbations of a fitted
+state with the model's own ELBO, ``diag_gmm_sweep``, the diagonal
+mixture's sweep in the form the package used before its single
+Normal-Gamma refresh, and the ``*_elbo_rows`` forms: the package's own
+ELBOs as they were before they read a sweep's sufficient statistics,
+through an ``(n, k)`` expected log likelihood or a per-row trace term,
+with its KL and entropy helpers.
 """
 
 import dataclasses
@@ -40,6 +43,7 @@ from meanfield.blr_ard import BlrArdState, blr_expectations
 from meanfield.expfam import (
     _dirichlet_expected_log_rows,
     categorical_entropy,
+    categorical_rows,
     dirichlet_kl,
     gamma_kl,
     gamma_moments,
@@ -47,7 +51,13 @@ from meanfield.expfam import (
     normal_gamma_kl,
 )
 from meanfield.expfam import digamma as np_digamma
-from meanfield.gmm import DiagGmmState, UniGmmState
+from meanfield.gmm import (
+    DiagGmmState,
+    MixtureData,
+    UniGmmState,
+    _diag_weights,
+    _local_stats,
+)
 from meanfield.lda import Corpus, _phi_rows, e_step
 
 
@@ -184,6 +194,26 @@ def bayes_linreg_posterior(x, y, a0, b0):
     shape = a0 + 0.5 * n
     rate = b0 + 0.5 * (y @ y - mean @ v_inv @ mean)
     return mean, v, shape, rate
+
+
+def ridge_noise_rate_longdouble(x, y, b0):
+    """The noise rate ``b0 + (|y - X beta|^2 + |beta|^2) / 2`` of regression
+    with prior precision ``tau * I`` on the coefficients, in long double:
+    ``beta`` solves ``(I + X^T X) beta = X^T y`` by Gaussian elimination.
+    :func:`bayes_linreg_posterior` forms the same rate as ``y . y`` less a
+    number near it, which cancels when ``y`` is nearly linear in ``x``."""
+    x = np.asarray(x, dtype=np.longdouble)
+    y = np.asarray(y, dtype=np.longdouble)
+    d = x.shape[1]
+    a = np.hstack([np.eye(d, dtype=np.longdouble) + x.T @ x, (x.T @ y)[:, None]])
+    for i in range(d):  # symmetric positive definite: no pivoting needed
+        a[i] /= a[i, i]
+        for j in range(d):
+            if j != i:
+                a[j] -= a[j, i] * a[i]
+    beta = a[:, d]
+    resid = y - x @ beta
+    return b0 + (resid @ resid + beta @ beta) / 2
 
 
 def bayes_linreg_log_marginal(x, y, a0, b0):
@@ -509,6 +539,58 @@ def gmm_responsibilities(m, s2, data):
         ((x[:, None, :] - m[None, :, :]) ** 2).sum(axis=2) + s2.sum(axis=1)[None, :]
     )
     return np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+
+
+def diag_gmm_sweep(state, data, config):
+    """One sweep of the diagonal mixture in the form the package used before
+    it wrote every component's Normal-Gamma refresh as one expression: the
+    sample mean guarded against a zero count, an explicit prior fallback for
+    an empty component, and the scatter about the sample mean plus the
+    shrinkage term ``b0 n (xbar - m0)^2 / b``."""
+    data = MixtureData.of(data, per_coordinate=True)
+    r, log_r = categorical_rows(data.aug @ _diag_weights(state, data.centre).T)
+    stats = _local_stats(r, data, log_r)
+
+    d = data.shape[1]
+    nk = stats.sums[:, d]
+    conc = config.a0 + nk
+
+    tiny = np.finfo(float).tiny
+    mean = stats.sums[:, :d] / np.maximum(nk, tiny)[:, None]  # centred
+    xbar = np.where(nk[:, None] > tiny, mean + data.centre, config.m0)
+    scatter = np.maximum(stats.sums[:, d + 1 :] - nk[:, None] * mean**2, 0.0)
+
+    b = config.b0 + nk[:, None]
+    m = (config.b0 * config.m0 + nk[:, None] * xbar) / b
+    alpha = config.alpha0 + 0.5 * nk[:, None]
+    beta = (
+        config.beta0
+        + 0.5 * scatter
+        + 0.5 * config.b0 * nk[:, None] * (xbar - config.m0) ** 2 / b
+    )
+    b = np.broadcast_to(b, m.shape).copy()
+    alpha = np.broadcast_to(alpha, m.shape).copy()
+    return DiagGmmState(conc, m, b, alpha, beta, r, stats)
+
+
+def normal_gamma_longdouble(r, data, config):
+    """``(m, b, alpha, beta)`` of every diagonal-mixture component given
+    responsibilities ``r``, in long double from the raw rows: a two-pass
+    scatter about each component's weighted mean, plus the shrinkage term
+    ``b0 n (xbar - m0)^2 / b``.  An empty component gets the prior."""
+    x = np.asarray(data, dtype=np.longdouble)
+    r = np.asarray(r, dtype=np.longdouble)
+    m0, b0 = np.longdouble(config.m0), np.longdouble(config.b0)
+    nk = r.sum(axis=0)[:, None]
+    b = b0 + nk
+    safe = np.where(nk > 0, nk, 1)
+    xbar = np.where(nk > 0, (r.T @ x) / safe, m0)
+    scatter = np.stack([(r[:, j, None] * (x - xbar[j]) ** 2).sum(axis=0)
+                        for j in range(r.shape[1])])
+    beta = config.beta0 + scatter / 2 + b0 * nk * (xbar - m0) ** 2 / (2 * b)
+    shape = xbar.shape
+    return ((b0 * m0 + nk * xbar) / b, np.broadcast_to(b, shape),
+            np.broadcast_to(config.alpha0 + nk / 2, shape), beta)
 
 
 def condconj_local_loop(spec, lam, data, k, dim):

@@ -5,7 +5,8 @@ the setting, and the command creates no ``--out``.
 ``fit`` refuses a setting that no class of the run reads and checks every
 config class it builds before it reads the data, and an SVI batch larger
 than the data once it has read them; ``simulate`` refuses a flag that its
-model's simulator does not read, and a dataset without rows; ``eval``
+model's simulator does not read, a dataset without rows, and one too
+large for numpy to allocate; ``eval``
 refuses a fit document holding a number that is not finite, or naming its
 topics file by a path rather than a file name in its directory, and a
 held-out score that is not finite, before it writes anything;
@@ -107,6 +108,22 @@ def test_simulate_refuses_flags_its_model_does_not_read(files, capsys, argv, nam
     code, err, wrote = run(files, capsys, ["simulate", *argv])
     assert code == 2, err
     assert f"'{names}': not read by simulate" in err
+    assert not wrote
+
+
+# Each asks numpy for 7-15 TiB, which it refuses at once: nothing is allocated.
+@pytest.mark.parametrize("argv", [
+    ["--model", "gmm", "--k", "2", "--n", "1000000000000"],
+    ["--model", "gmm", "--k", "1000000000000", "--n", "2"],
+    ["--model", "gmm", "--k", "2", "--n", "2", "--dim", "1000000000000"],
+    ["--model", "blr-ard", "--n", "2", "--dim", "1000000000000"],
+    ["--model", "lda", "--k", "2", "--docs", "2", "--doc-length", "2",
+     "--vocab", "1000000000000"],
+], ids=["gmm-rows", "gmm-components", "gmm-dim", "blr-ard-dim", "lda-vocab"])
+def test_simulate_refuses_a_dataset_too_large_to_allocate(files, capsys, argv):
+    code, err, wrote = run(files, capsys, ["simulate", *argv])
+    assert code == 2, err
+    assert err == "error: dataset too large to hold in memory\n"
     assert not wrote
 
 

@@ -264,6 +264,30 @@ def test_eval_scores_far_locations(monkeypatch, capsys, tmp_path):
     assert got["heldout_log_predictive"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_eval_scores_an_overflowing_precision(monkeypatch, capsys, tmp_path):
+    """A gmm-diag document whose Student-t precision ``alpha b / (beta (1 +
+    b))`` is 1e300 * 1e300 / 1e300: the product overflows, but the log
+    density, about -1.18e299, is a double, and ``eval`` matches it as built
+    here in log space with the ``math`` module."""
+    doc = {"model": "gmm-diag", "metadata": {"k": 1}, "weight_concentration": [2.0],
+           "locations": [[0.0]], "scales": [[1e300]], "shapes": [[1e300]],
+           "rates": [[1.0]]}
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    (tmp_path / "heldout").write_text("0.5\n")
+    code = run(monkeypatch, capsys, "eval", "--fit", tmp_path / "fit.json",
+               "--data", tmp_path / "heldout", "--out", tmp_path / "out")
+    assert code == 0
+    got = strict_json((tmp_path / "out" / "eval.json").read_text())
+    b = alpha = 1e300
+    nu = 2.0 * alpha
+    log_lam = math.log(alpha) + math.log(b) - math.log(1.0) - math.log1p(b)
+    log1p_z = math.log1p(math.exp(log_lam - math.log(nu) + 2.0 * math.log(0.5)))
+    want = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
+            + 0.5 * (log_lam - math.log(math.pi * nu)) - 0.5 * (nu + 1.0) * log1p_z)
+    assert -1.2e299 < want < -1.1e299
+    assert got["heldout_log_predictive"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_the_fuzzed_commands_succeed_on_good_input(monkeypatch, capsys, fit_dir):
     """The command lines above are valid: on well-formed files they fit and
     score, so the fuzz runs reach the readers and the models."""

@@ -32,7 +32,6 @@ from meanfield.gmm import (
     UnitVarianceGmm,
     conjugate_spec,
     diag_gmm_elbo,
-    diag_gmm_sweep,
     diag_predictive_log_density,
     gmm_elbo,
     predictive_log_density,
@@ -286,7 +285,7 @@ class TestDiagGmm:
         config = DiagGmmConfig(k=1, a0=1.0)
         model = DiagGmm(config)
         state = init_state(model, data, seed=0)
-        state = diag_gmm_sweep(state, data, config)
+        state = model.sweep(state, data)
         for d in range(3):
             m, b, alpha, beta = normal_gamma_posterior(
                 data[:, d], config.m0, config.b0, config.alpha0, config.beta0
@@ -302,8 +301,8 @@ class TestDiagGmm:
         config = DiagGmmConfig(k=1, a0=1.0)
         model = DiagGmm(config)
         state = init_state(model, data, seed=0)
-        state = diag_gmm_sweep(state, data, config)
-        state = diag_gmm_sweep(state, data, config)
+        state = model.sweep(state, data)
+        state = model.sweep(state, data)
         evidence = sum(
             normal_gamma_log_marginal(
                 data[:, d], config.m0, config.b0, config.alpha0, config.beta0
